@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbolic as sym
-from .errors import GeometryError
 from .gallery import SurfaceSpec
 from .hypersurface import (
     _connection_batch,
     _frame_batch,
+    _frame_levi_derivs,
     _loghess_batch,
     _ricci_batch,
     _transverse_batch,
@@ -251,15 +251,8 @@ def _metric_compatibility(chart, P):
         mask = np.argmax(np.abs(grad), axis=1) == w
         fb = _frame_batch(chart, P[mask], w_index=int(w))
         omega = _connection_batch(chart, fb, include_reeb=False)
-        n, m = chart.n, chart.m
-        dsyms = chart._levi_entry_derivs(int(w))
-        dh = np.empty((fb.P.shape[0], n, n, m), dtype=complex)
-        for b in range(n):
-            for mu in range(n):
-                for j in range(m):
-                    dh[:, b, mu, j] = eval_at(dsyms[b][mu][j], fb.P)
-        Zgh = np.einsum("kgj,kbmj->kgbm", fb.Zc, dh)
-        lhs = Zgh
+        n = chart.n
+        lhs = _frame_levi_derivs(chart, fb)
         t1 = np.einsum("kbsg,ksm->kgbm", omega[:, :, :, :n], fb.h)
         t2 = np.einsum("kmsg,kbs->kgbm", np.conj(omega[:, :, :, n : 2 * n]), fb.h)
         worst = max(worst, float(np.max(np.abs(lhs - t1 - t2))))
@@ -365,7 +358,6 @@ def immersion_suite(surface: SurfaceSpec, seed=0, npoints=50):
     for w in np.unique(fb.w):
         mask = fb.w == w
         sub = fb.subset(mask)
-        sub.fidx = tuple(j for j in range(chart.m) if j != w)
         M = _mixed_sff_batch(spec, sub)
         pred = np.einsum("kab,kd->kabd", sub.h, np.conj(f["H"][mask]))
         worst_mixed = max(worst_mixed, float(np.max(np.abs(M - pred))))

@@ -25,7 +25,7 @@ from . import dsl
 from .checks import run_suites
 from .errors import CrgeoError, GeometryError, InputError
 from .gallery import GALLERY_DOC, SurfaceSpec, gallery, load_surface, scan_surface
-from .hypersurface import _frame_batch, _loghess_batch, _ricci_batch
+from .hypersurface import _frame_batch, _ricci_batch
 from .immersion import _gauss_form, _sff_batch
 from .quadrature import parse_quad_flag
 from .report import Report, scan_csv

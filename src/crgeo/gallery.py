@@ -15,7 +15,7 @@ import numpy as np
 
 from . import symbolic as sym
 from .errors import BadParams, NotStarShaped, UnknownSurface
-from .hypersurface import HypersurfaceChart, _frame_batch, _loghess_batch, _ricci_batch
+from .hypersurface import HypersurfaceChart, _frame_batch, _ricci_batch
 from .immersion import UMBILIC_TOLERANCE, ImmersionSpec, _sff_batch
 from .quadrature import RadialChart, radial_points, sphere_point
 from .spectral import PluriharmonicFunction
@@ -66,15 +66,12 @@ class SurfaceSpec:
         ``spacing`` estimates the largest gap between neighboring points.
         """
         if self._sampler is not None:
-            return self._scan_param_torus(budget)
+            return self._sampler.scan_grid(budget)
         d = 2 * self.dim
         angles, step = _angle_grid(budget, d - 1)
         P = radial_points(self.radial(), sphere_point(angles))
         spacing = step * float(np.max(np.abs(P)))
         return P, spacing
-
-    def _scan_param_torus(self, budget):
-        raise NotStarShaped(f"{self.name} does not define a scan grid")
 
 
 def _odd(k):
@@ -210,7 +207,7 @@ def _build_reinhardt(n=1):
         rho = sym.add(rho, sym.intpow(lg, 2))
         family.append(PluriharmonicFunction(lg, label=f"log|z{j + 1}|^2"))
     chart = HypersurfaceChart(rho, m, name=f"reinhardt(n={n})")
-    spec = SurfaceSpec(
+    return SurfaceSpec(
         name="reinhardt",
         params={"n": n},
         chart=chart,
@@ -218,8 +215,6 @@ def _build_reinhardt(n=1):
         star_shaped=False,
         _sampler=_ReinhardtSampler(m),
     )
-    spec._scan_param_torus = lambda budget: spec._sampler.scan_grid(budget)
-    return spec
 
 
 def _build_custom(fields: dict, name="custom"):

@@ -11,6 +11,11 @@ of points and return stacked arrays, grouping points by the per-point choice
 of distinguished coordinate.  The public functions are the K=1 wrappers with
 the per-point error contracts.  Charts are immutable after construction and
 all computations are pure, so points may be partitioned across workers freely.
+
+``eval_array`` is the one batched evaluation path: every array of jets the
+package uses (gradients, Hessians, the log J Hessian, Levi derivatives, the
+immersion's frame derivatives, Kohn-Laplacian gradients) is a nested list of
+expressions evaluated by it.
 """
 
 from __future__ import annotations
@@ -150,11 +155,11 @@ class HypersurfaceChart:
 
     def grad_at(self, P):
         """(..., m) array of rho_j."""
-        return eval_stack(self._grad_exprs(), P)
+        return eval_array(self._grad_exprs(), P)
 
     def hess_at(self, P):
         """(..., m, m) array of rho_{j kbar}."""
-        return _stack_second_last([eval_stack(row, P) for row in self._hess_exprs()])
+        return eval_array(self._hess_exprs(), P)
 
     def project(self, p, tol=1e-13, maxiter=80):
         """Pull a nearby point onto {rho = 0} by Newton along the gradient."""
@@ -187,13 +192,6 @@ def _sym_det(rows):
     return acc
 
 
-def _coords(P, m):
-    P = np.asarray(P, dtype=complex)
-    if P.shape[-1] != m:
-        raise ValueError(f"point has dimension {P.shape[-1]}, chart expects {m}")
-    return [P[..., j] for j in range(m)]
-
-
 def eval_at(e, P):
     """Evaluate an expression on points (..., m), broadcasting constants."""
     P = np.asarray(P, dtype=complex)
@@ -202,13 +200,21 @@ def eval_at(e, P):
     return np.broadcast_to(v, shape) if v.shape != shape else v
 
 
-def eval_stack(exprs, P):
-    """Evaluate a flat list of expressions into an (..., len) array."""
-    return np.stack([eval_at(e, P) for e in exprs], axis=-1)
+def eval_array(exprs, P):
+    """Evaluate a nested list of expressions on points (..., m).
 
-
-def _stack_second_last(rows):
-    return np.stack(rows, axis=-2)
+    ``exprs`` is an expression or a nested list of them with shape
+    ``shape``; the result has shape ``(..., *shape)``, with one trailing
+    index per nesting level: entry ``[..., i, j]`` is ``eval_at(exprs[i][j], P)``.
+    """
+    if isinstance(exprs, sym.Expr):
+        return eval_at(exprs, P)
+    P = np.asarray(P, dtype=complex)
+    grid = np.array(exprs, dtype=object)
+    out = np.empty(P.shape[:-1] + grid.shape, dtype=complex)
+    for idx, e in np.ndenumerate(grid):
+        out[(..., *idx)] = eval_at(e, P)
+    return out
 
 
 def _as_batch(p, m):
@@ -263,6 +269,7 @@ class _FrameBatch:
         for name in self.__slots__:
             v = getattr(self, name)
             setattr(out, name, v[mask] if isinstance(v, np.ndarray) else v)
+        out.fidx = _shared_fidx(out.w, out.P.shape[1])
         return out
 
     def frame_data(self, i) -> FrameData:
@@ -282,6 +289,14 @@ class _FrameBatch:
         )
 
 
+def _shared_fidx(w, m):
+    """Frame coordinates shared by every point of the batch, or None when
+    the points use different distinguished coordinates."""
+    if w.size and np.all(w == w[0]):
+        return tuple(j for j in range(m) if j != w[0])
+    return None
+
+
 def _check_imag(values, tol, what, cls=ValueError):
     worst = np.max(np.abs(np.imag(values)))
     if worst > tol:
@@ -294,10 +309,7 @@ def _transverse_batch(chart, grad, hess):
     Returns (xi (K, m), r (K,) complex, cond (K,)).
     """
     K, m = grad.shape
-    A = np.zeros((K, m + 1, m + 1), dtype=complex)
-    A[:, 0, :m] = grad
-    A[:, 1:, :m] = np.swapaxes(hess, 1, 2)
-    A[:, 1:, m] = -np.conj(grad)
+    A = _transverse_matrix(grad, hess)
     b = np.zeros((K, m + 1), dtype=complex)
     b[:, 0] = 1.0
     cond = np.linalg.cond(A)
@@ -314,6 +326,16 @@ def _transverse_batch(chart, grad, hess):
     for i in np.nonzero(~healthy)[0]:
         x[i] = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
     return x[:, :m], x[:, m], cond
+
+
+def _transverse_matrix(grad, hess):
+    """(K, m+1, m+1) matrix of the transverse system in the unknowns (xi, r)."""
+    K, m = grad.shape
+    A = np.zeros((K, m + 1, m + 1), dtype=complex)
+    A[:, 0, :m] = grad
+    A[:, 1:, :m] = np.swapaxes(hess, 1, 2)
+    A[:, 1:, m] = -np.conj(grad)
+    return A
 
 
 def _fefferman_batch(rho, grad, hess):
@@ -357,7 +379,7 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None, tol=None
     K = P.shape[0]
     fb = _FrameBatch()
     fb.P, fb.w, fb.grad, fb.hess, fb.rho = P, w, grad, hess, rho
-    fb.fidx = None
+    fb.fidx = _shared_fidx(w, m)
     fb.Zc = np.zeros((K, n, m), dtype=complex)
     for wi in np.unique(w):
         mask = w == wi
@@ -368,8 +390,6 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None, tol=None
             block[:, a, j] = 1.0
         block[:, :, wi] = -ratios
         fb.Zc[mask] = block
-    if np.all(w == w[0]):
-        fb.fidx = tuple(j for j in range(m) if j != w[0])
 
     fb.h = np.einsum("kaj,kjl,kbl->kab", fb.Zc, hess, np.conj(fb.Zc))
     herm_gap = np.max(np.abs(fb.h - np.conj(np.swapaxes(fb.h, 1, 2))))
@@ -427,8 +447,7 @@ def _loghess_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
     if np.min(Jval) <= 0:
         i = int(np.argmin(Jval))
         raise NonpositiveJ(f"J = {Jval[i]:.3e} at point index {i}")
-    entries = chart._logJ_hess_exprs()
-    lhess = _stack_second_last([eval_stack(row, fb.P) for row in entries])
+    lhess = eval_array(chart._logJ_hess_exprs(), fb.P)
     L = np.einsum("kaj,kjl,kbl->kab", fb.Zc, lhess, np.conj(fb.Zc))
     L = 0.5 * (L + np.conj(np.swapaxes(L, 1, 2)))
     return L
@@ -466,20 +485,13 @@ def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch, include_reeb=Tr
     implicit derivative of the transverse field, which form computations on
     holomorphic pairs never touch).
     """
-    m, n = chart.m, chart.n
-    assert fb.fidx is not None, "connection batch requires a uniform w_index"
-    w = int(fb.w[0])
+    n = chart.n
+    if fb.fidx is None:
+        raise ValueError("connection batch requires a uniform w_index")
     fidx = list(fb.fidx)
 
-    dsyms = chart._levi_entry_derivs(w)
-    dh = np.empty((fb.P.shape[0], n, n, m), dtype=complex)
-    for b in range(n):
-        for mu in range(n):
-            for j in range(m):
-                dh[:, b, mu, j] = eval_at(dsyms[b][mu][j], fb.P)
-
     # Z_gamma h_{beta mubar}, then raise with h^{alpha mubar} = hinv[mu, alpha]
-    Zgh = np.einsum("kgj,kbmj->kgbm", fb.Zc, dh)
+    Zgh = _frame_levi_derivs(chart, fb)
     term1 = np.einsum("kgbm,kma->kgba", Zgh, fb.hinv)
 
     xi_frame = fb.xi[:, fidx]
@@ -498,28 +510,28 @@ def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch, include_reeb=Tr
     return omega
 
 
+def _frame_levi_derivs(chart, fb):
+    """(K, gamma, beta, mu) array of Z_gamma h_{beta mubar} for a uniform-w batch."""
+    dh = eval_array(chart._levi_entry_derivs(int(fb.w[0])), fb.P)
+    return np.einsum("kgj,kbmj->kgbm", fb.Zc, dh)
+
+
 def _xi_frame_derivatives(chart, fb):
     """(K, beta, alpha) array of Z_beta xi^{fidx(alpha)}."""
     m = chart.m
     K = fb.P.shape[0]
     grad, hess = fb.grad, fb.hess
 
-    A = np.zeros((K, m + 1, m + 1), dtype=complex)
-    A[:, 0, :m] = grad
-    A[:, 1:, :m] = np.swapaxes(hess, 1, 2)
-    A[:, 1:, m] = -np.conj(grad)
+    A = _transverse_matrix(grad, hess)
     x = np.concatenate([fb.xi, fb.r[:, None].astype(complex)], axis=1)
 
     # dA/dz^j assembled from pure-holomorphic and third-order jets
-    hol2 = np.empty((K, m, m), dtype=complex)  # rho_{l j}
-    for l in range(m):
-        for j in range(m):
-            hol2[:, l, j] = eval_at(chart.jet((l, False), (j, False)), fb.P)
-    jet3 = np.empty((K, m, m, m), dtype=complex)  # d_j rho_{l kbar}
-    for l in range(m):
-        for k in range(m):
-            for j in range(m):
-                jet3[:, l, k, j] = eval_at(chart.jet((l, False), (k, True), (j, False)), fb.P)
+    ms = range(m)
+    # hol2[:, l, j] = rho_{l j}, jet3[:, l, k, j] = d_j rho_{l kbar}
+    hol2 = eval_array([[chart.jet((l, False), (j, False)) for j in ms] for l in ms], fb.P)
+    jet3 = eval_array(
+        [[[chart.jet((l, False), (k, True), (j, False)) for j in ms] for k in ms] for l in ms], fb.P
+    )
 
     dA = np.zeros((K, m, m + 1, m + 1), dtype=complex)  # [k, j, row, col]
     dA[:, :, 0, :m] = np.transpose(hol2, (0, 2, 1))
@@ -584,7 +596,7 @@ def conformal_transverse(chart: HypersurfaceChart, sigma: sym.Expr, p, w_index=N
     fb = _frame_batch(chart, P, w_index=w_index)
     sval = eval_at(sigma, P)
     _check_imag(sval, 1e-9, "sigma")
-    dsig = eval_stack([sym.differentiate(sigma, j, False) for j in range(chart.m)], P)
+    dsig = eval_array([sym.differentiate(sigma, j, False) for j in range(chart.m)], P)
     xi_sigma = np.einsum("kj,kj->k", fb.xi, dsig)
     dens = dbar_b_norm2(fb, dsig)
     rhat = np.exp(-np.real(sval)) * (fb.r + 2.0 * np.real(xi_sigma) - dens)

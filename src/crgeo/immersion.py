@@ -20,15 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symbolic as sym
-from .errors import NotPluriharmonic, RankDeficientNormalBasis
+from .errors import NotPluriharmonic, NotStrictlyPseudoconvex, RankDeficientNormalBasis
 from .hypersurface import (
     FrameData,
     HypersurfaceChart,
     _as_batch,
+    _check_imag,
     _connection_batch,
     _frame_batch,
-    eval_at,
-    frame_at,
+    _loghess_batch,
+    eval_array,
 )
 
 IMMERSION_SV_FLOOR = 1e-8
@@ -202,16 +203,10 @@ def _normal_basis(E, hinv, N):
 
 def _sff_group(spec, fb):
     """Second-fundamental-form arrays for a uniform-w frame batch."""
-    w = int(fb.w[0])
-    n, m, N = spec.n, spec.dim, spec.N
+    n, N = spec.n, spec.N
     K = fb.P.shape[0]
 
-    dF = np.empty((K, N, m), dtype=complex)
-    dfe = spec.dF_exprs()
-    for d in range(N):
-        for j in range(m):
-            dF[:, d, j] = eval_at(dfe[d][j], fb.P)
-
+    dF = eval_array(spec.dF_exprs(), fb.P)
     sv = np.linalg.svd(dF, compute_uv=False)
     if np.min(sv[:, -1]) <= IMMERSION_SV_FLOOR:
         i = int(np.argmin(sv[:, -1]))
@@ -222,12 +217,8 @@ def _sff_group(spec, fb):
     E = np.einsum("kaj,kdj->kad", fb.Zc, dF)
     q = _normal_basis(E, fb.hinv, N)
 
-    _, dzf = spec._frame_dF_exprs(w)
-    d2F = np.empty((K, N, n, m), dtype=complex)
-    for d in range(N):
-        for g in range(n):
-            for j in range(m):
-                d2F[:, d, g, j] = eval_at(dzf[d][g][j], fb.P)
+    _, dzf = spec._frame_dF_exprs(int(fb.w[0]))
+    d2F = eval_array(dzf, fb.P)
 
     omega = _connection_batch(spec.chart, fb, include_reeb=False)
     ZZF = np.einsum("kaj,kdgj->kagd", fb.Zc, d2F)
@@ -284,11 +275,9 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     }
     for wi in np.unique(fb.w):
         mask = fb.w == wi
-        sub = fb.subset(mask)
-        sub.fidx = tuple(j for j in range(spec.dim) if j != wi)
-        g = _sff_group(spec, sub)
+        g = _sff_group(spec, fb.subset(mask))
         for name in fields:
-            fields[name][mask] = getattr(g, name if name != "qbasis" else "qbasis")
+            fields[name][mask] = getattr(g, name)
     return fb, fields
 
 
@@ -328,7 +317,7 @@ def gauss_curvature(sff: SecondFundamentalForm, frame: FrameData) -> CurvatureDa
     riem = sff.Hnorm2 * hh - np.einsum("acx,bdx->abcd", sff.holo, np.conj(sff.holo))
     ric = np.einsum("abcd,dc->ab", riem, hinv)
     scalarR = np.einsum("ab,ba->", ric, hinv)
-    assert abs(scalarR.imag) < 1e-8 * max(1.0, abs(scalarR))
+    _check_imag(scalarR, 1e-8 * max(1.0, abs(scalarR)), "scalar curvature", NotStrictlyPseudoconvex)
     scalarR = float(scalarR.real)
     cm = _chern_moser_norm2(riem, ric, scalarR, h, hinv) if n >= 2 else 0.0
     return CurvatureData(riem=riem, ric=ric, scalarR=scalarR, cm_norm2=cm)
@@ -362,8 +351,6 @@ def umbilicity_report(spec: ImmersionSpec, p, w_index=None, tolerance=UMBILIC_TO
     The left side is the restricted Hessian of log J computed from the chart
     alone; the right side is assembled from the second fundamental form.
     """
-    from .hypersurface import _loghess_batch
-
     P, _ = _as_batch(p, spec.dim)
     fb, f = _sff_batch(spec, P, w_index=w_index)
     L = _loghess_batch(spec.chart, fb)
@@ -384,22 +371,10 @@ def _mixed_sff_batch(spec: ImmersionSpec, fb):
     Used by the invariant suite to cross-check the mean-curvature trace
     identity against the transverse field.
     """
-    w = int(fb.w[0])
-    n, m, N = spec.n, spec.dim, spec.N
-    K = fb.P.shape[0]
-    mixed_exprs = spec._mixed_exprs(w)
-    dconjZF = np.empty((K, N, n, m), dtype=complex)
-    for d in range(N):
-        for g in range(n):
-            for j in range(m):
-                dconjZF[:, d, g, j] = eval_at(mixed_exprs[d][g][j], fb.P)
+    dconjZF = eval_array(spec._mixed_exprs(int(fb.w[0])), fb.P)
     ambient = np.einsum("kaj,kdbj->kabd", fb.Zc, dconjZF)
 
-    dfe = spec.dF_exprs()
-    dF = np.empty((K, N, m), dtype=complex)
-    for d in range(N):
-        for j in range(m):
-            dF[:, d, j] = eval_at(dfe[d][j], fb.P)
+    dF = eval_array(spec.dF_exprs(), fb.P)
     E = np.einsum("kaj,kdj->kad", fb.Zc, dF)
     fidx = list(fb.fidx)
     xi_frame = fb.xi[:, fidx]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import symbolic as sym
 from .errors import NotEigenmap, NotPluriharmonic, ZeroEnergy
-from .hypersurface import HypersurfaceChart, _as_batch, _frame_batch, _transverse_batch, eval_at, eval_stack
+from .hypersurface import HypersurfaceChart, _as_batch, _frame_batch, _transverse_batch, dbar_b_norm2, eval_array
 from .immersion import ImmersionSpec
 from .quadrature import QuadratureRule, RadialChart, integrate
 
@@ -89,7 +89,7 @@ def _xi_batch(chart, P):
 def _boxb_batch(chart, f: PluriharmonicFunction, P):
     f.ensure_valid()
     xi, _ = _xi_batch(chart, P)
-    dbar = eval_stack(f.dbar_exprs(chart.m), P)
+    dbar = eval_array(f.dbar_exprs(chart.m), P)
     return chart.n * np.einsum("kj,kj->k", np.conj(xi), dbar)
 
 
@@ -103,10 +103,7 @@ def boxb_pluriharmonic(chart: HypersurfaceChart, f: PluriharmonicFunction, p):
 def _energy_density_batch(chart, f: PluriharmonicFunction, P, fb=None):
     if fb is None:
         fb = _frame_batch(chart, P)
-    dbar = eval_stack([sym.differentiate(f.ftilde, j, True) for j in range(chart.m)], P)
-    c = np.einsum("kaj,kj->ka", np.conj(fb.Zc), dbar)
-    val = np.einsum("ka,kab,kb->k", c, fb.hinv, np.conj(c))
-    return np.real(val)
+    return dbar_b_norm2(fb, np.conj(eval_array(f.dbar_exprs(chart.m), P)))
 
 
 def dbarb_energy_density(chart: HypersurfaceChart, f: PluriharmonicFunction, p):
@@ -130,14 +127,8 @@ def takahashi_check(spec: ImmersionSpec, sample, tol=EIGEN_TOL) -> TakahashiRepo
     chart, n = spec.chart, spec.n
     xi, _ = _xi_batch(chart, P)
 
-    dfe = spec.dF_exprs()
-    N, m = spec.N, spec.dim
-    dF = np.empty((P.shape[0], N, m), dtype=complex)
-    Fv = np.empty((P.shape[0], N), dtype=complex)
-    for d in range(N):
-        Fv[:, d] = eval_at(spec.F[d], P)
-        for j in range(m):
-            dF[:, d, j] = eval_at(dfe[d][j], P)
+    Fv = eval_array(spec.F, P)
+    dF = eval_array(spec.dF_exprs(), P)
     boxb = n * np.conj(np.einsum("kdj,kj->kd", dF, xi))
 
     Fbar = np.conj(Fv)

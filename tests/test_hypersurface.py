@@ -17,10 +17,12 @@ from crgeo.errors import (
 from crgeo.gallery import gallery
 from crgeo.hypersurface import (
     HypersurfaceChart,
+    _connection_batch,
     _frame_batch,
     _loghess_batch,
     conformal_transverse,
     connection_coeffs,
+    eval_array,
     eval_at,
     fefferman_det,
     frame_at,
@@ -69,6 +71,38 @@ def permutation_det(M):
                 sign = -sign
         total += sign * np.prod([M[i, perm[i]] for i in range(n)])
     return total
+
+
+class TestEvalArray:
+    @pytest.mark.parametrize("K", [1, 5])
+    def test_nested_lists_match_eval_at_entrywise(self, K):
+        rng = np.random.default_rng(12)
+        m = 3
+        P = rng.normal(size=(K, m)) + 1j * rng.normal(size=(K, m))
+        z = [sym.var(j) for j in range(m)]
+        c = sym.const(2.5 - 1j)
+        leaves = [z[0] * sym.conj(z[1]), sym.abs2(z[2]) + c, c, sym.log(1 + sym.abs2(z[1]))]
+        cases = [
+            (leaves[0], ()),
+            (leaves, (4,)),
+            ([leaves[:2], leaves[2:]], (2, 2)),
+            ([[leaves[:2], leaves[2:]], [leaves[1:3], [c, z[2]]]], (2, 2, 2)),
+        ]
+        for exprs, shape in cases:
+            out = eval_array(exprs, P)
+            assert out.shape == (K, *shape)
+            for idx in np.ndindex(*shape):
+                entry = exprs
+                for i in idx:
+                    entry = entry[i]
+                np.testing.assert_array_equal(out[(slice(None), *idx)], eval_at(entry, P))
+
+    def test_constant_broadcasts_to_batch_shape(self):
+        P = np.zeros((5, 2), dtype=complex)
+        out = eval_array([[sym.const(3j), sym.var(0)]], P)
+        assert out.shape == (5, 1, 2)
+        np.testing.assert_array_equal(out[:, 0, 0], np.full(5, 3j))
+        assert eval_array(sym.const(1), P).shape == (5,)
 
 
 class TestFrame:
@@ -256,6 +290,19 @@ class TestLogHessian:
 
 
 class TestConnection:
+    def test_mixed_w_batch_rejected(self):
+        # the two points pick different distinguished coordinates
+        fb = _frame_batch(sphere_chart(), np.array([[1, 0], [0, 1]], dtype=complex))
+        assert fb.fidx is None
+        with pytest.raises(ValueError, match="uniform w_index"):
+            _connection_batch(sphere_chart(), fb)
+
+    def test_subset_sets_shared_frame_coords(self):
+        fb = _frame_batch(sphere_chart(), np.array([[1, 0], [0, 1], [0, -1]], dtype=complex))
+        assert fb.subset(fb.w == 1).fidx == (0,)
+        assert fb.subset(fb.w == 0).fidx == (1,)
+        assert fb.subset(np.ones(3, dtype=bool)).fidx is None
+
     def test_sphere_holomorphic_slots_vanish(self):
         ch = sphere_chart(m=3)
         rng = np.random.default_rng(6)

@@ -1,10 +1,12 @@
 """Second fundamental form, curvature via the Gauss identity, umbilicity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from crgeo import symbolic as sym
-from crgeo.errors import NotPluriharmonic, RankDeficientNormalBasis
+from crgeo.errors import GeometryError, NotPluriharmonic, RankDeficientNormalBasis
 from crgeo.gallery import gallery, scan_surface
 from crgeo.hypersurface import _frame_batch, frame_at, ricci_liluk
 from crgeo.immersion import (
@@ -82,6 +84,15 @@ class TestSphere:
         assert np.max(np.abs(cd.riem - pattern)) < 1e-12
         assert abs(cd.scalarR - 6) < 1e-11
         assert cd.cm_norm2 < 1e-22
+
+    def test_nonreal_scalar_curvature_rejected(self):
+        surf = gallery("sphere", r=1.0, n=2)
+        sff = second_fundamental_form(surf.immersion, surf.random_points(1, seed=3)[0])
+        hinv = sff.frame.levi_inv.copy()
+        hinv[0, 1] += 0.5j  # no longer Hermitian
+        bad = dataclasses.replace(sff.frame, levi_inv=hinv)
+        with pytest.raises(GeometryError, match="scalar curvature"):
+            gauss_curvature(sff, bad)
 
 
 class TestWhitney:
