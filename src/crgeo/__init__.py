@@ -24,11 +24,13 @@ from .errors import (
     NotEigenmap,
     NotOnSurface,
     NotPluriharmonic,
+    NotRealValued,
     NotStarShaped,
     NotStrictlyPseudoconvex,
     RankDeficientNormalBasis,
     SingularSystem,
     UnknownSurface,
+    UnreadableFile,
     ZeroEnergy,
 )
 from .gallery import SurfaceSpec, gallery, load_surface, scan_surface
@@ -63,7 +65,7 @@ from .quadrature import (
     product_grid,
     radial_solve,
 )
-from .report import Report, scan_csv
+from .report import TOOL_VERSION as __version__, Report, scan_csv
 from .spectral import (
     EigenBoundReport,
     PluriharmonicFunction,
@@ -75,5 +77,3 @@ from .spectral import (
     tension_bound,
 )
 from . import symbolic
-
-__version__ = "0.1.0"

@@ -24,7 +24,6 @@ from .hypersurface import (
     _connection_batch,
     _frame_batch,
     _frame_levi_derivs,
-    _loghess_batch,
     _ricci_batch,
     _transverse_batch,
     conformal_transverse,
@@ -209,7 +208,7 @@ def hypersurface_suite(surface: SurfaceSpec, seed=0, npoints=100):
     # frame independence of r, J, scalar R, and the (L, h)-eigenvalues
     Pf = P[: min(10, npoints)]
     per_w = []
-    gradf = chart.grad_at(Pf)
+    gradf = fb.grad[:10]
     for w in range(chart.m):
         if np.min(np.abs(gradf[:, w])) < 1e-6:
             continue
@@ -231,7 +230,7 @@ def hypersurface_suite(surface: SurfaceSpec, seed=0, npoints=100):
             bool(np.min(_rel_eigs(L, fb.h)) > -1e-9)))
 
     # metric compatibility of the connection coefficients
-    res = _metric_compatibility(chart, P[: min(25, npoints)])
+    res = _metric_compatibility(chart, fb.subset(slice(25)))
     out.append(CheckResult.from_residual("connection.metric-compatibility", res, 1e-8))
 
     # conformal change: formula route vs direct transverse solve on e^sigma rho
@@ -244,17 +243,15 @@ def hypersurface_suite(surface: SurfaceSpec, seed=0, npoints=100):
     return out
 
 
-def _metric_compatibility(chart, P):
+def _metric_compatibility(chart, fb):
     worst = 0.0
-    grad = chart.grad_at(P)
-    for w in np.unique(np.argmax(np.abs(grad), axis=1)):
-        mask = np.argmax(np.abs(grad), axis=1) == w
-        fb = _frame_batch(chart, P[mask], w_index=int(w))
-        omega = _connection_batch(chart, fb, include_reeb=False)
-        n = chart.n
-        lhs = _frame_levi_derivs(chart, fb)
-        t1 = np.einsum("kbsg,ksm->kgbm", omega[:, :, :, :n], fb.h)
-        t2 = np.einsum("kmsg,kbs->kgbm", np.conj(omega[:, :, :, n : 2 * n]), fb.h)
+    n = chart.n
+    for w in np.unique(fb.w):
+        sub = fb.subset(fb.w == w)
+        omega = _connection_batch(chart, sub, include_reeb=False)
+        lhs = _frame_levi_derivs(chart, sub)
+        t1 = np.einsum("kbsg,ksm->kgbm", omega[:, :, :, :n], sub.h)
+        t2 = np.einsum("kmsg,kbs->kgbm", np.conj(omega[:, :, :, n : 2 * n]), sub.h)
         worst = max(worst, float(np.max(np.abs(lhs - t1 - t2))))
     return worst
 
@@ -333,13 +330,12 @@ def immersion_suite(surface: SurfaceSpec, seed=0, npoints=50):
         np.max(np.abs(f["torsion"] - np.swapaxes(f["torsion"], 1, 2))), 1e-9))
 
     # two-route traced Gauss identity
-    L = _loghess_batch(chart, fb)
+    ric_ll, R_ll, L = _ricci_batch(chart, fb)
     G = _gauss_form(f["holo"], fb.hinv)
     out.append(CheckResult.from_residual(
         "gauss.traced-two-route", np.max(np.abs(L - G)), 1e-7))
 
     # trace identities against the chart-only Ricci route
-    ric_ll, R_ll, _ = _ricci_batch(chart, fb)
     hh = f["Hnorm2"][:, None, None] * fb.h
     gap = np.max(np.abs(ric_ll - ((n + 1) * hh - L)))
     out.append(CheckResult.from_residual("gauss.ricci-trace-identity", gap, 1e-7))
@@ -358,7 +354,7 @@ def immersion_suite(surface: SurfaceSpec, seed=0, npoints=50):
     for w in np.unique(fb.w):
         mask = fb.w == w
         sub = fb.subset(mask)
-        M = _mixed_sff_batch(spec, sub)
+        M = _mixed_sff_batch(spec, sub, f["E"][mask])
         pred = np.einsum("kab,kd->kabd", sub.h, np.conj(f["H"][mask]))
         worst_mixed = max(worst_mixed, float(np.max(np.abs(M - pred))))
         Htr = np.einsum("kab,kabd->kd", sub.hinv, np.conj(M)) / n
@@ -377,7 +373,7 @@ def immersion_suite(surface: SurfaceSpec, seed=0, npoints=50):
     Pf = P[: min(10, npoints)]
     vals0 = valsA = None
     spread = spreadA = 0.0
-    gradf = chart.grad_at(Pf)
+    gradf = fb.grad[:10]
     for w in range(chart.m):
         if np.min(np.abs(gradf[:, w])) < 1e-6:
             continue
@@ -413,7 +409,11 @@ def spectral_suite(surface: SurfaceSpec, seed=0, npoints=50):
     chart = surface.chart
     rng = np.random.default_rng(seed + 2)
     P = surface.random_points(npoints, seed=seed + 2)
+    fb = _frame_batch(chart, P)
     out = []
+
+    def boxb(f):
+        return _boxb_batch(chart, f, P, fb.xi)
 
     # Beltrami linearity on random pluriharmonic extensions
     f1 = PluriharmonicFunction(random_pluriharmonic(rng, chart.m), "f1")
@@ -421,17 +421,13 @@ def spectral_suite(surface: SurfaceSpec, seed=0, npoints=50):
     a, b = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
     combo = PluriharmonicFunction(
         sym.add(sym.mul(sym.const(a), f1.ftilde), sym.mul(sym.const(b), f2.ftilde)), "combo")
-    gap = np.max(np.abs(
-        _boxb_batch(chart, combo, P)
-        - a * _boxb_batch(chart, f1, P)
-        - b * _boxb_batch(chart, f2, P)))
+    gap = np.max(np.abs(boxb(combo) - a * boxb(f1) - b * boxb(f2)))
     out.append(CheckResult.from_residual("beltrami.linearity", gap, 1e-10))
 
     # CR functions are annihilated exactly (structural zero)
     hol = PluriharmonicFunction(
         sym.add(sym.mul(sym.var(0), sym.var(chart.m - 1)), sym.intpow(sym.var(0), 2)), "cr")
-    vals = _boxb_batch(chart, hol, P)
-    out.append(CheckResult.from_residual("beltrami.annihilates-cr", np.max(np.abs(vals)), 1e-15))
+    out.append(CheckResult.from_residual("beltrami.annihilates-cr", np.max(np.abs(boxb(hol))), 1e-15))
 
     if surface.name == "reinhardt":
         n = chart.n
@@ -439,9 +435,8 @@ def spectral_suite(surface: SurfaceSpec, seed=0, npoints=50):
         dens_sum = np.zeros(P.shape[0])
         for j, f in enumerate(surface.plurifamily):
             Lj = np.log(np.abs(P[:, j]) ** 2)
-            bx = _boxb_batch(chart, f, P)
-            worst_b = max(worst_b, float(np.max(np.abs(bx - (n / 2) * Lj))))
-            dens = _energy_density_batch(chart, f, P)
+            worst_b = max(worst_b, float(np.max(np.abs(boxb(f) - (n / 2) * Lj))))
+            dens = _energy_density_batch(chart, f, fb)
             worst_d = max(worst_d, float(np.max(np.abs(dens - (0.5 - 0.5 * Lj**2)))))
             dens_sum += dens
         worst_s = float(np.max(np.abs(dens_sum - n / 2)))
@@ -453,14 +448,13 @@ def spectral_suite(surface: SurfaceSpec, seed=0, npoints=50):
         n = chart.n
         dens_sum = np.zeros(P.shape[0])
         for f in surface.plurifamily:
-            dens_sum += _energy_density_batch(chart, f, P)
+            dens_sum += _energy_density_batch(chart, f, fb)
         out.append(CheckResult.from_residual(
             "sphere.conjugate-energy-sum", np.max(np.abs(dens_sum - n)), 1e-9))
         worst = 0.0
         for j, f in enumerate(surface.plurifamily):
-            bx = _boxb_batch(chart, f, P)
             r0 = surface.params["r"]
-            worst = max(worst, float(np.max(np.abs(bx - (n / r0**2) * np.conj(P[:, j])))))
+            worst = max(worst, float(np.max(np.abs(boxb(f) - (n / r0**2) * np.conj(P[:, j])))))
         out.append(CheckResult.from_residual("sphere.conjugate-eigenfunctions", worst, 1e-9))
     return out
 

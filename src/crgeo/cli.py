@@ -22,8 +22,9 @@ import sys
 import numpy as np
 
 from . import dsl
+from . import symbolic as sym
 from .checks import run_suites
-from .errors import CrgeoError, GeometryError, InputError
+from .errors import BadParams, CrgeoError, GeometryError, InputError, UnreadableFile
 from .gallery import GALLERY_DOC, SurfaceSpec, gallery, load_surface, scan_surface
 from .hypersurface import _frame_batch, _ricci_batch
 from .immersion import _gauss_form, _sff_batch
@@ -46,29 +47,12 @@ _DEFAULT_GALLERY = (
 )
 
 
-def _split_top_level(text, sep=","):
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if "".join(cur).strip():
-        parts.append("".join(cur))
-    return parts
-
-
 def parse_params(text):
     """Parse 'k=v,k=(a,b,c)' CLI parameter strings."""
     out = {}
     if not text:
         return out
-    for item in _split_top_level(text):
+    for item in dsl.split_top_level(text):
         if "=" not in item:
             raise InputError(f"parameter {item!r} is not of the form key=value")
         key, value = item.split("=", 1)
@@ -90,7 +74,7 @@ def parse_params(text):
 
 def parse_point(text, dim):
     """Comma-separated complex literals (re+im i syntax) into a point."""
-    parts = _split_top_level(text)
+    parts = dsl.split_top_level(text)
     if len(parts) == 2 * dim and all("i" not in p for p in parts):
         vals = [float(p) for p in parts]
         return np.array([complex(vals[2 * j], vals[2 * j + 1]) for j in range(dim)])
@@ -99,8 +83,6 @@ def parse_point(text, dim):
     out = []
     for p in parts:
         e = dsl.parse_expr(p)
-        from . import symbolic as sym
-
         if sym.free_indices(e):
             raise InputError(f"point component {p!r} is not a constant")
         out.append(complex(sym.evaluate(e, [])))
@@ -109,8 +91,12 @@ def parse_point(text, dim):
 
 def _load_surface(args) -> SurfaceSpec:
     if getattr(args, "surface_file", None):
-        with open(args.surface_file, "r", encoding="utf-8") as fh:
-            fields = dsl.parse_surface_file(fh.read())
+        try:
+            with open(args.surface_file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UnreadableFile(f"cannot read surface file {args.surface_file!r}: {exc}") from exc
+        fields = dsl.parse_surface_file(text)
         return load_surface(fields, name=args.surface_file)
     if not args.surface:
         raise InputError("one of --surface or --surface-file is required")
@@ -176,6 +162,8 @@ def cmd_analyze(args):
 
 def cmd_scan(args):
     surface = _load_surface(args)
+    if args.grid < 1:
+        raise BadParams(f"--grid must be a positive integer, got {args.grid}")
     budget = int(args.grid) ** 3
     scan = scan_surface(surface, budget, umbilic_tolerance=args.umbilic_tol)
     _emit(scan_csv(scan, surface.dim), args.out)

@@ -160,8 +160,14 @@ def parse_expr_list(text: str, dim: int | None = None) -> list:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise DslError("expression list must be bracketed: [e1, e2, ...]")
+    return [parse_expr(p, dim) for p in split_top_level(text[1:-1])]
+
+
+def split_top_level(text: str) -> list:
+    """Split at the commas outside parentheses and brackets; a blank last
+    part is dropped."""
     parts, depth, cur = [], 0, []
-    for ch in text[1:-1]:
+    for ch in text:
         if ch in "([":
             depth += 1
         elif ch in ")]":
@@ -173,7 +179,7 @@ def parse_expr_list(text: str, dim: int | None = None) -> list:
             cur.append(ch)
     if "".join(cur).strip():
         parts.append("".join(cur))
-    return [parse_expr(p, dim) for p in parts]
+    return parts
 
 
 def parse_surface_file(text: str) -> dict:

@@ -22,7 +22,15 @@ class UnknownSurface(InputError):
 
 
 class BadParams(InputError):
-    """Gallery parameters are out of the admissible range."""
+    """Gallery or command-line parameters are out of the admissible range."""
+
+
+class UnreadableFile(InputError):
+    """An input file could not be opened or decoded."""
+
+
+class NotRealValued(InputError, ValueError):
+    """The defining expression (rho, or |F|^2 + psi) is not real-valued."""
 
 
 class DomainError(CrgeoError):

@@ -29,6 +29,7 @@ from .errors import (
     DegenerateFrame,
     NonpositiveJ,
     NotOnSurface,
+    NotRealValued,
     NotStrictlyPseudoconvex,
     SingularSystem,
 )
@@ -65,7 +66,7 @@ class HypersurfaceChart:
         if validate and not sym.appears_zero(
             sym.mul(sym.const(-0.5j), sym.add(rho, sym.neg(sym.conj(rho)))), tol=1e-12
         ):
-            raise ValueError("rho must be real-valued")
+            raise NotRealValued("rho must be real-valued")
         self.rho = rho
         self.m = int(dim)
         self.n = self.m - 1

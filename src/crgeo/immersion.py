@@ -152,13 +152,6 @@ class UmbilicityReport:
     is_umbilic: bool
 
 
-class _SffBatch:
-    __slots__ = (
-        "spec", "fb", "dF", "E", "qbasis", "holo", "H", "Ha", "Hnorm2",
-        "torsion", "II0", "normality", "symmetry", "H_tangential",
-    )
-
-
 def _project_tangential(V, E, hinv):
     """Split V (K, ..., N) into its normal rest and tangential pairings.
 
@@ -202,7 +195,7 @@ def _normal_basis(E, hinv, N):
 
 
 def _sff_group(spec, fb):
-    """Second-fundamental-form arrays for a uniform-w frame batch."""
+    """Second-fundamental-form arrays, keyed by name, for a uniform-w frame batch."""
     n, N = spec.n, spec.N
     K = fb.P.shape[0]
 
@@ -243,13 +236,11 @@ def _sff_group(spec, fb):
         np.einsum("kpqx,krsx,krp,ksq->k", holo, np.conj(holo), fb.hinv, fb.hinv)
     )
 
-    out = _SffBatch()
-    out.spec, out.fb = spec, fb
-    out.dF, out.E, out.qbasis, out.holo = dF, E, q, holo
-    out.H, out.Ha, out.Hnorm2 = H, Ha, Hnorm2
-    out.torsion, out.II0 = torsion, II0
-    out.normality, out.symmetry, out.H_tangential = normality, symmetry, H_tangential
-    return out
+    return {
+        "E": E, "qbasis": q, "holo": holo, "H": H, "Ha": Ha, "Hnorm2": Hnorm2,
+        "torsion": torsion, "II0": II0,
+        "normality": normality, "symmetry": symmetry, "H_tangential": H_tangential,
+    }
 
 
 def _sff_batch(spec: ImmersionSpec, P, w_index=None):
@@ -258,26 +249,13 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     Returns (frame_batch, dict of stacked arrays over the full batch).
     """
     fb = _frame_batch(spec.chart, P, w_index=w_index)
-    K = P.shape[0]
-    n, N = spec.n, spec.N
-    A = N - n
-    fields = {
-        "holo": np.empty((K, n, n, A), dtype=complex),
-        "H": np.empty((K, N), dtype=complex),
-        "Ha": np.empty((K, A), dtype=complex),
-        "Hnorm2": np.empty(K),
-        "torsion": np.empty((K, n, n), dtype=complex),
-        "II0": np.empty(K),
-        "qbasis": np.empty((K, A, N), dtype=complex),
-        "normality": np.empty(K),
-        "symmetry": np.empty(K),
-        "H_tangential": np.empty(K),
-    }
+    fields = {}
     for wi in np.unique(fb.w):
         mask = fb.w == wi
-        g = _sff_group(spec, fb.subset(mask))
-        for name in fields:
-            fields[name][mask] = getattr(g, name)
+        for name, v in _sff_group(spec, fb.subset(mask)).items():
+            if name not in fields:
+                fields[name] = np.empty(P.shape[:1] + v.shape[1:], dtype=v.dtype)
+            fields[name][mask] = v
     return fb, fields
 
 
@@ -365,17 +343,16 @@ def umbilicity_report(spec: ImmersionSpec, p, w_index=None, tolerance=UMBILIC_TO
     )
 
 
-def _mixed_sff_batch(spec: ImmersionSpec, fb):
+def _mixed_sff_batch(spec: ImmersionSpec, fb, E):
     """Ambient mixed part II(Z_alpha, Z_betabar) for a uniform-w batch.
 
-    Used by the invariant suite to cross-check the mean-curvature trace
-    identity against the transverse field.
+    ``E`` is the pushed frame Z_alpha F of the same points, as ``_sff_batch``
+    returns it.  Used by the invariant suite to cross-check the
+    mean-curvature trace identity against the transverse field.
     """
     dconjZF = eval_array(spec._mixed_exprs(int(fb.w[0])), fb.P)
     ambient = np.einsum("kaj,kdbj->kabd", fb.Zc, dconjZF)
 
-    dF = eval_array(spec.dF_exprs(), fb.P)
-    E = np.einsum("kaj,kdj->kad", fb.Zc, dF)
     fidx = list(fb.fidx)
     xi_frame = fb.xi[:, fidx]
     tw = np.einsum("kab,kg,kgd->kabd", fb.h, np.conj(xi_frame), np.conj(E))

@@ -7,6 +7,11 @@ That formula powers everything here: the tangential energy density
 |dbar_b f|^2, eigenmap detection for holomorphic immersions (with the induced
 sphere radius), the mean-curvature upper bound for the first positive
 eigenvalue, and the energy/tension quotient bound.
+
+The densities read the caller's per-point batch: ``_boxb_batch`` takes the
+transverse field and ``_energy_density_batch`` the frame batch, so a caller
+that evaluates several functions on one point set solves the transverse
+system once.
 """
 
 from __future__ import annotations
@@ -86,9 +91,8 @@ def _xi_batch(chart, P):
     return xi, np.real(r)
 
 
-def _boxb_batch(chart, f: PluriharmonicFunction, P):
+def _boxb_batch(chart, f: PluriharmonicFunction, P, xi):
     f.ensure_valid()
-    xi, _ = _xi_batch(chart, P)
     dbar = eval_array(f.dbar_exprs(chart.m), P)
     return chart.n * np.einsum("kj,kj->k", np.conj(xi), dbar)
 
@@ -96,20 +100,19 @@ def _boxb_batch(chart, f: PluriharmonicFunction, P):
 def boxb_pluriharmonic(chart: HypersurfaceChart, f: PluriharmonicFunction, p):
     """Kohn Laplacian of f~|_M via the transverse-field formula."""
     P, single = _as_batch(p, chart.m)
-    vals = _boxb_batch(chart, f, P)
+    xi, _ = _xi_batch(chart, P)
+    vals = _boxb_batch(chart, f, P, xi)
     return complex(vals[0]) if single else vals
 
 
-def _energy_density_batch(chart, f: PluriharmonicFunction, P, fb=None):
-    if fb is None:
-        fb = _frame_batch(chart, P)
-    return dbar_b_norm2(fb, np.conj(eval_array(f.dbar_exprs(chart.m), P)))
+def _energy_density_batch(chart, f: PluriharmonicFunction, fb):
+    return dbar_b_norm2(fb, np.conj(eval_array(f.dbar_exprs(chart.m), fb.P)))
 
 
 def dbarb_energy_density(chart: HypersurfaceChart, f: PluriharmonicFunction, p):
     """|dbar_b f|^2 at p: nonnegative, zero exactly where f is CR."""
     P, single = _as_batch(p, chart.m)
-    vals = _energy_density_batch(chart, f, P)
+    vals = _energy_density_batch(chart, f, _frame_batch(chart, P))
     return float(vals[0]) if single else vals
 
 
@@ -210,47 +213,44 @@ def tension_bound(
 
     def energy_density(P):
         fb = _frame_batch(chart, P)
-        return np.sum([_energy_density_batch(chart, f, P, fb) for f in fs], axis=0)
+        return np.sum([_energy_density_batch(chart, f, fb) for f in fs], axis=0)
 
     def tension_density(P):
-        return np.sum([np.abs(_boxb_batch(chart, f, P)) ** 2 for f in fs], axis=0)
+        xi, _ = _xi_batch(chart, P)
+        return np.sum([np.abs(_boxb_batch(chart, f, P, xi)) ** 2 for f in fs], axis=0)
 
     if quad is not None:
         rc = radial if radial is not None else RadialChart(chart)
         energy, _ = integrate(rc, energy_density, quad)
         tension, _ = integrate(rc, tension_density, quad)
         volume, err_vol = integrate(rc, lambda P: np.ones(P.shape[0]), quad)
-        if energy < ENERGY_FLOOR * max(1.0, volume):
-            raise ZeroEnergy("all components are CR; the quotient is undefined")
-        return EigenBoundReport(
-            volume=volume,
-            energy=energy,
-            total_tension=tension,
-            tension_bound=tension / energy,
-            volume_error=err_vol,
-            samples_used=quad.samples if quad.kind == "monte-carlo" else quad.resolution,
-        )
-
-    if sample_points is None:
-        raise ZeroEnergy("certified-constant mode needs sample_points")
-    P = np.asarray(sample_points, dtype=complex)
-    e_vals = energy_density(P)
-    t_vals = tension_density(P)
-    for name, vals in (("energy", e_vals), ("tension", t_vals)):
-        spread = float(np.max(vals) - np.min(vals))
-        if spread > CONSTANCY_TOL * (1.0 + float(np.mean(np.abs(vals)))):
-            raise ZeroEnergy(
-                f"{name} density is not constant (spread {spread:.3e}); "
-                "use a quadrature rule instead"
-            )
-    energy = float(np.mean(e_vals))
-    tension = float(np.mean(t_vals))
-    if energy < ENERGY_FLOOR:
+        floor = ENERGY_FLOOR * max(1.0, volume)
+        samples = quad.samples if quad.kind == "monte-carlo" else quad.resolution
+    else:
+        if sample_points is None:
+            raise ZeroEnergy("certified-constant mode needs sample_points")
+        P = np.asarray(sample_points, dtype=complex)
+        e_vals = energy_density(P)
+        t_vals = tension_density(P)
+        for name, vals in (("energy", e_vals), ("tension", t_vals)):
+            spread = float(np.max(vals) - np.min(vals))
+            if spread > CONSTANCY_TOL * (1.0 + float(np.mean(np.abs(vals)))):
+                raise ZeroEnergy(
+                    f"{name} density is not constant (spread {spread:.3e}); "
+                    "use a quadrature rule instead"
+                )
+        energy = float(np.mean(e_vals))
+        tension = float(np.mean(t_vals))
+        volume = err_vol = None
+        floor = ENERGY_FLOOR
+        samples = P.shape[0]
+    if energy < floor:
         raise ZeroEnergy("all components are CR; the quotient is undefined")
     return EigenBoundReport(
-        volume=None,
+        volume=volume,
         energy=energy,
         total_tension=tension,
         tension_bound=tension / energy,
-        samples_used=P.shape[0],
+        volume_error=err_vol,
+        samples_used=samples,
     )

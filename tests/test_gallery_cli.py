@@ -222,6 +222,28 @@ class TestCli:
         rc, _, err = run_cli(["analyze", "--surface", "sphere", "--point", "0,1,2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("text", [
+        "rho = abs2(z1) + abs2(z2) - 1 + i\ndim = 2\n",
+        "rho = abs2(z1) + abs2(z2) + i\ndim = 2\nF = [z1, z2]\npsi = i\n",
+    ])
+    def test_nonreal_surface_file_exits_2(self, tmp_path, text):
+        f = tmp_path / "surf.txt"
+        f.write_text(text)
+        rc, _, err = run_cli(["analyze", "--surface-file", str(f), "--point", "0,1"])
+        assert rc == 2
+        assert json.loads(err)["error"] == "NotRealValued"
+
+    def test_missing_surface_file_exits_2(self, tmp_path):
+        rc, _, err = run_cli(["analyze", "--surface-file", str(tmp_path / "absent.txt"), "--point", "0,1"])
+        assert rc == 2
+        assert json.loads(err)["error"] == "UnreadableFile"
+
+    @pytest.mark.parametrize("grid", ["-3", "0"])
+    def test_nonpositive_scan_grid_exits_2(self, grid):
+        rc, out, err = run_cli(["scan", "--surface", "sphere", "--grid", grid])
+        assert (rc, out) == (2, "")
+        assert json.loads(err)["error"] == "BadParams"
+
     def test_exit_code_3_on_geometry_error(self):
         # the origin cannot be projected onto the sphere
         rc, _, err = run_cli(["analyze", "--surface", "sphere", "--point", "0,0"])

@@ -5,13 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from crgeo import immersion
 from crgeo import symbolic as sym
+from crgeo.checks import immersion_suite
 from crgeo.errors import GeometryError, NotPluriharmonic, RankDeficientNormalBasis
 from crgeo.gallery import gallery, scan_surface
-from crgeo.hypersurface import _frame_batch, frame_at, ricci_liluk
+from crgeo.hypersurface import HypersurfaceChart, _frame_batch, frame_at, ricci_liluk
 from crgeo.immersion import (
     ImmersionSpec,
     _mixed_sff_batch,
+    _sff_batch,
     gauss_curvature,
     second_fundamental_form,
     torsion_from_II,
@@ -69,7 +72,7 @@ class TestSphere:
             mask = fb.w == w
             sub = fb.subset(mask)
             sub.fidx = tuple(j for j in range(3) if j != w)
-            M = _mixed_sff_batch(spec, sub)
+            M = _mixed_sff_batch(spec, sub, sub.Zc)  # E = Z F = Zc for the identity map
             # II(Z_a, Z_bbar) = -h_{a bbar} conj(xi) for the identity map
             pred = -np.einsum("kab,kd->kabd", sub.h, np.conj(sub.xi))
             assert np.max(np.abs(M - pred)) < 1e-12
@@ -238,3 +241,34 @@ class TestEllipsoidUmbilicity:
         )
         assert np.max(tail) < res["spacing"]
         assert np.max(defect) < 1e-10
+
+
+class TestBatchReuse:
+    """The SFF batch carries what the checks need; nothing is re-evaluated."""
+
+    def test_mixed_part_evaluates_one_array_per_w_group(self, monkeypatch):
+        surf = gallery("whitney", n=1)
+        spec = surf.immersion
+        fb, f = _sff_batch(spec, surf.random_points(20, seed=0))
+        calls = []
+        real = immersion.eval_array
+        monkeypatch.setattr(immersion, "eval_array", lambda exprs, P: calls.append(1) or real(exprs, P))
+        groups = np.unique(fb.w)
+        assert len(groups) == 2
+        for w in groups:
+            mask = fb.w == w
+            _mixed_sff_batch(spec, fb.subset(mask), f["E"][mask])
+        assert len(calls) == len(groups)
+
+    def test_immersion_suite_evaluates_logJ_hessian_once(self, monkeypatch):
+        calls = []
+        real = HypersurfaceChart._logJ_hess_exprs
+
+        def counted(chart):
+            calls.append(1)
+            return real(chart)
+
+        monkeypatch.setattr(HypersurfaceChart, "_logJ_hess_exprs", counted)
+        results = immersion_suite(gallery("whitney", n=1), seed=0)
+        assert all(r.passed for r in results)
+        assert len(calls) == 1

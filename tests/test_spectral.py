@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from crgeo import hypersurface, spectral
 from crgeo import symbolic as sym
+from crgeo.checks import spectral_suite
 from crgeo.errors import NotEigenmap, NotPluriharmonic, ZeroEnergy
 from crgeo.gallery import gallery
 from crgeo.immersion import ImmersionSpec
@@ -182,3 +184,52 @@ class TestTensionBound:
         fam = [PluriharmonicFunction(sym.var(0), "cr")]
         with pytest.raises(ZeroEnergy):
             tension_bound(surf.chart, fam, sample_points=surf.random_points(20, seed=16))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Record every transverse solve, wherever it is called from."""
+    calls = []
+    real = hypersurface._transverse_batch
+
+    def counted(chart, grad, hess):
+        calls.append(grad.shape[0])
+        return real(chart, grad, hess)
+
+    for mod in (hypersurface, spectral):
+        monkeypatch.setattr(mod, "_transverse_batch", counted)
+    return calls
+
+
+class TestSolveCounts:
+    """Densities read the caller's batch: one transverse solve per point set."""
+
+    @pytest.mark.parametrize("name,params", [("sphere", {"r": 1.0, "n": 1}), ("reinhardt", {"n": 1})])
+    def test_spectral_suite_solves_once(self, solves, name, params):
+        results = spectral_suite(gallery(name, **params), seed=0)
+        assert all(r.passed for r in results)
+        assert solves == [50]
+
+    def test_tension_density_solves_once_per_evaluation(self, solves, monkeypatch):
+        per_eval = []
+        real = spectral.integrate
+
+        def counting_integrate(rc, density, rule):
+            def counted(P):
+                before = len(solves)
+                out = density(P)
+                per_eval.append(len(solves) - before)
+                return out
+
+            return real(rc, counted, rule)
+
+        monkeypatch.setattr(spectral, "integrate", counting_integrate)
+        surf = gallery("sphere", r=1.0, n=1)
+        tension_bound(surf.chart, surf.plurifamily, quad=monte_carlo(50, 0))
+        # energy, tension and volume densities, one Monte-Carlo node set each
+        assert per_eval == [1, 1, 0]
+
+        solves.clear()
+        surf = gallery("reinhardt", n=2)
+        tension_bound(surf.chart, surf.plurifamily, sample_points=surf.random_points(20, seed=0))
+        assert solves == [20, 20]
