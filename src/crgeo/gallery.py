@@ -9,6 +9,7 @@ generators (random on-surface samples and deterministic scan grids).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +79,20 @@ def _odd(k):
     return k if k % 2 == 1 else k + 1
 
 
+def _nodes_per_axis(budget, n_axes):
+    """Nodes per axis of a product grid of about ``budget`` = grid^3 points;
+    fewer than 3 is rejected, naming the smallest grid that gives 3."""
+    q = int(round(budget ** (1.0 / n_axes)))
+    if q < 3:
+        least = next(g for g in itertools.count(1) if round((g**3) ** (1.0 / n_axes)) >= 3)
+        raise BadParams(f"scan budget {budget} gives {q} nodes per axis over {n_axes} axes, "
+                        f"at least 3 are needed: the smallest accepted grid is {least}")
+    return q
+
+
 def _angle_grid(budget, n_angles):
     """Product grid over [0,pi]^(n_angles-1) x [0,2pi); polar counts odd."""
-    q = max(3, int(round(budget ** (1.0 / n_angles))))
+    q = _nodes_per_axis(budget, n_angles)
     polar_count = _odd(q)
     axes = [np.linspace(0.0, np.pi, polar_count) for _ in range(n_angles - 1)]
     axes.append(np.linspace(0.0, 2 * np.pi, q, endpoint=False))
@@ -183,7 +195,7 @@ class _ReinhardtSampler:
         # axes: (m-2) polar + 1 azimuth for the log-moduli sphere, m phases
         m = self.m
         n_axes = 2 * m - 1
-        q = max(3, int(round(budget ** (1.0 / n_axes))))
+        q = _nodes_per_axis(budget, n_axes)
         axes = [np.linspace(0.0, np.pi, _odd(q)) for _ in range(m - 2)]
         axes += [np.linspace(0.0, 2 * np.pi, q, endpoint=False)] * (m + 1)
         grids = np.meshgrid(*axes, indexing="ij")

@@ -50,29 +50,22 @@ class HypersurfaceChart:
         Real-valued defining expression in z1..zm.
     dim : int
         Ambient complex dimension m = n + 1.
-    w_index : int, optional
-        Default distinguished coordinate (0-based).  Per-point analysis
-        re-selects the coordinate with the largest |rho_j| unless a caller
-        pins one explicitly.
     """
 
-    def __init__(self, rho: sym.Expr, dim: int, w_index: int | None = None, name: str = "",
-                 validate: bool = True):
+    def __init__(self, rho: sym.Expr, dim: int, name: str = ""):
         if dim < 2:
             raise ValueError("ambient dimension must be at least 2")
         bad = [j for j in sym.free_indices(rho) if j >= dim]
         if bad:
             raise ValueError(f"rho uses variables beyond dim={dim}: {sorted(bad)}")
-        if validate and not sym.appears_zero(
+        if not sym.appears_zero(
             sym.mul(sym.const(-0.5j), sym.add(rho, sym.neg(sym.conj(rho)))), tol=1e-12
         ):
             raise NotRealValued("rho must be real-valued")
         self.rho = rho
         self.m = int(dim)
         self.n = self.m - 1
-        self.w_index = self.m - 1 if w_index is None else int(w_index)
         self.name = name
-        self.point_tol = ON_SURFACE_TOL
         self._jets: dict[tuple, sym.Expr] = {(): rho}
         self._J_expr: sym.Expr | None = None
         self._logJ_hess: list | None = None
@@ -121,7 +114,7 @@ class HypersurfaceChart:
         """Symbolic Levi-matrix entries for the frame distinguished by w."""
         syms = self._levi_syms.get(w)
         if syms is None:
-            fidx = [j for j in range(self.m) if j != w]
+            fidx = _frame_coords(self.m, w)
             rw = self.jet((w, False))
             ratios = [sym.mul(self.jet((b, False)), sym.recip(rw)) for b in fidx]
             syms = []
@@ -162,14 +155,15 @@ class HypersurfaceChart:
         """(..., m, m) array of rho_{j kbar}."""
         return eval_array(self._hess_exprs(), P)
 
-    def project(self, p, tol=1e-13, maxiter=80):
-        """Pull a nearby point onto {rho = 0} by Newton along the gradient."""
+    def project(self, p):
+        """Pull a nearby point onto {rho = 0} by Newton along the gradient
+        (at most 80 steps, stopping once |rho| < 1e-13)."""
         z = np.array(p, dtype=complex)
         batched = z.ndim == 2
         Z = z if batched else z[None, :]
-        for _ in range(maxiter):
+        for _ in range(80):
             val = np.real(self.rho_at(Z))
-            if np.max(np.abs(val)) < tol:
+            if np.max(np.abs(val)) < 1e-13:
                 break
             g = self.grad_at(Z)
             denom = 2.0 * np.sum(np.abs(g) ** 2, axis=1)
@@ -260,26 +254,40 @@ class FrameData:
         return self.Zcoeffs.shape[0]
 
 
+def _frame_coords(m, w):
+    """The coordinates that index the frame Z_alpha distinguished by w."""
+    return tuple(j for j in range(m) if j != w)
+
+
 class _FrameBatch:
     """Stacked frame data over K points sharing a chart (w may vary)."""
 
-    __slots__ = ("P", "w", "fidx", "Zc", "h", "hinv", "heigs", "xi", "r", "J", "grad", "hess", "rho")
+    __slots__ = ("P", "w", "Zc", "h", "hinv", "heigs", "xi", "r", "J", "grad", "hess", "rho")
 
     def subset(self, mask):
         out = _FrameBatch()
         for name in self.__slots__:
-            v = getattr(self, name)
-            setattr(out, name, v[mask] if isinstance(v, np.ndarray) else v)
-        out.fidx = _shared_fidx(out.w, out.P.shape[1])
+            setattr(out, name, getattr(self, name)[mask])
         return out
+
+    def uniform_w(self) -> int:
+        """The distinguished coordinate shared by every point of the batch."""
+        if not (self.w.size and np.all(self.w == self.w[0])):
+            raise ValueError("frame batch requires a uniform w_index")
+        return int(self.w[0])
+
+    def w_groups(self):
+        """Yield (mask, uniform-w sub-batch) for each distinguished coordinate."""
+        for w in np.unique(self.w):
+            mask = self.w == w
+            yield mask, self.subset(mask)
 
     def frame_data(self, i) -> FrameData:
         w = int(self.w[i])
-        fidx = tuple(j for j in range(self.P.shape[1]) if j != w)
         return FrameData(
             point=self.P[i],
             w_index=w,
-            frame_coords=fidx,
+            frame_coords=_frame_coords(self.P.shape[1], w),
             Zcoeffs=self.Zc[i],
             levi=self.h[i],
             levi_inv=self.hinv[i],
@@ -288,14 +296,6 @@ class _FrameBatch:
             r=float(self.r[i]),
             J=float(self.J[i]),
         )
-
-
-def _shared_fidx(w, m):
-    """Frame coordinates shared by every point of the batch, or None when
-    the points use different distinguished coordinates."""
-    if w.size and np.all(w == w[0]):
-        return tuple(j for j in range(m) if j != w[0])
-    return None
 
 
 def _check_imag(values, tol, what, cls=ValueError):
@@ -349,17 +349,16 @@ def _fefferman_batch(rho, grad, hess):
     return -np.linalg.det(B)
 
 
-def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None, tol=None) -> _FrameBatch:
+def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _FrameBatch:
     """Frame, Levi data, transverse field, and J for a (K, m) batch."""
     m, n = chart.m, chart.n
-    tol = chart.point_tol if tol is None else tol
     rho = np.real_if_close(chart.rho_at(P))
     _check_imag(rho, 1e-9, "rho", NotOnSurface)
     rho = np.real(rho)
     offs = np.abs(rho)
-    if np.max(offs) >= tol:
+    if np.max(offs) >= ON_SURFACE_TOL:
         i = int(np.argmax(offs))
-        raise NotOnSurface(f"|rho| = {offs[i]:.3e} at point index {i} exceeds tol {tol:.1e}")
+        raise NotOnSurface(f"|rho| = {offs[i]:.3e} at point index {i} exceeds tol {ON_SURFACE_TOL:.1e}")
 
     grad = chart.grad_at(P)
     absg = np.abs(grad)
@@ -380,16 +379,13 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None, tol=None
     K = P.shape[0]
     fb = _FrameBatch()
     fb.P, fb.w, fb.grad, fb.hess, fb.rho = P, w, grad, hess, rho
-    fb.fidx = _shared_fidx(w, m)
     fb.Zc = np.zeros((K, n, m), dtype=complex)
     for wi in np.unique(w):
         mask = w == wi
-        fidx = [j for j in range(m) if j != wi]
-        ratios = grad[mask][:, fidx] / grad[mask][:, wi][:, None]
+        fidx = _frame_coords(m, wi)
         block = fb.Zc[mask]
-        for a, j in enumerate(fidx):
-            block[:, a, j] = 1.0
-        block[:, :, wi] = -ratios
+        block[:, :, fidx] = np.eye(n)
+        block[:, :, wi] = -grad[mask][:, fidx] / grad[mask][:, wi][:, None]
         fb.Zc[mask] = block
 
     fb.h = np.einsum("kaj,kjl,kbl->kab", fb.Zc, hess, np.conj(fb.Zc))
@@ -415,10 +411,10 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None, tol=None
     return fb
 
 
-def frame_at(chart: HypersurfaceChart, p, w_index=None, tol=None) -> FrameData:
+def frame_at(chart: HypersurfaceChart, p, w_index=None) -> FrameData:
     """Moving frame and derived scalars at one on-surface point."""
     P, _ = _as_batch(p, chart.m)
-    return _frame_batch(chart, P, w_index=w_index, tol=tol).frame_data(0)
+    return _frame_batch(chart, P, w_index=w_index).frame_data(0)
 
 
 def transverse_solve(chart: HypersurfaceChart, p):
@@ -454,11 +450,11 @@ def _loghess_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
     return L
 
 
-def loghess_J(chart: HypersurfaceChart, p, w_index=None) -> np.ndarray:
+def loghess_J(chart: HypersurfaceChart, p) -> np.ndarray:
     """Restriction of the complex Hessian of log J to the frame:
     L_{alpha betabar} = Z_alpha^j conj(Z_beta^k) (log J)_{j kbar}."""
     P, _ = _as_batch(p, chart.m)
-    fb = _frame_batch(chart, P, w_index=w_index)
+    fb = _frame_batch(chart, P)
     return _loghess_batch(chart, fb)[0]
 
 
@@ -487,9 +483,7 @@ def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch, include_reeb=Tr
     holomorphic pairs never touch).
     """
     n = chart.n
-    if fb.fidx is None:
-        raise ValueError("connection batch requires a uniform w_index")
-    fidx = list(fb.fidx)
+    fidx = _frame_coords(chart.m, fb.uniform_w())
 
     # Z_gamma h_{beta mubar}, then raise with h^{alpha mubar} = hinv[mu, alpha]
     Zgh = _frame_levi_derivs(chart, fb)
@@ -513,13 +507,14 @@ def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch, include_reeb=Tr
 
 def _frame_levi_derivs(chart, fb):
     """(K, gamma, beta, mu) array of Z_gamma h_{beta mubar} for a uniform-w batch."""
-    dh = eval_array(chart._levi_entry_derivs(int(fb.w[0])), fb.P)
+    dh = eval_array(chart._levi_entry_derivs(fb.uniform_w()), fb.P)
     return np.einsum("kgj,kbmj->kgbm", fb.Zc, dh)
 
 
 def _xi_frame_derivatives(chart, fb):
-    """(K, beta, alpha) array of Z_beta xi^{fidx(alpha)}."""
+    """(K, beta, alpha) array of Z_beta xi^{fidx(alpha)} for a uniform-w batch."""
     m = chart.m
+    fidx = _frame_coords(m, fb.uniform_w())
     K = fb.P.shape[0]
     grad, hess = fb.grad, fb.hess
 
@@ -541,7 +536,6 @@ def _xi_frame_derivatives(chart, fb):
 
     rhs = -np.einsum("kjrc,kc->krj", dA, x)
     dx = np.linalg.solve(A, rhs)  # (K, m+1, j): d_j of (xi, r)
-    fidx = list(fb.fidx)
     return np.einsum("kbj,kaj->kba", fb.Zc, dx[:, fidx, :])
 
 
@@ -589,16 +583,20 @@ def dbar_b_norm2(fb: _FrameBatch, dfull: np.ndarray) -> np.ndarray:
     return np.real(val)
 
 
-def conformal_transverse(chart: HypersurfaceChart, sigma: sym.Expr, p, w_index=None):
+def conformal_transverse(chart: HypersurfaceChart, sigma: sym.Expr, p):
     """Transverse curvature of the rescaled defining function e^sigma rho,
     evaluated from chart data alone:
     r_hat = e^{-sigma} (r + 2 Re(xi sigma) - |dbar_b sigma|^2)."""
     P, single = _as_batch(p, chart.m)
-    fb = _frame_batch(chart, P, w_index=w_index)
-    sval = eval_at(sigma, P)
+    rhat = _conformal_batch(chart, sigma, _frame_batch(chart, P))
+    return float(rhat[0]) if single else rhat
+
+
+def _conformal_batch(chart, sigma, fb):
+    """r_hat of ``conformal_transverse`` at the points of a frame batch."""
+    sval = eval_at(sigma, fb.P)
     _check_imag(sval, 1e-9, "sigma")
-    dsig = eval_array([sym.differentiate(sigma, j, False) for j in range(chart.m)], P)
+    dsig = eval_array([sym.differentiate(sigma, j, False) for j in range(chart.m)], fb.P)
     xi_sigma = np.einsum("kj,kj->k", fb.xi, dsig)
     dens = dbar_b_norm2(fb, dsig)
-    rhat = np.exp(-np.real(sval)) * (fb.r + 2.0 * np.real(xi_sigma) - dens)
-    return float(rhat[0]) if single else rhat
+    return np.exp(-np.real(sval)) * (fb.r + 2.0 * np.real(xi_sigma) - dens)

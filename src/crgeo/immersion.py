@@ -28,6 +28,7 @@ from .hypersurface import (
     _check_imag,
     _connection_batch,
     _frame_batch,
+    _frame_coords,
     _loghess_batch,
     eval_array,
 )
@@ -43,7 +44,7 @@ class ImmersionSpec:
     ``psi`` defaults to the constant -1, covering the |F|^2 = 1 level sets.
     """
 
-    def __init__(self, F, dim, psi=None, name="", validate=True):
+    def __init__(self, F, dim, psi=None, name=""):
         self.F = list(F)
         self.N = len(self.F)
         self.dim = int(dim)
@@ -54,12 +55,11 @@ class ImmersionSpec:
             raise RankDeficientNormalBasis(
                 f"need at least dim={self.dim} components for an immersion, got {self.N}"
             )
-        if validate:
-            for d, comp in enumerate(self.F):
-                if not sym.is_holomorphic(comp):
-                    raise NotPluriharmonic(f"component F[{d}] is not holomorphic")
-            if not sym.is_pluriharmonic(self.psi):
-                raise NotPluriharmonic("psi has a nonvanishing mixed second derivative")
+        for d, comp in enumerate(self.F):
+            if not sym.is_holomorphic(comp):
+                raise NotPluriharmonic(f"component F[{d}] is not holomorphic")
+        if not sym.is_pluriharmonic(self.psi):
+            raise NotPluriharmonic("psi has a nonvanishing mixed second derivative")
         rho = self.psi
         for comp in self.F:
             rho = sym.add(rho, sym.abs2(comp))
@@ -81,7 +81,7 @@ class ImmersionSpec:
         if cached is None:
             dF = self.dF_exprs()
             rw = self.chart.jet((w, False))
-            fidx = [j for j in range(self.dim) if j != w]
+            fidx = _frame_coords(self.dim, w)
             ratios = [sym.mul(self.chart.jet((g, False)), sym.recip(rw)) for g in fidx]
             zf = [
                 [sym.add(dF[d][g], sym.neg(sym.mul(ratios[gi], dF[d][w]))) for gi, g in enumerate(fidx)]
@@ -210,7 +210,7 @@ def _sff_group(spec, fb):
     E = np.einsum("kaj,kdj->kad", fb.Zc, dF)
     q = _normal_basis(E, fb.hinv, N)
 
-    _, dzf = spec._frame_dF_exprs(int(fb.w[0]))
+    _, dzf = spec._frame_dF_exprs(fb.uniform_w())
     d2F = eval_array(dzf, fb.P)
 
     omega = _connection_batch(spec.chart, fb, include_reeb=False)
@@ -250,9 +250,8 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     """
     fb = _frame_batch(spec.chart, P, w_index=w_index)
     fields = {}
-    for wi in np.unique(fb.w):
-        mask = fb.w == wi
-        for name, v in _sff_group(spec, fb.subset(mask)).items():
+    for mask, sub in fb.w_groups():
+        for name, v in _sff_group(spec, sub).items():
             if name not in fields:
                 fields[name] = np.empty(P.shape[:1] + v.shape[1:], dtype=v.dtype)
             fields[name][mask] = v
@@ -323,14 +322,14 @@ def _gauss_form(holo, hinv):
     return np.einsum("kpgx,kqsx,kqp->kgs", holo, np.conj(holo), hinv)
 
 
-def umbilicity_report(spec: ImmersionSpec, p, w_index=None, tolerance=UMBILIC_TOLERANCE) -> UmbilicityReport:
+def umbilicity_report(spec: ImmersionSpec, p) -> UmbilicityReport:
     """Evaluate both sides of the traced Gauss identity independently.
 
     The left side is the restricted Hessian of log J computed from the chart
     alone; the right side is assembled from the second fundamental form.
     """
     P, _ = _as_batch(p, spec.dim)
-    fb, f = _sff_batch(spec, P, w_index=w_index)
+    fb, f = _sff_batch(spec, P)
     L = _loghess_batch(spec.chart, fb)
     G = _gauss_form(f["holo"], fb.hinv)
     residual = float(np.max(np.abs(L - G)))
@@ -339,7 +338,7 @@ def umbilicity_report(spec: ImmersionSpec, p, w_index=None, tolerance=UMBILIC_TO
         II0norm2=ii0,
         logJ_form=L[0],
         logJ_trace_residual=residual,
-        is_umbilic=bool(ii0 < tolerance),
+        is_umbilic=bool(ii0 < UMBILIC_TOLERANCE),
     )
 
 
@@ -350,10 +349,10 @@ def _mixed_sff_batch(spec: ImmersionSpec, fb, E):
     returns it.  Used by the invariant suite to cross-check the
     mean-curvature trace identity against the transverse field.
     """
-    dconjZF = eval_array(spec._mixed_exprs(int(fb.w[0])), fb.P)
+    w = fb.uniform_w()
+    dconjZF = eval_array(spec._mixed_exprs(w), fb.P)
     ambient = np.einsum("kaj,kdbj->kabd", fb.Zc, dconjZF)
 
-    fidx = list(fb.fidx)
-    xi_frame = fb.xi[:, fidx]
+    xi_frame = fb.xi[:, _frame_coords(spec.dim, w)]
     tw = np.einsum("kab,kg,kgd->kabd", fb.h, np.conj(xi_frame), np.conj(E))
     return ambient - tw

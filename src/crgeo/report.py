@@ -8,8 +8,6 @@ reproduces the bytes.  Complex numbers become {"re": ..., "im": ...} pairs.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -89,26 +87,24 @@ class Report:
 
 
 def scan_csv(scan: dict, dim: int) -> str:
-    """RFC-4180 CSV for a scan result dict (see gallery.scan_surface)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    coord_cols = []
-    for j in range(dim):
-        coord_cols += [f"z{j + 1}_re", f"z{j + 1}_im"]
-    has_imm = "II0norm2" in scan
-    header = coord_cols + ["II0norm2", "Hnorm2", "r", "J", "scalarR", "min_eig_L", "is_umbilic"]
-    writer.writerow(header)
+    """RFC-4180 CSV for a scan result dict (see gallery.scan_surface).
+
+    Every field is a number, a boolean or blank, so none needs quoting; each
+    column is formatted in one pass and the rows are joined afterwards.
+    """
     P = scan["points"]
-    K = P.shape[0]
-    for k in range(K):
-        row = []
-        for j in range(dim):
-            row += [_fmt(P[k, j].real), _fmt(P[k, j].imag)]
-        if has_imm:
-            row += [_fmt(scan["II0norm2"][k]), _fmt(scan["Hnorm2"][k])]
-        else:
-            row += ["", ""]
-        row += [_fmt(scan["r"][k]), _fmt(scan["J"][k]), _fmt(scan["scalarR"][k]), _fmt(scan["min_eig_L"][k])]
-        row += [str(bool(scan["is_umbilic"][k])).lower() if has_imm else ""]
-        writer.writerow(row)
-    return buf.getvalue()
+    header = [f"z{j + 1}_{part}" for j in range(dim) for part in ("re", "im")]
+    header += ["II0norm2", "Hnorm2", "r", "J", "scalarR", "min_eig_L", "is_umbilic"]
+    cols = [_fmt_column(x) for j in range(dim) for x in (P[:, j].real, P[:, j].imag)]
+    blank = [""] * P.shape[0]
+    has_imm = "II0norm2" in scan
+    cols += [_fmt_column(scan["II0norm2"]), _fmt_column(scan["Hnorm2"])] if has_imm else [blank, blank]
+    cols += [_fmt_column(scan[name]) for name in ("r", "J", "scalarR", "min_eig_L")]
+    cols.append(["true" if u else "false" for u in np.asarray(scan["is_umbilic"], dtype=bool).tolist()]
+                if has_imm else blank)
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cols)]
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _fmt_column(values) -> list:
+    return ["%.17g" % x for x in np.asarray(values, dtype=float).tolist()]

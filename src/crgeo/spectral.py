@@ -116,7 +116,7 @@ def dbarb_energy_density(chart: HypersurfaceChart, f: PluriharmonicFunction, p):
     return float(vals[0]) if single else vals
 
 
-def takahashi_check(spec: ImmersionSpec, sample, tol=EIGEN_TOL) -> TakahashiReport:
+def takahashi_check(spec: ImmersionSpec, sample) -> TakahashiReport:
     """Fit a common eigenvalue in box_b conj(F^d) = lambda conj(F^d).
 
     The eigenvalue is fitted at the first sample point and verified at the
@@ -140,15 +140,15 @@ def takahashi_check(spec: ImmersionSpec, sample, tol=EIGEN_TOL) -> TakahashiRepo
         raise NotEigenmap("all components vanish at the first sample point")
     cands = boxb[0][anchor] / Fbar[0][anchor]
     lam = cands[0]
-    if np.max(np.abs(cands - lam)) > tol * (1 + abs(lam)):
+    if np.max(np.abs(cands - lam)) > EIGEN_TOL * (1 + abs(lam)):
         raise NotEigenmap(
             f"componentwise ratios disagree: spread {np.max(np.abs(cands - lam)):.3e}"
         )
     scale = max(1.0, float(np.max(np.abs(Fbar))))
     resid = float(np.max(np.abs(boxb - lam * Fbar)))
-    if resid > tol * scale * (1 + abs(lam)):
+    if resid > EIGEN_TOL * scale * (1 + abs(lam)):
         raise NotEigenmap(f"eigen residual {resid:.3e} across samples")
-    if abs(lam.imag) > tol * (1 + abs(lam)) or lam.real <= 0:
+    if abs(lam.imag) > EIGEN_TOL * (1 + abs(lam)) or lam.real <= 0:
         raise NotEigenmap(f"fitted eigenvalue {lam} is not positive real")
     lam = float(lam.real)
 
@@ -167,14 +167,14 @@ def takahashi_check(spec: ImmersionSpec, sample, tol=EIGEN_TOL) -> TakahashiRepo
     )
 
 
-def reilly_bound(spec: ImmersionSpec, quad: QuadratureRule, radial: RadialChart | None = None) -> EigenBoundReport:
+def reilly_bound(spec: ImmersionSpec, quad: QuadratureRule) -> EigenBoundReport:
     """Upper bound n * mean(|H|^2) for the first positive eigenvalue.
 
     |H|^2 equals the transverse curvature of the induced chart, so the
     integrand needs only the chart jets at each quadrature node.
     """
     chart = spec.chart
-    rc = radial if radial is not None else RadialChart(chart)
+    rc = RadialChart(chart)
 
     def h2_density(P):
         _, r = _xi_batch(chart, P)
@@ -197,7 +197,6 @@ def tension_bound(
     chart: HypersurfaceChart,
     f_components,
     quad: QuadratureRule | None = None,
-    radial: RadialChart | None = None,
     sample_points=None,
 ) -> EigenBoundReport:
     """Quotient bound total_tension / energy for the first eigenvalue.
@@ -220,7 +219,7 @@ def tension_bound(
         return np.sum([np.abs(_boxb_batch(chart, f, P, xi)) ** 2 for f in fs], axis=0)
 
     if quad is not None:
-        rc = radial if radial is not None else RadialChart(chart)
+        rc = RadialChart(chart)
         energy, _ = integrate(rc, energy_density, quad)
         tension, _ = integrate(rc, tension_density, quad)
         volume, err_vol = integrate(rc, lambda P: np.ones(P.shape[0]), quad)

@@ -323,15 +323,15 @@ def _random_coords(rng, m, k=1):
     return re_part + 1j * im_part
 
 
-def appears_zero(e: Expr, tol: float = 1e-12, npoints: int = _N_ZERO_POINTS) -> bool:
+def appears_zero(e: Expr, tol: float = 1e-12) -> bool:
     """Randomized zero test after simplification: exact constant zero, or
-    |value| < tol at ``npoints`` fixed pseudo-random points."""
+    |value| < tol at ``_N_ZERO_POINTS`` fixed pseudo-random points."""
     if _is_const(e):
         return abs(e.payload) < tol
     idx = free_indices(e)
     m = (max(idx) + 1) if idx else 1
     rng = np.random.default_rng(_ZERO_TEST_SEED)
-    pts = _random_coords(rng, m, npoints)
+    pts = _random_coords(rng, m, _N_ZERO_POINTS)
     vals = evaluate(e, [pts[:, j] for j in range(m)])
     return bool(np.max(np.abs(vals)) < tol)
 
@@ -341,13 +341,13 @@ def is_holomorphic(e: Expr) -> bool:
     return all(appears_zero(differentiate(e, j, conjugated=True)) for j in free_indices(e))
 
 
-def is_pluriharmonic(e: Expr, tol: float = 1e-10) -> bool:
+def is_pluriharmonic(e: Expr) -> bool:
     """True iff all mixed second Wirtinger derivatives of e vanish."""
     idx = free_indices(e)
     for j in idx:
         ej = differentiate(e, j, conjugated=False)
         for k in idx:
-            if not appears_zero(differentiate(ej, k, conjugated=True), tol):
+            if not appears_zero(differentiate(ej, k, conjugated=True), tol=1e-10):
                 return False
     return True
 

@@ -11,7 +11,7 @@ from crgeo.cli import main, parse_params, parse_point
 from crgeo.errors import BadParams, InputError, UnknownSurface
 from crgeo.gallery import gallery, load_surface
 from crgeo.dsl import parse_surface_file
-from crgeo.report import Report, decode_number
+from crgeo.report import Report, decode_number, scan_csv
 
 
 def run_cli(argv):
@@ -106,6 +106,27 @@ class TestReport:
         text = rep.to_json()
         again = Report.from_json(text).to_json()
         assert text == again
+
+    def test_scan_csv_bytes(self):
+        scan = {
+            "points": np.array([[complex(-0.0, 1e-20), complex(1e20, -0.5)],
+                                [complex(0.1, 0.0), complex(-2.5, 3.0)]]),
+            "r": np.array([1.0, -0.0]),
+            "J": np.array([1e20, 0.25]),
+            "scalarR": np.array([2.0, 3.0]),
+            "min_eig_L": np.array([-1e-20, 0.0]),
+        }
+        header = "z1_re,z1_im,z2_re,z2_im,II0norm2,Hnorm2,r,J,scalarR,min_eig_L,is_umbilic\r\n"
+        assert scan_csv(scan, 2) == header + (
+            "-0,9.9999999999999995e-21,1e+20,-0.5,,,1,1e+20,2,-9.9999999999999995e-21,\r\n"
+            "0.10000000000000001,0,-2.5,3,,,-0,0.25,3,0,\r\n"
+        )
+        scan.update(II0norm2=np.array([0.0, 1e-20]), Hnorm2=np.array([1.0, 2.0]),
+                    is_umbilic=np.array([True, False]))
+        assert scan_csv(scan, 2) == header + (
+            "-0,9.9999999999999995e-21,1e+20,-0.5,0,1,1,1e+20,2,-9.9999999999999995e-21,true\r\n"
+            "0.10000000000000001,0,-2.5,3,9.9999999999999995e-21,2,-0,0.25,3,0,false\r\n"
+        )
 
 
 class TestReportSchema:
@@ -243,6 +264,20 @@ class TestCli:
         rc, out, err = run_cli(["scan", "--surface", "sphere", "--grid", grid])
         assert (rc, out) == (2, "")
         assert json.loads(err)["error"] == "BadParams"
+
+    @pytest.mark.parametrize("surface,grid,smallest", [("ellipsoid", "4", 5), ("sphere", "2", 3)])
+    def test_scan_grid_below_three_nodes_per_axis_exits_2(self, surface, grid, smallest):
+        rc, out, err = run_cli(["scan", "--surface", surface, "--grid", grid])
+        assert (rc, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "BadParams"
+        assert error["message"].endswith(f"smallest accepted grid is {smallest}")
+
+    @pytest.mark.parametrize("surface,grid,rows", [("ellipsoid", "5", 243), ("sphere", "3", 27)])
+    def test_smallest_scan_grid_rows(self, surface, grid, rows):
+        rc, out, _ = run_cli(["scan", "--surface", surface, "--grid", grid])
+        assert rc == 0
+        assert out.count("\r\n") == rows + 1
 
     def test_exit_code_3_on_geometry_error(self):
         # the origin cannot be projected onto the sphere

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from crgeo import checks, hypersurface
 from crgeo import symbolic as sym
-from crgeo.checks import fd_wirtinger
+from crgeo.checks import fd_wirtinger, hypersurface_suite
 from crgeo.errors import (
     DegenerateFrame,
     NonpositiveJ,
@@ -19,7 +20,10 @@ from crgeo.hypersurface import (
     HypersurfaceChart,
     _connection_batch,
     _frame_batch,
+    _frame_coords,
+    _frame_levi_derivs,
     _loghess_batch,
+    _xi_frame_derivatives,
     conformal_transverse,
     connection_coeffs,
     eval_array,
@@ -45,15 +49,15 @@ def ellipsoid_chart(A):
     return HypersurfaceChart(rho, m)
 
 
-def fd_levi(chart, frame, h=1e-5):
+def fd_levi(chart, frame):
     """Independent Levi oracle: restrict the finite-difference Hessian."""
     m = chart.m
     hess = np.empty((m, m), dtype=complex)
     P = frame.point[None, :]
     for j in range(m):
-        g = lambda Q: fd_wirtinger(lambda R: np.real(chart.rho_at(R)), Q, j, False)
+        g = lambda Q: fd_wirtinger(lambda R: np.real(chart.rho_at(R)), Q, j)[0]
         for k in range(m):
-            hess[j, k] = fd_wirtinger(g, P, k, True)[0]
+            hess[j, k] = fd_wirtinger(g, P, k)[1][0]
     return frame.Zcoeffs @ hess @ frame.Zcoeffs.conj().T
 
 
@@ -293,15 +297,27 @@ class TestConnection:
     def test_mixed_w_batch_rejected(self):
         # the two points pick different distinguished coordinates
         fb = _frame_batch(sphere_chart(), np.array([[1, 0], [0, 1]], dtype=complex))
-        assert fb.fidx is None
+        with pytest.raises(ValueError, match="uniform w_index"):
+            fb.uniform_w()
         with pytest.raises(ValueError, match="uniform w_index"):
             _connection_batch(sphere_chart(), fb)
 
+    @pytest.mark.parametrize("helper", [_frame_levi_derivs, _xi_frame_derivatives])
+    def test_mixed_w_batch_rejected_by_frame_helpers(self, helper):
+        ch = sphere_chart()
+        fb = _frame_batch(ch, np.array([[0.8, 0.6], [0.6, 0.8]], dtype=complex))
+        assert list(fb.w) == [0, 1]
+        with pytest.raises(ValueError, match="uniform w_index"):
+            helper(ch, fb)
+
     def test_subset_sets_shared_frame_coords(self):
         fb = _frame_batch(sphere_chart(), np.array([[1, 0], [0, 1], [0, -1]], dtype=complex))
-        assert fb.subset(fb.w == 1).fidx == (0,)
-        assert fb.subset(fb.w == 0).fidx == (1,)
-        assert fb.subset(np.ones(3, dtype=bool)).fidx is None
+        assert _frame_coords(2, fb.subset(fb.w == 1).uniform_w()) == (0,)
+        assert _frame_coords(2, fb.subset(fb.w == 0).uniform_w()) == (1,)
+        with pytest.raises(ValueError, match="uniform w_index"):
+            fb.subset(np.ones(3, dtype=bool)).uniform_w()
+        assert [(list(mask), sub.uniform_w()) for mask, sub in fb.w_groups()] == [
+            ([True, False, False], 0), ([False, True, True], 1)]
 
     def test_sphere_holomorphic_slots_vanish(self):
         ch = sphere_chart(m=3)
@@ -385,7 +401,7 @@ class TestConnection:
         P = p[None, :]
         for j in range(2):
             s = eval_at(dsyms[0][0][j], P)[0]
-            f = fd_wirtinger(lambda Q: eval_at(esyms[0][0], Q), P, j, False)[0]
+            f = fd_wirtinger(lambda Q: eval_at(esyms[0][0], Q), P, j)[0][0]
             assert abs(s - f) < 1e-6
 
 
@@ -470,3 +486,27 @@ class TestFrameIndependence:
                 vals.append((fr.r, fr.J, R))
             arr = np.array(vals)
             assert np.max(np.abs(arr - arr[0])) < 1e-8
+
+
+class TestSuiteFrameBatches:
+    """hypersurface_suite builds one frame batch, plus one per pinned w."""
+
+    @pytest.mark.parametrize("name,params,batches", [
+        ("sphere", {"r": 1.0, "n": 1}, 3),
+        ("reinhardt", {"n": 1}, 3),
+        ("whitney", {"n": 1}, 3),
+        ("reinhardt", {"n": 2}, 4),
+    ])
+    def test_frame_batch_count(self, monkeypatch, name, params, batches):
+        calls = []
+        real = hypersurface._frame_batch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hypersurface, "_frame_batch", counted)
+        monkeypatch.setattr(checks, "_frame_batch", counted)
+        results = hypersurface_suite(gallery(name, **params), seed=0)
+        assert all(r.passed for r in results)
+        assert len(calls) == batches

@@ -68,14 +68,18 @@ class TestSphere:
         spec = surf.immersion
         P = surf.random_points(8, seed=2)
         fb = _frame_batch(spec.chart, P)
-        for w in np.unique(fb.w):
-            mask = fb.w == w
-            sub = fb.subset(mask)
-            sub.fidx = tuple(j for j in range(3) if j != w)
+        for _, sub in fb.w_groups():
             M = _mixed_sff_batch(spec, sub, sub.Zc)  # E = Z F = Zc for the identity map
             # II(Z_a, Z_bbar) = -h_{a bbar} conj(xi) for the identity map
             pred = -np.einsum("kab,kd->kabd", sub.h, np.conj(sub.xi))
             assert np.max(np.abs(M - pred)) < 1e-12
+
+    def test_mixed_w_batch_rejected(self):
+        spec = gallery("sphere", r=1.0, n=1).immersion
+        fb = _frame_batch(spec.chart, np.array([[0.8, 0.6], [0.6, 0.8]], dtype=complex))
+        assert list(fb.w) == [0, 1]
+        with pytest.raises(ValueError, match="uniform w_index"):
+            _mixed_sff_batch(spec, fb, fb.Zc)
 
     def test_gauss_tensor_is_metric_pattern(self):
         surf = gallery("sphere", r=1.0, n=2)

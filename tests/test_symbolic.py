@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crgeo import symbolic as sym
-from crgeo.checks import fd_wirtinger, random_exprs
+from crgeo.checks import fd_wirtinger, random_exprs, symcore_suite
 from crgeo.errors import DomainError
 
 
@@ -31,8 +31,8 @@ class TestDerivativeRules:
         val = ev(d2, 1.0)
         P = np.array([[1.0 + 0j]])
         fd = fd_wirtinger(
-            lambda Q: sym.evaluate(sym.differentiate(e, 0, False), [Q[:, 0]]), P, 0, True
-        )[0]
+            lambda Q: sym.evaluate(sym.differentiate(e, 0, False), [Q[:, 0]]), P, 0
+        )[1][0]
         assert abs(val - 0.25) < 1e-12
         assert abs(fd - 0.25) < 1e-6
 
@@ -159,5 +159,13 @@ class TestProperties:
         for j in sym.free_indices(e):
             for conjugated in (False, True):
                 s = sym.evaluate(sym.differentiate(e, j, conjugated), [P[:, 0], P[:, 1]])
-                f = fd_wirtinger(lambda Q: sym.evaluate(e, [Q[:, 0], Q[:, 1]]), P, j, conjugated)
+                f = fd_wirtinger(lambda Q: sym.evaluate(e, [Q[:, 0], Q[:, 1]]), P, j)[conjugated]
                 assert np.max(np.abs(s - f) / (1 + np.abs(s))) < 1e-6
+
+
+class TestSymcoreSuite:
+    # (z1*z1)^9 at seed 22 and its relatives at seed 18 have truncation errors
+    # above 1e-6 under plain central differences at any usable step
+    @pytest.mark.parametrize("seed", [18, 22])
+    def test_passes_where_central_differences_failed(self, seed):
+        assert all(r.passed for r in symcore_suite(seed))
