@@ -6,7 +6,9 @@ Hermitian positivity, determinant reality, metric compatibility of the
 connection, the traced Gauss identity through two independent routes, the
 trace inequalities, conformal-change agreement, quadrature convergence, and
 first/second symbolic derivatives against Richardson-extrapolated central
-finite differences on the real jet (steps 1e-3 and 5e-4).
+finite differences on the real jet (steps 1e-3 and 5e-4).  The chain-rule
+frame derivatives Z_gamma h_{beta mubar} are checked against the same finite
+differences of the numeric Levi matrix, each point's frame held at its own w.
 
 ``run_suites`` powers the CLI ``check`` subcommand; each result carries the
 residual actually measured so report consumers can re-threshold.
@@ -24,7 +26,9 @@ from .hypersurface import (
     _conformal_batch,
     _connection_batch,
     _frame_batch,
+    _frame_coeffs,
     _frame_levi_derivs,
+    _levi_form,
     _ricci_batch,
     _transverse_batch,
     eval_at,
@@ -187,7 +191,7 @@ def hypersurface_suite(surface: SurfaceSpec, seed=0):
     out.append(CheckResult.from_residual(
         "frame.xi-defining-equations", max(np.max(res_pair), np.max(res_eig)), 1e-9))
 
-    raw = np.einsum("kaj,kjl,kbl->kab", fb.Zc, hess, np.conj(fb.Zc))
+    raw = _levi_form(fb.Zc, hess)
     herm = np.max(np.abs(raw - np.conj(np.swapaxes(raw, 1, 2))))
     out.append(CheckResult.from_residual("frame.levi-hermitian", herm, 1e-12))
     out.append(CheckResult("frame.levi-positive", float(np.min(fb.heigs)), 1e-10,
@@ -237,22 +241,19 @@ def hypersurface_suite(surface: SurfaceSpec, seed=0):
     res = _conformal_tworoute(surface, rng, fb.subset(slice(20)))
     out.append(CheckResult.from_residual("conformal.two-route", res, 1e-8))
 
-    # symbolic jets against finite differences
+    # symbolic jets and chain-rule frame derivatives against finite differences
     out.append(CheckResult.from_residual(
-        "fd.first-and-second-jets", _fd_suite(surface, P[:50]), 1e-6))
+        "fd.first-and-second-jets", _fd_suite(surface, fb.subset(slice(50))), 1e-6))
     return out
 
 
 def _metric_compatibility(chart, fb):
-    worst = 0.0
     n = chart.n
-    for _, sub in fb.w_groups():
-        omega = _connection_batch(chart, sub, include_reeb=False)
-        lhs = _frame_levi_derivs(chart, sub)
-        t1 = np.einsum("kbsg,ksm->kgbm", omega[:, :, :, :n], sub.h)
-        t2 = np.einsum("kmsg,kbs->kgbm", np.conj(omega[:, :, :, n : 2 * n]), sub.h)
-        worst = max(worst, float(np.max(np.abs(lhs - t1 - t2))))
-    return worst
+    omega = _connection_batch(chart, fb, include_reeb=False)
+    lhs = _frame_levi_derivs(chart, fb)
+    t1 = np.einsum("kbsg,ksm->kgbm", omega[:, :, :, :n], fb.h)
+    t2 = np.einsum("kmsg,kbs->kgbm", np.conj(omega[:, :, :, n : 2 * n]), fb.h)
+    return float(np.max(np.abs(lhs - t1 - t2)))
 
 
 def _conformal_tworoute(surface, rng, fb):
@@ -274,37 +275,37 @@ def _conformal_tworoute(surface, rng, fb):
         if efac is None:
             continue
         hat_chart = HypersurfaceChart(sym.mul(efac, chart.rho), chart.m)
-        xi2, r2, _ = _transverse_batch(hat_chart, hat_chart.grad_at(fb.P), hat_chart.hess_at(fb.P))
+        xi2, r2, _ = _transverse_batch(hat_chart.grad_at(fb.P), hat_chart.hess_at(fb.P))
         worst = max(worst, float(np.max(np.abs(rhat - np.real(r2)))))
     return worst
 
 
-def _fd_suite(surface: SurfaceSpec, P):
+def _fd_suite(surface: SurfaceSpec, fb):
+    """Worst FD mismatch of the symbolic jets and of the chain-rule frame
+    derivatives at the points of a frame batch."""
     chart = surface.chart
-    worst = 0.0
-    worst = max(worst, max_fd_mismatch(chart.rho, P))
-    for j in range(chart.m):
-        worst = max(worst, max_fd_mismatch(chart.jet((j, False)), P))
-    worst = max(worst, max_fd_mismatch(sym.log(chart.fefferman_expr()), P))
-    # frame-dependent expressions carry 1/rho_w: only points where that
-    # coordinate is a valid frame choice are in their domain
-    grad = np.abs(chart.grad_at(P))
-    w = int(np.argmax(grad[0]))
-    Pw = P[grad[:, w] > 0.3 * np.max(grad, axis=1)]
-    for row in chart._levi_entry_exprs(w):
-        for e in row:
-            worst = max(worst, max_fd_mismatch(e, Pw))
+    exprs = [chart.rho, sym.log(chart.fefferman_expr())]
+    exprs += chart._grad_exprs() + [e for row in chart._hess_exprs() for e in row]
     if surface.immersion is not None:
-        spec = surface.immersion
-        for comp in spec.F:
-            worst = max(worst, max_fd_mismatch(comp, P))
-        zf, _ = spec._frame_dF_exprs(w)
-        for row in zf:
-            for e in row:
-                worst = max(worst, max_fd_mismatch(e, Pw))
-    for f in surface.plurifamily:
-        worst = max(worst, max_fd_mismatch(f.ftilde, P))
-    return worst
+        exprs += surface.immersion.F + [e for row in surface.immersion.dF_exprs() for e in row]
+    exprs += [f.ftilde for f in surface.plurifamily]
+    worst = max(max_fd_mismatch(e, fb.P) for e in exprs)
+    s = _frame_levi_derivs(chart, fb)
+    gap = np.abs(s - fd_frame_levi_derivs(chart, fb)) / (1.0 + np.abs(s))
+    return max(worst, float(np.max(gap)))
+
+
+def fd_frame_levi_derivs(chart, fb):
+    """(K, gamma, beta, mu) array of Z_gamma h_{beta mubar} from finite
+    differences of the numeric Levi matrix Zc rho'' Zc^*, with each point's
+    frame held at its own w."""
+
+    def levi(Q):
+        _, Zc = _frame_coeffs(chart.grad_at(Q), fb.w)
+        return _levi_form(Zc, chart.hess_at(Q))
+
+    dh = np.stack([fd_wirtinger(levi, fb.P, j)[0] for j in range(chart.m)], axis=-1)
+    return np.einsum("kgj,kbmj->kgbm", fb.Zc, dh)
 
 
 def immersion_suite(surface: SurfaceSpec, seed=0):
@@ -348,16 +349,11 @@ def immersion_suite(surface: SurfaceSpec, seed=0):
         "gauss.ricci-upper-bound", float(np.min(slack)), -1e-9, bool(np.min(slack) > -1e-9)))
 
     # mixed part: II(Z_alpha, Z_betabar) = h_{alpha betabar} conj(H)
-    worst_mixed = 0.0
-    worst_trace = 0.0
-    for mask, sub in fb.w_groups():
-        M = _mixed_sff_batch(spec, sub, f["E"][mask])
-        pred = np.einsum("kab,kd->kabd", sub.h, np.conj(f["H"][mask]))
-        worst_mixed = max(worst_mixed, float(np.max(np.abs(M - pred))))
-        Htr = np.einsum("kab,kabd->kd", sub.hinv, np.conj(M)) / n
-        worst_trace = max(worst_trace, float(np.max(np.abs(Htr - f["H"][mask]))))
-    out.append(CheckResult.from_residual("sff.mixed-part-identity", worst_mixed, 1e-8))
-    out.append(CheckResult.from_residual("sff.mean-curvature-trace", worst_trace, 1e-8))
+    M = _mixed_sff_batch(fb, f)
+    pred = np.einsum("kab,kd->kabd", fb.h, np.conj(f["H"]))
+    out.append(CheckResult.from_residual("sff.mixed-part-identity", np.max(np.abs(M - pred)), 1e-8))
+    Htr = np.einsum("kab,kabd->kd", fb.hinv, np.conj(M)) / n
+    out.append(CheckResult.from_residual("sff.mean-curvature-trace", np.max(np.abs(Htr - f["H"])), 1e-8))
 
     # Reeb pairing: theta(T) = 1 exactly, and H is metrically normal
     theta_T = np.real(np.conj(np.einsum("kj,kj->k", fb.grad, fb.xi)))

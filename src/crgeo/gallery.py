@@ -31,7 +31,6 @@ class SurfaceSpec:
     chart: HypersurfaceChart
     immersion: ImmersionSpec | None = None
     sigma: sym.Expr | None = None
-    base_chart: HypersurfaceChart | None = None
     plurifamily: list = field(default_factory=list)
     star_shaped: bool = True
     _sampler: object = None
@@ -164,18 +163,12 @@ def _build_whitney(n=1):
     F = zs + [sym.mul(z, w) for z in zs] + [sym.mul(w, w)]
     imm = ImmersionSpec(F, dim=m, name=f"whitney(n={n})")
     sigma = sym.log(sym.add(sym.const(1), sym.abs2(w)))
-    base = HypersurfaceChart(
-        sym.add(sum((sym.abs2(z) for z in _identity_vars(m)), sym.const(0)), sym.const(-1)),
-        m,
-        name="unit sphere",
-    )
     return SurfaceSpec(
         name="whitney",
         params={"n": n},
         chart=imm.chart,
         immersion=imm,
         sigma=sigma,
-        base_chart=base,
     )
 
 

@@ -7,15 +7,17 @@ Hessian determinant J, the restricted complex Hessian of log J, Tanaka-Webster
 connection coefficients, and the Ricci data assembled from them.
 
 Internals are vectorized: the private ``*_batch`` helpers accept (K, m) arrays
-of points and return stacked arrays, grouping points by the per-point choice
-of distinguished coordinate.  The public functions are the K=1 wrappers with
-the per-point error contracts.  Charts are immutable after construction and
+of points and return stacked arrays.  Each point carries its own distinguished
+coordinate w, and every helper takes batches that mix them: only the w-column
+of the frame varies, so frame derivatives follow by the chain rule from
+w-free ambient jets.  The public functions are the K=1 wrappers with the
+per-point error contracts.  Charts are immutable after construction and
 all computations are pure, so points may be partitioned across workers freely.
 
 ``eval_array`` is the one batched evaluation path: every array of jets the
-package uses (gradients, Hessians, the log J Hessian, Levi derivatives, the
-immersion's frame derivatives, Kohn-Laplacian gradients) is a nested list of
-expressions evaluated by it.
+package uses (gradients, Hessians, the log J Hessian, the third-order ambient
+jets, the immersion's derivatives, Kohn-Laplacian gradients) is a nested list
+of expressions evaluated by it.
 """
 
 from __future__ import annotations
@@ -58,9 +60,7 @@ class HypersurfaceChart:
         bad = [j for j in sym.free_indices(rho) if j >= dim]
         if bad:
             raise ValueError(f"rho uses variables beyond dim={dim}: {sorted(bad)}")
-        if not sym.appears_zero(
-            sym.mul(sym.const(-0.5j), sym.add(rho, sym.neg(sym.conj(rho)))), tol=1e-12
-        ):
+        if not sym.appears_zero(sym.im(rho), tol=1e-12):
             raise NotRealValued("rho must be real-valued")
         self.rho = rho
         self.m = int(dim)
@@ -69,8 +69,6 @@ class HypersurfaceChart:
         self._jets: dict[tuple, sym.Expr] = {(): rho}
         self._J_expr: sym.Expr | None = None
         self._logJ_hess: list | None = None
-        self._levi_syms: dict[int, list] = {}
-        self._levi_dsyms: dict[int, list] = {}
 
     # ---- symbolic jets ---------------------------------------------------
 
@@ -110,38 +108,6 @@ class HypersurfaceChart:
             ]
         return self._logJ_hess
 
-    def _levi_entry_exprs(self, w: int):
-        """Symbolic Levi-matrix entries for the frame distinguished by w."""
-        syms = self._levi_syms.get(w)
-        if syms is None:
-            fidx = _frame_coords(self.m, w)
-            rw = self.jet((w, False))
-            ratios = [sym.mul(self.jet((b, False)), sym.recip(rw)) for b in fidx]
-            syms = []
-            for bi, b in enumerate(fidx):
-                row = []
-                for mi, mu in enumerate(fidx):
-                    e = self.jet((b, False), (mu, True))
-                    e = sym.add(e, sym.neg(sym.mul(ratios[bi], self.jet((w, False), (mu, True)))))
-                    e = sym.add(e, sym.neg(sym.mul(sym.conj(ratios[mi]), self.jet((b, False), (w, True)))))
-                    e = sym.add(e, sym.mul(sym.mul(ratios[bi], sym.conj(ratios[mi])), self.jet((w, False), (w, True))))
-                    row.append(e)
-                syms.append(row)
-            self._levi_syms[w] = syms
-        return syms
-
-    def _levi_entry_derivs(self, w: int):
-        """d/dz^j of every symbolic Levi entry, for frame-field contraction."""
-        dsyms = self._levi_dsyms.get(w)
-        if dsyms is None:
-            entries = self._levi_entry_exprs(w)
-            dsyms = [
-                [[sym.differentiate(e, j, False) for j in range(self.m)] for e in row]
-                for row in entries
-            ]
-            self._levi_dsyms[w] = dsyms
-        return dsyms
-
     # ---- numeric evaluation ----------------------------------------------
 
     def rho_at(self, P):
@@ -157,7 +123,10 @@ class HypersurfaceChart:
 
     def project(self, p):
         """Pull a nearby point onto {rho = 0} by Newton along the gradient
-        (at most 80 steps, stopping once |rho| < 1e-13)."""
+        (at most 80 steps, stopping once |rho| < 1e-13).
+
+        Raises NotOnSurface when 80 steps leave |rho| >= ON_SURFACE_TOL.
+        """
         z = np.array(p, dtype=complex)
         batched = z.ndim == 2
         Z = z if batched else z[None, :]
@@ -169,6 +138,14 @@ class HypersurfaceChart:
             denom = 2.0 * np.sum(np.abs(g) ** 2, axis=1)
             step = val / np.where(denom == 0, 1.0, denom)
             Z = Z - step[:, None] * np.conj(g)
+        else:
+            offs = np.abs(np.real(self.rho_at(Z)))
+            if np.max(offs) >= ON_SURFACE_TOL:
+                i = int(np.argmax(offs))
+                raise NotOnSurface(
+                    f"projection left |rho| = {offs[i]:.3e} at point index {i} after 80 Newton steps"
+                    f" (tol {ON_SURFACE_TOL:.1e})"
+                )
         return Z if batched else Z[0]
 
     def __repr__(self):
@@ -254,40 +231,54 @@ class FrameData:
         return self.Zcoeffs.shape[0]
 
 
-def _frame_coords(m, w):
-    """The coordinates that index the frame Z_alpha distinguished by w."""
-    return tuple(j for j in range(m) if j != w)
+def _frame_coeffs(grad, w):
+    """Frame of each point distinguished by its own w, from the gradient.
+
+    Returns (fc, Zc): ``fc[k]`` lists the n coordinates other than ``w[k]``
+    that index Z_alpha, and ``Zc[k, a]`` holds the coordinate components of
+    Z_alpha = d_{fc[k, a]} - (rho_{fc[k, a]}/rho_w) d_w.
+    """
+    K, m = grad.shape
+    k = np.arange(K)
+    cols = np.arange(m - 1)
+    fc = cols + (cols >= w[:, None])
+    Zc = np.zeros((K, m - 1, m), dtype=complex)
+    Zc[k[:, None], cols, fc] = 1.0
+    Zc[k, :, w] = -np.take_along_axis(grad, fc, axis=1) / grad[k, w][:, None]
+    return fc, Zc
+
+
+def _levi_form(Zc, H):
+    """Restriction Z_alpha^j conj(Z_beta^l) H_{j lbar} of stacked (K, m, m) forms."""
+    return np.einsum("kaj,kjl,kbl->kab", Zc, H, np.conj(Zc))
 
 
 class _FrameBatch:
-    """Stacked frame data over K points sharing a chart (w may vary)."""
+    """Stacked frame data over K points sharing a chart; w varies per point.
 
-    __slots__ = ("P", "w", "Zc", "h", "hinv", "heigs", "xi", "r", "J", "grad", "hess", "rho")
+    ``hol2`` and ``jet3`` hold the ambient jets rho_{lj} and d_j rho_{l cbar}
+    once ``_ambient_jets`` has evaluated them.
+    """
+
+    __slots__ = ("P", "w", "fc", "Zc", "h", "hinv", "heigs", "xi", "r", "J", "grad", "hess", "rho",
+                 "hol2", "jet3")
 
     def subset(self, mask):
         out = _FrameBatch()
         for name in self.__slots__:
-            setattr(out, name, getattr(self, name)[mask])
+            v = getattr(self, name)
+            setattr(out, name, None if v is None else v[mask])
         return out
 
-    def uniform_w(self) -> int:
-        """The distinguished coordinate shared by every point of the batch."""
-        if not (self.w.size and np.all(self.w == self.w[0])):
-            raise ValueError("frame batch requires a uniform w_index")
-        return int(self.w[0])
-
-    def w_groups(self):
-        """Yield (mask, uniform-w sub-batch) for each distinguished coordinate."""
-        for w in np.unique(self.w):
-            mask = self.w == w
-            yield mask, self.subset(mask)
+    def at_w(self, A):
+        """A[k, ..., w_k]: each point's distinguished entry of the last axis."""
+        return A[np.arange(self.w.size), ..., self.w]
 
     def frame_data(self, i) -> FrameData:
-        w = int(self.w[i])
         return FrameData(
             point=self.P[i],
-            w_index=w,
-            frame_coords=_frame_coords(self.P.shape[1], w),
+            w_index=int(self.w[i]),
+            frame_coords=tuple(int(j) for j in self.fc[i]),
             Zcoeffs=self.Zc[i],
             levi=self.h[i],
             levi_inv=self.hinv[i],
@@ -304,7 +295,7 @@ def _check_imag(values, tol, what, cls=ValueError):
         raise cls(f"{what} has imaginary residual {worst:.3e} (tol {tol:.1e})")
 
 
-def _transverse_batch(chart, grad, hess):
+def _transverse_batch(grad, hess):
     """Solve { rho_j xi^j = 1, rho_{j kbar} xi^j = r rho_kbar } pointwise.
 
     Returns (xi (K, m), r (K,) complex, cond (K,)).
@@ -351,7 +342,6 @@ def _fefferman_batch(rho, grad, hess):
 
 def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _FrameBatch:
     """Frame, Levi data, transverse field, and J for a (K, m) batch."""
-    m, n = chart.m, chart.n
     rho = np.real_if_close(chart.rho_at(P))
     _check_imag(rho, 1e-9, "rho", NotOnSurface)
     rho = np.real(rho)
@@ -376,22 +366,21 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
             raise DegenerateFrame(f"|rho_w| <= {FRAME_THRESHOLD:.1e} for pinned w at point index {i}")
 
     hess = chart.hess_at(P)
-    K = P.shape[0]
     fb = _FrameBatch()
     fb.P, fb.w, fb.grad, fb.hess, fb.rho = P, w, grad, hess, rho
-    fb.Zc = np.zeros((K, n, m), dtype=complex)
-    for wi in np.unique(w):
-        mask = w == wi
-        fidx = _frame_coords(m, wi)
-        block = fb.Zc[mask]
-        block[:, :, fidx] = np.eye(n)
-        block[:, :, wi] = -grad[mask][:, fidx] / grad[mask][:, wi][:, None]
-        fb.Zc[mask] = block
+    fb.hol2 = fb.jet3 = None
+    fb.fc, fb.Zc = _frame_coeffs(grad, w)
 
-    fb.h = np.einsum("kaj,kjl,kbl->kab", fb.Zc, hess, np.conj(fb.Zc))
-    herm_gap = np.max(np.abs(fb.h - np.conj(np.swapaxes(fb.h, 1, 2))))
-    if herm_gap > 1e-10:
-        raise NotStrictlyPseudoconvex(f"Levi matrix non-Hermitian by {herm_gap:.3e}")
+    # rounding in Zc H Zc^* scales with |Zc|^2 |H|: 1e-10 at unit scale
+    fb.h = _levi_form(fb.Zc, hess)
+    herm_gap = np.max(np.abs(fb.h - np.conj(np.swapaxes(fb.h, 1, 2))), axis=(1, 2))
+    scale = np.max(np.abs(fb.Zc), axis=(1, 2)) ** 2 * np.max(np.abs(hess), axis=(1, 2))
+    bound = 1e-10 * np.maximum(1.0, scale)
+    if np.any(herm_gap > bound):
+        i = int(np.argmax(herm_gap / bound))
+        raise NotStrictlyPseudoconvex(
+            f"Levi matrix non-Hermitian by {herm_gap[i]:.3e} at point index {i} (bound {bound[i]:.1e})"
+        )
     fb.h = 0.5 * (fb.h + np.conj(np.swapaxes(fb.h, 1, 2)))
     fb.heigs = np.linalg.eigvalsh(fb.h)
     if np.min(fb.heigs) <= PD_EIGENVALUE_FLOOR:
@@ -401,7 +390,7 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
         )
     fb.hinv = np.linalg.inv(fb.h)
 
-    xi, r, _ = _transverse_batch(chart, grad, hess)
+    xi, r, _ = _transverse_batch(grad, hess)
     _check_imag(r, 1e-10, "transverse curvature", SingularSystem)
     fb.xi, fb.r = xi, np.real(r)
 
@@ -421,7 +410,7 @@ def transverse_solve(chart: HypersurfaceChart, p):
     """Transverse (1,0)-field xi and curvature r at a point: solves the
     (m+1)x(m+1) system { rho_j xi^j = 1 ; rho_{j kbar} xi^j = r rho_kbar }."""
     P, single = _as_batch(p, chart.m)
-    xi, r, _ = _transverse_batch(chart, chart.grad_at(P), chart.hess_at(P))
+    xi, r, _ = _transverse_batch(chart.grad_at(P), chart.hess_at(P))
     _check_imag(r, 1e-10, "transverse curvature", SingularSystem)
     if single:
         return xi[0], float(np.real(r[0]))
@@ -444,8 +433,7 @@ def _loghess_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
     if np.min(Jval) <= 0:
         i = int(np.argmin(Jval))
         raise NonpositiveJ(f"J = {Jval[i]:.3e} at point index {i}")
-    lhess = eval_array(chart._logJ_hess_exprs(), fb.P)
-    L = np.einsum("kaj,kjl,kbl->kab", fb.Zc, lhess, np.conj(fb.Zc))
+    L = _levi_form(fb.Zc, eval_array(chart._logJ_hess_exprs(), fb.P))
     L = 0.5 * (L + np.conj(np.swapaxes(L, 1, 2)))
     return L
 
@@ -476,20 +464,19 @@ class ConnectionData:
 
 
 def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch, include_reeb=True) -> np.ndarray:
-    """(K, n, n, 2n+1) connection coefficients; requires a single-w batch.
+    """(K, n, n, 2n+1) connection coefficients.
 
     When ``include_reeb`` is false the Reeb slot is left zero (it needs the
     implicit derivative of the transverse field, which form computations on
     holomorphic pairs never touch).
     """
     n = chart.n
-    fidx = _frame_coords(chart.m, fb.uniform_w())
 
     # Z_gamma h_{beta mubar}, then raise with h^{alpha mubar} = hinv[mu, alpha]
     Zgh = _frame_levi_derivs(chart, fb)
     term1 = np.einsum("kgbm,kma->kgba", Zgh, fb.hinv)
 
-    xi_frame = fb.xi[:, fidx]
+    xi_frame = np.take_along_axis(fb.xi, fb.fc, axis=1)
     xi_low = np.einsum("kbm,km->kb", fb.h, np.conj(xi_frame))
 
     omega = np.zeros((fb.P.shape[0], n, n, 2 * n + 1), dtype=complex)
@@ -505,30 +492,62 @@ def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch, include_reeb=Tr
     return omega
 
 
+def _ambient_jets(chart, fb):
+    """(hol2, jet3) with hol2[k, l, j] = rho_{lj} and jet3[k, l, c, j] =
+    d_j rho_{l cbar} at the batch's points, evaluated once per batch."""
+    if fb.hol2 is None:
+        ms = range(chart.m)
+        fb.hol2 = eval_array([[chart.jet((l, False), (j, False)) for j in ms] for l in ms], fb.P)
+        fb.jet3 = eval_array(
+            [[[chart.jet((l, False), (c, True), (j, False)) for j in ms] for c in ms] for l in ms], fb.P
+        )
+    return fb.hol2, fb.jet3
+
+
+def _frame_w_derivs(chart, fb):
+    """(K, alpha, gamma) array of Z_alpha Z_gamma^w = -(Zc rho_{lj} Zc^T)/rho_w.
+
+    Only the w-column of the frame coefficients varies; by the chain rule
+    d_j Z_gamma^w = -Z_gamma^l rho_{lj} / rho_w.
+    """
+    hol2, _ = _ambient_jets(chart, fb)
+    S = np.einsum("kaj,klj,kgl->kag", fb.Zc, hol2, fb.Zc)
+    return -S / fb.at_w(fb.grad)[:, None, None]
+
+
+def _frame_conj_w_derivs(fb):
+    """(K, alpha, beta) array of Z_alpha conj(Z_beta^w) = -h_{alpha betabar} / conj(rho_w)."""
+    return -fb.h / np.conj(fb.at_w(fb.grad))[:, None, None]
+
+
 def _frame_levi_derivs(chart, fb):
-    """(K, gamma, beta, mu) array of Z_gamma h_{beta mubar} for a uniform-w batch."""
-    dh = eval_array(chart._levi_entry_derivs(fb.uniform_w()), fb.P)
-    return np.einsum("kgj,kbmj->kgbm", fb.Zc, dh)
+    """(K, gamma, beta, mu) array of Z_gamma h_{beta mubar} by the chain rule.
+
+    With h = Zc rho'' Zc^*, the ambient jet d_j rho_{l cbar} carries the
+    constant columns; the w-columns contribute (Z_gamma Z_beta^w) rho_{w mubar}
+    and rho_{beta wbar} Z_gamma conj(Z_mu^w).
+    """
+    _, jet3 = _ambient_jets(chart, fb)
+    Zc = fb.Zc
+    Zgh = np.einsum("kgj,kbl,klcj,kmc->kgbm", Zc, Zc, jet3, np.conj(Zc), optimize=True)
+    # v[k, beta] = Z_beta^l rho_{l wbar}; rho'' is Hermitian, so rho_{w cbar} conj(Z_mu^c) = conj(v_mu)
+    v = np.einsum("kbl,kl->kb", Zc, fb.at_w(fb.hess))
+    Zgh += _frame_w_derivs(chart, fb)[:, :, :, None] * np.conj(v)[:, None, None, :]
+    Zgh += v[:, None, :, None] * _frame_conj_w_derivs(fb)[:, :, None, :]
+    return Zgh
 
 
 def _xi_frame_derivatives(chart, fb):
-    """(K, beta, alpha) array of Z_beta xi^{fidx(alpha)} for a uniform-w batch."""
+    """(K, beta, alpha) array of Z_beta xi^{fc(alpha)}."""
     m = chart.m
-    fidx = _frame_coords(m, fb.uniform_w())
     K = fb.P.shape[0]
     grad, hess = fb.grad, fb.hess
+    hol2, jet3 = _ambient_jets(chart, fb)
 
     A = _transverse_matrix(grad, hess)
     x = np.concatenate([fb.xi, fb.r[:, None].astype(complex)], axis=1)
 
     # dA/dz^j assembled from pure-holomorphic and third-order jets
-    ms = range(m)
-    # hol2[:, l, j] = rho_{l j}, jet3[:, l, k, j] = d_j rho_{l kbar}
-    hol2 = eval_array([[chart.jet((l, False), (j, False)) for j in ms] for l in ms], fb.P)
-    jet3 = eval_array(
-        [[[chart.jet((l, False), (k, True), (j, False)) for j in ms] for k in ms] for l in ms], fb.P
-    )
-
     dA = np.zeros((K, m, m + 1, m + 1), dtype=complex)  # [k, j, row, col]
     dA[:, :, 0, :m] = np.transpose(hol2, (0, 2, 1))
     dA[:, :, 1:, :m] = np.transpose(jet3, (0, 3, 2, 1))
@@ -536,7 +555,8 @@ def _xi_frame_derivatives(chart, fb):
 
     rhs = -np.einsum("kjrc,kc->krj", dA, x)
     dx = np.linalg.solve(A, rhs)  # (K, m+1, j): d_j of (xi, r)
-    return np.einsum("kbj,kaj->kba", fb.Zc, dx[:, fidx, :])
+    dxi = np.take_along_axis(dx, fb.fc[:, :, None], axis=1)
+    return np.einsum("kbj,kaj->kba", fb.Zc, dxi)
 
 
 def connection_coeffs(chart: HypersurfaceChart, frame: FrameData) -> ConnectionData:

@@ -10,7 +10,9 @@ through the flat-ambient Gauss identity, and the umbilicity tests that
 compare the extrinsic data against the log-determinant Hessian of the chart.
 
 Like the chart module, the private ``*_batch`` helpers are vectorized over
-(K, m) point arrays; public functions are per-point wrappers.
+(K, m) point arrays whose points may each pick their own distinguished
+coordinate: the frame derivatives of F come by the chain rule from the ambient
+jets d_l F^d and d_j d_l F^d.  Public functions are per-point wrappers.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .hypersurface import (
     _check_imag,
     _connection_batch,
     _frame_batch,
-    _frame_coords,
+    _frame_conj_w_derivs,
+    _frame_w_derivs,
     _loghess_batch,
     eval_array,
 )
@@ -65,8 +68,6 @@ class ImmersionSpec:
             rho = sym.add(rho, sym.abs2(comp))
         self.chart = HypersurfaceChart(rho, self.dim, name=name)
         self._dF = None
-        self._d2F: dict[int, list] = {}
-        self._mixed: dict[int, list] = {}
 
     def dF_exprs(self):
         if self._dF is None:
@@ -74,38 +75,6 @@ class ImmersionSpec:
                 [sym.differentiate(comp, j, False) for j in range(self.dim)] for comp in self.F
             ]
         return self._dF
-
-    def _frame_dF_exprs(self, w):
-        """Z_gamma F^d as expressions, plus their d/dz^j derivatives."""
-        cached = self._d2F.get(w)
-        if cached is None:
-            dF = self.dF_exprs()
-            rw = self.chart.jet((w, False))
-            fidx = _frame_coords(self.dim, w)
-            ratios = [sym.mul(self.chart.jet((g, False)), sym.recip(rw)) for g in fidx]
-            zf = [
-                [sym.add(dF[d][g], sym.neg(sym.mul(ratios[gi], dF[d][w]))) for gi, g in enumerate(fidx)]
-                for d in range(self.N)
-            ]
-            dzf = [
-                [[sym.differentiate(e, j, False) for j in range(self.dim)] for e in row]
-                for row in zf
-            ]
-            cached = (zf, dzf)
-            self._d2F[w] = cached
-        return cached
-
-    def _mixed_exprs(self, w):
-        """d/dz^j of conj(Z_gamma F^d), for the mixed part of the form."""
-        cached = self._mixed.get(w)
-        if cached is None:
-            zf, _ = self._frame_dF_exprs(w)
-            cached = [
-                [[sym.differentiate(sym.conj(e), j, False) for j in range(self.dim)] for e in row]
-                for row in zf
-            ]
-            self._mixed[w] = cached
-        return cached
 
     def __repr__(self):
         return f"ImmersionSpec(N={self.N}, dim={self.dim}, {self.name or 'custom'})"
@@ -194,12 +163,16 @@ def _normal_basis(E, hinv, N):
     return q
 
 
-def _sff_group(spec, fb):
-    """Second-fundamental-form arrays, keyed by name, for a uniform-w frame batch."""
-    n, N = spec.n, spec.N
-    K = fb.P.shape[0]
+def _sff_batch(spec: ImmersionSpec, P, w_index=None):
+    """Second-fundamental-form arrays over a (K, m) batch.
 
-    dF = eval_array(spec.dF_exprs(), fb.P)
+    Returns (frame_batch, dict of stacked arrays keyed by name).
+    """
+    fb = _frame_batch(spec.chart, P, w_index=w_index)
+    n, N = spec.n, spec.N
+    K = P.shape[0]
+
+    dF = eval_array(spec.dF_exprs(), P)
     sv = np.linalg.svd(dF, compute_uv=False)
     if np.min(sv[:, -1]) <= IMMERSION_SV_FLOOR:
         i = int(np.argmin(sv[:, -1]))
@@ -210,11 +183,14 @@ def _sff_group(spec, fb):
     E = np.einsum("kaj,kdj->kad", fb.Zc, dF)
     q = _normal_basis(E, fb.hinv, N)
 
-    _, dzf = spec._frame_dF_exprs(fb.uniform_w())
-    d2F = eval_array(dzf, fb.P)
+    # Z_alpha (Z_gamma F^d) = Z_alpha^j Z_gamma^l d_j d_l F^d + (Z_alpha Z_gamma^w) d_w F^d
+    d2F = eval_array(
+        [[[sym.differentiate(e, j) for j in range(spec.dim)] for e in row] for row in spec.dF_exprs()], P
+    )
+    ZZF = np.einsum("kaj,kgl,kdlj->kagd", fb.Zc, fb.Zc, d2F)
+    ZZF += _frame_w_derivs(spec.chart, fb)[..., None] * fb.at_w(dF)[:, None, None, :]
 
     omega = _connection_batch(spec.chart, fb, include_reeb=False)
-    ZZF = np.einsum("kaj,kdgj->kagd", fb.Zc, d2F)
     Vraw = ZZF - np.einsum("kgba,kbd->kagd", omega[:, :, :, :n], E)
 
     Vn, t = _project_tangential(Vraw, E, fb.hinv)
@@ -236,26 +212,11 @@ def _sff_group(spec, fb):
         np.einsum("kpqx,krsx,krp,ksq->k", holo, np.conj(holo), fb.hinv, fb.hinv)
     )
 
-    return {
-        "E": E, "qbasis": q, "holo": holo, "H": H, "Ha": Ha, "Hnorm2": Hnorm2,
+    return fb, {
+        "dF": dF, "E": E, "qbasis": q, "holo": holo, "H": H, "Ha": Ha, "Hnorm2": Hnorm2,
         "torsion": torsion, "II0": II0,
         "normality": normality, "symmetry": symmetry, "H_tangential": H_tangential,
     }
-
-
-def _sff_batch(spec: ImmersionSpec, P, w_index=None):
-    """Batched computation, grouping points by distinguished coordinate.
-
-    Returns (frame_batch, dict of stacked arrays over the full batch).
-    """
-    fb = _frame_batch(spec.chart, P, w_index=w_index)
-    fields = {}
-    for mask, sub in fb.w_groups():
-        for name, v in _sff_group(spec, sub).items():
-            if name not in fields:
-                fields[name] = np.empty(P.shape[:1] + v.shape[1:], dtype=v.dtype)
-            fields[name][mask] = v
-    return fb, fields
 
 
 def second_fundamental_form(spec: ImmersionSpec, p, w_index=None) -> SecondFundamentalForm:
@@ -342,17 +303,15 @@ def umbilicity_report(spec: ImmersionSpec, p) -> UmbilicityReport:
     )
 
 
-def _mixed_sff_batch(spec: ImmersionSpec, fb, E):
-    """Ambient mixed part II(Z_alpha, Z_betabar) for a uniform-w batch.
+def _mixed_sff_batch(fb, f):
+    """Ambient mixed part II(Z_alpha, Z_betabar).
 
-    ``E`` is the pushed frame Z_alpha F of the same points, as ``_sff_batch``
-    returns it.  Used by the invariant suite to cross-check the
-    mean-curvature trace identity against the transverse field.
+    ``f`` is the field dict ``_sff_batch`` returns for the same points; its
+    ``dF`` and pushed frame ``E`` are all this needs, since conj(Z_beta F)
+    varies only through conj(Z_beta^w).  Used by the invariant suite to
+    cross-check the mean-curvature trace identity against the transverse field.
     """
-    w = fb.uniform_w()
-    dconjZF = eval_array(spec._mixed_exprs(w), fb.P)
-    ambient = np.einsum("kaj,kdbj->kabd", fb.Zc, dconjZF)
-
-    xi_frame = fb.xi[:, _frame_coords(spec.dim, w)]
-    tw = np.einsum("kab,kg,kgd->kabd", fb.h, np.conj(xi_frame), np.conj(E))
+    ambient = np.einsum("kab,kd->kabd", _frame_conj_w_derivs(fb), np.conj(fb.at_w(f["dF"])))
+    xi_frame = np.take_along_axis(fb.xi, fb.fc, axis=1)
+    tw = np.einsum("kab,kg,kgd->kabd", fb.h, np.conj(xi_frame), np.conj(f["E"]))
     return ambient - tw

@@ -87,7 +87,7 @@ class TakahashiReport:
 
 
 def _xi_batch(chart, P):
-    xi, r, _ = _transverse_batch(chart, chart.grad_at(P), chart.hess_at(P))
+    xi, r, _ = _transverse_batch(chart.grad_at(P), chart.hess_at(P))
     return xi, np.real(r)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from crgeo import checks, hypersurface
 from crgeo import symbolic as sym
-from crgeo.checks import fd_wirtinger, hypersurface_suite
+from crgeo.checks import _fd_suite, fd_frame_levi_derivs, fd_wirtinger, hypersurface_suite
 from crgeo.errors import (
     DegenerateFrame,
     NonpositiveJ,
@@ -20,10 +20,8 @@ from crgeo.hypersurface import (
     HypersurfaceChart,
     _connection_batch,
     _frame_batch,
-    _frame_coords,
     _frame_levi_derivs,
     _loghess_batch,
-    _xi_frame_derivatives,
     conformal_transverse,
     connection_coeffs,
     eval_array,
@@ -152,6 +150,43 @@ class TestFrame:
         ch = sphere_chart()
         with pytest.raises(NotOnSurface):
             frame_at(ch, np.array([0, 1.26], dtype=complex))
+
+    def test_unconverged_projection_rejected(self):
+        # the gradient vanishes at the origin, so Newton cannot move
+        with pytest.raises(NotOnSurface, match=r"projection left \|rho\| = 1.000e\+00 at point index 1"):
+            sphere_chart().project(np.array([[0.6, 0.8], [0, 0]], dtype=complex))
+
+    def test_converged_projection_adds_no_rho_evaluation(self, monkeypatch):
+        ch = sphere_chart()
+        calls = {"rho": 0, "grad": 0}
+        rho_at, grad_at = ch.rho_at, ch.grad_at
+
+        def counted(name, fn):
+            def wrapper(P):
+                calls[name] += 1
+                return fn(P)
+            return wrapper
+
+        monkeypatch.setattr(ch, "rho_at", counted("rho", rho_at))
+        monkeypatch.setattr(ch, "grad_at", counted("grad", grad_at))
+        p = ch.project(np.array([0.9, 0.5j]))
+        assert abs(np.abs(p[0]) ** 2 + np.abs(p[1]) ** 2 - 1) < 1e-13
+        # one rho per Newton step, plus the one that stops the loop
+        assert calls["rho"] == calls["grad"] + 1
+
+    def test_levi_gate_rejects_rounding_excess_at_unit_scale(self, monkeypatch):
+        # max|Zc| = max|rho''| = 1 here, so the bound is 1e-10 and the gap 3.1e-10
+        ch = sphere_chart()
+        real = ch.hess_at
+        monkeypatch.setattr(ch, "hess_at", lambda Q: real(Q) + 1e-10j * np.eye(2))
+        with pytest.raises(NotStrictlyPseudoconvex, match="non-Hermitian"):
+            frame_at(ch, np.array([0.6, 0.8], dtype=complex))
+
+    def test_levi_gate_scales_with_pinned_frame(self):
+        # check --surface reinhardt --params n=1 --seed 4: the pinned-w frame
+        # reaches |Zc| ~ 519, where the Levi gap 1.2e-10 is rounding
+        results = hypersurface_suite(gallery("reinhardt", n=1), seed=4)
+        assert [r.name for r in results if not r.passed] == []
 
     def test_degenerate_gradient_rejected(self):
         # (|Z|^2 - 1)^2 vanishes to second order on its zero set
@@ -294,31 +329,6 @@ class TestLogHessian:
 
 
 class TestConnection:
-    def test_mixed_w_batch_rejected(self):
-        # the two points pick different distinguished coordinates
-        fb = _frame_batch(sphere_chart(), np.array([[1, 0], [0, 1]], dtype=complex))
-        with pytest.raises(ValueError, match="uniform w_index"):
-            fb.uniform_w()
-        with pytest.raises(ValueError, match="uniform w_index"):
-            _connection_batch(sphere_chart(), fb)
-
-    @pytest.mark.parametrize("helper", [_frame_levi_derivs, _xi_frame_derivatives])
-    def test_mixed_w_batch_rejected_by_frame_helpers(self, helper):
-        ch = sphere_chart()
-        fb = _frame_batch(ch, np.array([[0.8, 0.6], [0.6, 0.8]], dtype=complex))
-        assert list(fb.w) == [0, 1]
-        with pytest.raises(ValueError, match="uniform w_index"):
-            helper(ch, fb)
-
-    def test_subset_sets_shared_frame_coords(self):
-        fb = _frame_batch(sphere_chart(), np.array([[1, 0], [0, 1], [0, -1]], dtype=complex))
-        assert _frame_coords(2, fb.subset(fb.w == 1).uniform_w()) == (0,)
-        assert _frame_coords(2, fb.subset(fb.w == 0).uniform_w()) == (1,)
-        with pytest.raises(ValueError, match="uniform w_index"):
-            fb.subset(np.ones(3, dtype=bool)).uniform_w()
-        assert [(list(mask), sub.uniform_w()) for mask, sub in fb.w_groups()] == [
-            ([True, False, False], 0), ([False, True, True], 1)]
-
     def test_sphere_holomorphic_slots_vanish(self):
         ch = sphere_chart(m=3)
         rng = np.random.default_rng(6)
@@ -329,6 +339,8 @@ class TestConnection:
         assert np.max(np.abs(cd.omega[:, :, :n])) < 1e-12
 
     def test_metric_compatibility_on_ellipsoid(self):
+        # Z_gamma h_{beta mubar} from finite differences of the numeric Levi
+        # matrix against the connection's omega h + h conj(omega)
         ch = ellipsoid_chart((0.1, 0.2, 0.3))
         rng = np.random.default_rng(7)
         worst = 0.0
@@ -337,20 +349,16 @@ class TestConnection:
             fr = frame_at(ch, p)
             cd = connection_coeffs(ch, fr)
             fb = _frame_batch(ch, p[None, :], w_index=fr.w_index)
-            n, m = 2, 3
-            dsyms = ch._levi_entry_derivs(fr.w_index)
+            Zgh = fd_frame_levi_derivs(ch, fb)[0]
+            n = 2
             for g in range(n):
                 for b in range(n):
                     for mu in range(n):
-                        Zgh = sum(
-                            fb.Zc[0, g, j] * eval_at(dsyms[b][mu][j], p[None, :])[0]
-                            for j in range(m)
-                        )
                         rhs = sum(cd.omega[b, s, g] * fr.levi[s, mu] for s in range(n))
                         rhs += sum(
                             np.conj(cd.omega[mu, s, n + g]) * fr.levi[b, s] for s in range(n)
                         )
-                        worst = max(worst, abs(Zgh - rhs))
+                        worst = max(worst, abs(Zgh[g, b, mu] - rhs))
         assert worst < 1e-8
 
     def test_reeb_slot_on_sphere(self):
@@ -395,14 +403,24 @@ class TestConnection:
         fr = frame_at(ch, p)
         cd = connection_coeffs(ch, fr)
         assert np.all(np.isfinite(cd.omega))
-        # derivative entries against finite differences of the Levi entries
-        dsyms = ch._levi_entry_derivs(fr.w_index)
-        esyms = ch._levi_entry_exprs(fr.w_index)
-        P = p[None, :]
-        for j in range(2):
-            s = eval_at(dsyms[0][0][j], P)[0]
-            f = fd_wirtinger(lambda Q: eval_at(esyms[0][0], Q), P, j)[0][0]
-            assert abs(s - f) < 1e-6
+        # chain-rule frame derivatives against finite differences of the Levi matrix
+        fb = _frame_batch(ch, p[None, :])
+        assert np.max(np.abs(_frame_levi_derivs(ch, fb) - fd_frame_levi_derivs(ch, fb))) < 1e-6
+
+    @pytest.mark.parametrize("name,params", [("ellipsoid", {"A": (0.1, 0.2, 0.3)}), ("whitney", {"n": 1})])
+    def test_fd_oracle_flags_wrong_chain_rule(self, monkeypatch, name, params):
+        surf = gallery(name, **params)
+        fb = _frame_batch(surf.chart, surf.random_points(20, seed=0))
+        assert _fd_suite(surf, fb) < 1e-6
+
+        def frame_held_constant(chart, fb):
+            # forgets that conj(Z_mu^w) varies along Z_gamma
+            v = np.einsum("kbl,kl->kb", fb.Zc, fb.at_w(fb.hess))
+            hw = fb.h / np.conj(fb.at_w(fb.grad))[:, None, None]
+            return _frame_levi_derivs(chart, fb) + v[:, None, :, None] * hw[:, :, None, :]
+
+        monkeypatch.setattr(checks, "_frame_levi_derivs", frame_held_constant)
+        assert _fd_suite(surf, fb) > 1e-3
 
 
 class TestRicci:

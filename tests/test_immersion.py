@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from crgeo import immersion
+from crgeo import hypersurface, immersion
 from crgeo import symbolic as sym
 from crgeo.checks import immersion_suite
 from crgeo.errors import GeometryError, NotPluriharmonic, RankDeficientNormalBasis
 from crgeo.gallery import gallery, scan_surface
-from crgeo.hypersurface import HypersurfaceChart, _frame_batch, frame_at, ricci_liluk
+from crgeo.hypersurface import HypersurfaceChart, _connection_batch, ricci_liluk
 from crgeo.immersion import (
     ImmersionSpec,
     _mixed_sff_batch,
@@ -67,19 +67,12 @@ class TestSphere:
         surf = gallery("sphere", r=1.0, n=2)
         spec = surf.immersion
         P = surf.random_points(8, seed=2)
-        fb = _frame_batch(spec.chart, P)
-        for _, sub in fb.w_groups():
-            M = _mixed_sff_batch(spec, sub, sub.Zc)  # E = Z F = Zc for the identity map
-            # II(Z_a, Z_bbar) = -h_{a bbar} conj(xi) for the identity map
-            pred = -np.einsum("kab,kd->kabd", sub.h, np.conj(sub.xi))
-            assert np.max(np.abs(M - pred)) < 1e-12
-
-    def test_mixed_w_batch_rejected(self):
-        spec = gallery("sphere", r=1.0, n=1).immersion
-        fb = _frame_batch(spec.chart, np.array([[0.8, 0.6], [0.6, 0.8]], dtype=complex))
-        assert list(fb.w) == [0, 1]
-        with pytest.raises(ValueError, match="uniform w_index"):
-            _mixed_sff_batch(spec, fb, fb.Zc)
+        fb, f = _sff_batch(spec, P)
+        assert np.max(np.abs(f["E"] - fb.Zc)) < 1e-15  # E = Z F = Zc for the identity map
+        M = _mixed_sff_batch(fb, f)
+        # II(Z_a, Z_bbar) = -h_{a bbar} conj(xi) for the identity map
+        pred = -np.einsum("kab,kd->kabd", fb.h, np.conj(fb.xi))
+        assert np.max(np.abs(M - pred)) < 1e-12
 
     def test_gauss_tensor_is_metric_pattern(self):
         surf = gallery("sphere", r=1.0, n=2)
@@ -247,22 +240,66 @@ class TestEllipsoidUmbilicity:
         assert np.max(defect) < 1e-10
 
 
+def _leaf_ids(exprs):
+    return tuple(id(e) for e in np.array(exprs, dtype=object).ravel())
+
+
+class TestMixedW:
+    """Every point picks its own w; batching never changes a number."""
+
+    @pytest.mark.parametrize("name,params", [
+        ("sphere", {"r": 1.0, "n": 1}),
+        ("sphere", {"r": 1.0, "n": 2}),
+        ("whitney", {"n": 1}),
+        ("ellipsoid", {"A": (0.1, 0.2, 0.3)}),
+    ])
+    def test_mixed_w_batch_matches_per_point_batches(self, name, params):
+        surf = gallery(name, **params)
+        spec = surf.immersion
+        P = surf.random_points(12, seed=3)
+        fb, f = _sff_batch(spec, P)
+        assert len(np.unique(fb.w)) > 1
+        omega = _connection_batch(spec.chart, fb)
+        M = _mixed_sff_batch(fb, f)
+        for k in range(P.shape[0]):
+            fbk, fk = _sff_batch(spec, P[k : k + 1])
+            assert fbk.w[0] == fb.w[k]
+            assert np.max(np.abs(_connection_batch(spec.chart, fbk)[0] - omega[k])) < 1e-12
+            for key, v in f.items():
+                assert np.max(np.abs(fk[key][0] - v[k])) < 1e-12, key
+            assert np.max(np.abs(_mixed_sff_batch(fbk, fk)[0] - M[k])) < 1e-12
+
+
 class TestBatchReuse:
     """The SFF batch carries what the checks need; nothing is re-evaluated."""
 
-    def test_mixed_part_evaluates_one_array_per_w_group(self, monkeypatch):
+    def test_sff_batch_evaluates_each_jet_array_once(self, monkeypatch):
         surf = gallery("whitney", n=1)
-        spec = surf.immersion
-        fb, f = _sff_batch(spec, surf.random_points(20, seed=0))
+        spec, chart = surf.immersion, surf.chart
+        P = surf.random_points(20, seed=0)
         calls = []
-        real = immersion.eval_array
-        monkeypatch.setattr(immersion, "eval_array", lambda exprs, P: calls.append(1) or real(exprs, P))
-        groups = np.unique(fb.w)
-        assert len(groups) == 2
-        for w in groups:
-            mask = fb.w == w
-            _mixed_sff_batch(spec, fb.subset(mask), f["E"][mask])
-        assert len(calls) == len(groups)
+        real = hypersurface.eval_array
+
+        def counted(exprs, P):
+            calls.append(_leaf_ids(exprs))
+            return real(exprs, P)
+
+        for mod in (hypersurface, immersion):
+            monkeypatch.setattr(mod, "eval_array", counted)
+        fb, f = _sff_batch(spec, P)
+        assert len(np.unique(fb.w)) == 2
+        ms = range(chart.m)
+        jets = (
+            [[chart.jet((l, False), (j, False)) for j in ms] for l in ms],
+            [[[chart.jet((l, False), (c, True), (j, False)) for j in ms] for c in ms] for l in ms],
+            [[[sym.differentiate(e, j) for j in ms] for e in row] for row in spec.dF_exprs()],
+        )
+        assert all(calls.count(_leaf_ids(exprs)) == 1 for exprs in jets)
+        assert len(set(calls)) == len(calls)
+
+        calls.clear()
+        _mixed_sff_batch(fb, f)
+        assert calls == []
 
     def test_immersion_suite_evaluates_logJ_hessian_once(self, monkeypatch):
         calls = []
