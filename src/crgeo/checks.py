@@ -8,7 +8,8 @@ trace inequalities, conformal-change agreement, quadrature convergence, and
 first/second symbolic derivatives against Richardson-extrapolated central
 finite differences on the real jet (steps 1e-3 and 5e-4).  The chain-rule
 frame derivatives Z_gamma h_{beta mubar} are checked against the same finite
-differences of the numeric Levi matrix, each point's frame held at its own w.
+differences of the numeric Levi matrix, each point's frame held at its own w,
+and the Hessian (log J)_{j kbar} against second differences of log(-det B).
 
 ``run_suites`` powers the CLI ``check`` subcommand; each result carries the
 residual actually measured so report consumers can re-threshold.
@@ -29,12 +30,14 @@ from .hypersurface import (
     _frame_coeffs,
     _frame_levi_derivs,
     _levi_form,
+    _loghess_ambient,
     _ricci_batch,
     _transverse_batch,
     eval_at,
+    fefferman_det,
     HypersurfaceChart,
 )
-from .immersion import _gauss_form, _mixed_sff_batch, _sff_batch
+from .immersion import _gauss_form, _levi_norm2, _mixed_sff_batch, _sff_batch
 from .quadrature import RadialChart, integrate, monte_carlo, product_grid
 from .spectral import PluriharmonicFunction, _boxb_batch, _energy_density_batch
 
@@ -281,18 +284,33 @@ def _conformal_tworoute(surface, rng, fb):
 
 
 def _fd_suite(surface: SurfaceSpec, fb):
-    """Worst FD mismatch of the symbolic jets and of the chain-rule frame
-    derivatives at the points of a frame batch."""
+    """Worst FD mismatch of the symbolic jets, the chain-rule frame derivatives
+    and the log J Hessian at the points of a frame batch."""
     chart = surface.chart
-    exprs = [chart.rho, sym.log(chart.fefferman_expr())]
-    exprs += chart._grad_exprs() + [e for row in chart._hess_exprs() for e in row]
+    exprs = [chart.rho] + chart._grad_exprs() + [e for row in chart._hess_exprs() for e in row]
     if surface.immersion is not None:
         exprs += surface.immersion.F + [e for row in surface.immersion.dF_exprs() for e in row]
     exprs += [f.ftilde for f in surface.plurifamily]
     worst = max(max_fd_mismatch(e, fb.P) for e in exprs)
-    s = _frame_levi_derivs(chart, fb)
-    gap = np.abs(s - fd_frame_levi_derivs(chart, fb)) / (1.0 + np.abs(s))
-    return max(worst, float(np.max(gap)))
+    for s, fd in [(_frame_levi_derivs(chart, fb), fd_frame_levi_derivs(chart, fb)),
+                  (_loghess_ambient(chart, fb), fd_loghess(chart, fb.P))]:
+        worst = max(worst, float(np.max(np.abs(s - fd) / (1.0 + np.abs(s)))))
+    return worst
+
+
+def fd_loghess(chart, P):
+    """(K, j, k) array of (log J)_{j kbar} from finite differences of log(-det B): the
+    mean of conj(c) u log J(P + h c e_j + h u e_k) / h^2 over c, u in {1, i, -1, -i},
+    Richardson-extrapolated like ``fd_wirtinger``, with all shifted points in one batch."""
+    K, m = P.shape
+    roots = np.array([1, 1j, -1, -1j])
+    steps = roots[:, None, None, None, None] * np.eye(m)[:, None, :] + roots[:, None, None, None] * np.eye(m)
+
+    def mixed(h):
+        log_J = np.log(fefferman_det(chart, (P[:, None, None, None, None] + h * steps).reshape(-1, m)))
+        return np.einsum("c,u,kcujl->kjl", np.conj(roots), roots, log_J.reshape(K, 4, 4, m, m)) / (16 * h * h)
+
+    return (4 * mixed(FD_STEP / 2) - mixed(FD_STEP)) / 3
 
 
 def fd_frame_levi_derivs(chart, fb):
@@ -369,8 +387,7 @@ def immersion_suite(surface: SurfaceSpec, seed=0):
         if np.min(np.abs(fb.grad[:10, w])) < 1e-6:
             continue
         fbw, fw = _sff_batch(spec, P[:10], w_index=w)
-        a2 = np.real(np.einsum(
-            "kab,kpq,kpa,kqb->k", fw["torsion"], np.conj(fw["torsion"]), fbw.hinv, fbw.hinv))
+        a2 = _levi_norm2(fw["torsion"], fbw.hinv)
         if vals0 is None:
             vals0, valsA = fw["II0"], a2
         else:
@@ -384,8 +401,7 @@ def immersion_suite(surface: SurfaceSpec, seed=0):
     X = rng.standard_normal((A, A)) + 1j * rng.standard_normal((A, A))
     U = np.linalg.qr(X)[0]
     holo_rot = np.einsum("kabx,yx->kaby", f["holo"], U)
-    II0_rot = np.real(np.einsum(
-        "kpqx,krsx,krp,ksq->k", holo_rot, np.conj(holo_rot), fb.hinv, fb.hinv))
+    II0_rot = _levi_norm2(holo_rot, fb.hinv)
     out.append(CheckResult.from_residual(
         "sff.II0-normal-basis-invariance", np.max(np.abs(II0_rot - f["II0"])), 1e-8))
 

@@ -27,7 +27,7 @@ from .checks import run_suites
 from .errors import BadParams, CrgeoError, GeometryError, InputError, UnreadableFile
 from .gallery import GALLERY_DOC, SurfaceSpec, gallery, load_surface, scan_surface
 from .hypersurface import _frame_batch, _ricci_batch
-from .immersion import _gauss_form, _sff_batch
+from .immersion import _gauss_form, _levi_norm2, _sff_batch
 from .quadrature import parse_quad_flag
 from .report import Report, scan_csv
 from .spectral import reilly_bound, tension_bound
@@ -141,13 +141,10 @@ def cmd_analyze(args):
     }
     if f is not None:
         G = _gauss_form(f["holo"], fb.hinv)
-        t = f["torsion"]
-        tnorm2 = float(np.real(np.einsum(
-            "kab,kpq,kpa,kqb->k", t, np.conj(t), fb.hinv, fb.hinv))[0])
         record.update({
             "II0norm2": float(f["II0"][0]),
             "H": f["H"][0],
-            "torsion_norm2": tnorm2,
+            "torsion_norm2": float(_levi_norm2(f["torsion"], fb.hinv)[0]),
             "gauss_residuals": {
                 "traced_two_route": float(np.max(np.abs(L - G))),
                 "normality": float(f["normality"][0]),

@@ -82,7 +82,7 @@ class ZeroEnergy(GeometryError):
 
 
 class NoCrossing(GeometryError):
-    """Ray from the star center misses the surface within t_max."""
+    """Ray from the origin misses the surface within t_max."""
 
 
 class NonTransversal(GeometryError):
@@ -90,4 +90,4 @@ class NonTransversal(GeometryError):
 
 
 class NotStarShaped(GeometryError):
-    """Surface cannot be charted radially from the requested center."""
+    """Surface cannot be charted radially from the origin."""

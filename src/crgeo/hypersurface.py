@@ -2,9 +2,10 @@
 
 Everything is derived from one real-valued defining expression rho on C^m
 (m = n + 1): the moving frame Z_alpha = d_alpha - (rho_alpha/rho_w) d_w, the
-Levi matrix, the transverse (1,0)-field xi with its curvature r, the bordered
-Hessian determinant J, the restricted complex Hessian of log J, Tanaka-Webster
-connection coefficients, and the Ricci data assembled from them.
+Levi matrix, the transverse (1,0)-field xi with its curvature r, Tanaka-Webster
+connection coefficients, and the Ricci data assembled from them.  One bordered
+matrix B = [[rho, rho_kbar], [rho_j, rho_{j kbar}]] gives J = -det B and, by
+Jacobi's formula on its ambient derivatives, the complex Hessian of log J.
 
 Internals are vectorized: the private ``*_batch`` helpers accept (K, m) arrays
 of points and return stacked arrays.  Each point carries its own distinguished
@@ -15,9 +16,9 @@ per-point error contracts.  Charts are immutable after construction and
 all computations are pure, so points may be partitioned across workers freely.
 
 ``eval_array`` is the one batched evaluation path: every array of jets the
-package uses (gradients, Hessians, the log J Hessian, the third-order ambient
-jets, the immersion's derivatives, Kohn-Laplacian gradients) is a nested list
-of expressions evaluated by it.
+package uses (gradients, Hessians, the third- and fourth-order ambient jets,
+the immersion's derivatives, Kohn-Laplacian gradients) is a nested list of
+expressions evaluated by it.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ class HypersurfaceChart:
         self.n = self.m - 1
         self.name = name
         self._jets: dict[tuple, sym.Expr] = {(): rho}
-        self._J_expr: sym.Expr | None = None
-        self._logJ_hess: list | None = None
 
     # ---- symbolic jets ---------------------------------------------------
 
@@ -89,25 +88,6 @@ class HypersurfaceChart:
     def _hess_exprs(self):
         return [[self.jet((j, False), (k, True)) for k in range(self.m)] for j in range(self.m)]
 
-    def fefferman_expr(self) -> sym.Expr:
-        """Negative determinant of the bordered complex Hessian, symbolically."""
-        if self._J_expr is None:
-            m = self.m
-            rows = [[self.rho] + [self.jet((k, True)) for k in range(m)]]
-            for j in range(m):
-                rows.append([self.jet((j, False))] + [self.jet((j, False), (k, True)) for k in range(m)])
-            self._J_expr = sym.neg(_sym_det(rows))
-        return self._J_expr
-
-    def _logJ_hess_exprs(self):
-        if self._logJ_hess is None:
-            lj = sym.log(self.fefferman_expr())
-            dj = [sym.differentiate(lj, j, False) for j in range(self.m)]
-            self._logJ_hess = [
-                [sym.differentiate(dj[j], k, True) for k in range(self.m)] for j in range(self.m)
-            ]
-        return self._logJ_hess
-
     # ---- numeric evaluation ----------------------------------------------
 
     def rho_at(self, P):
@@ -125,43 +105,33 @@ class HypersurfaceChart:
         """Pull a nearby point onto {rho = 0} by Newton along the gradient
         (at most 80 steps, stopping once |rho| < 1e-13).
 
-        Raises NotOnSurface when 80 steps leave |rho| >= ON_SURFACE_TOL.
+        Raises NotOnSurface when 80 steps leave |rho| >= ON_SURFACE_TOL, and at
+        once when such a point has a zero gradient.
         """
         z = np.array(p, dtype=complex)
         batched = z.ndim == 2
         Z = z if batched else z[None, :]
-        for _ in range(80):
+        for it in range(81):  # 80 Newton steps, then a last look at rho
             val = np.real(self.rho_at(Z))
-            if np.max(np.abs(val)) < 1e-13:
+            if it == 80 or np.max(np.abs(val)) < 1e-13:
                 break
             g = self.grad_at(Z)
             denom = 2.0 * np.sum(np.abs(g) ** 2, axis=1)
+            if np.any((denom == 0) & (np.abs(val) >= ON_SURFACE_TOL)):
+                break  # Newton cannot move a point where rho has no gradient
             step = val / np.where(denom == 0, 1.0, denom)
             Z = Z - step[:, None] * np.conj(g)
-        else:
-            offs = np.abs(np.real(self.rho_at(Z)))
-            if np.max(offs) >= ON_SURFACE_TOL:
-                i = int(np.argmax(offs))
-                raise NotOnSurface(
-                    f"projection left |rho| = {offs[i]:.3e} at point index {i} after 80 Newton steps"
-                    f" (tol {ON_SURFACE_TOL:.1e})"
-                )
+        offs = np.abs(val)
+        if np.max(offs) >= ON_SURFACE_TOL:
+            i = int(np.argmax(offs))
+            raise NotOnSurface(
+                f"projection left |rho| = {offs[i]:.3e} at point index {i} (tol {ON_SURFACE_TOL:.1e})"
+            )
         return Z if batched else Z[0]
 
     def __repr__(self):
         label = self.name or sym.to_text(self.rho)
         return f"HypersurfaceChart(dim={self.m}, {label})"
-
-
-def _sym_det(rows):
-    if len(rows) == 1:
-        return rows[0][0]
-    acc = sym.const(0)
-    for c, entry in enumerate(rows[0]):
-        minor = [r[:c] + r[c + 1 :] for r in rows[1:]]
-        term = sym.mul(entry, _sym_det(minor))
-        acc = sym.add(acc, term if c % 2 == 0 else sym.neg(term))
-    return acc
 
 
 def eval_at(e, P):
@@ -330,14 +300,16 @@ def _transverse_matrix(grad, hess):
     return A
 
 
-def _fefferman_batch(rho, grad, hess):
-    K, m = grad.shape
-    B = np.zeros((K, m + 1, m + 1), dtype=complex)
-    B[:, 0, 0] = rho
-    B[:, 0, 1:] = np.conj(grad)
-    B[:, 1:, 0] = grad
-    B[:, 1:, 1:] = hess
-    return -np.linalg.det(B)
+def _bordered(corner, row, col, block):
+    """Stacked [[corner, row], [col, block]]: the bordered Hessian B is
+    ``_bordered(rho, rho_kbar, rho_j, rho_{j kbar})``, and d_j B has the same layout."""
+    m = block.shape[-1]
+    B = np.empty(block.shape[:-2] + (m + 1, m + 1), dtype=complex)
+    B[..., 0, 0] = corner
+    B[..., 0, 1:] = row
+    B[..., 1:, 0] = col
+    B[..., 1:, 1:] = block
+    return B
 
 
 def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _FrameBatch:
@@ -394,7 +366,7 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
     _check_imag(r, 1e-10, "transverse curvature", SingularSystem)
     fb.xi, fb.r = xi, np.real(r)
 
-    J = _fefferman_batch(rho, grad, hess)
+    J = -np.linalg.det(_bordered(rho, np.conj(grad), grad, hess))
     _check_imag(J, 1e-9, "bordered determinant")
     fb.J = np.real(J)
     return fb
@@ -420,9 +392,8 @@ def transverse_solve(chart: HypersurfaceChart, p):
 def fefferman_det(chart: HypersurfaceChart, p):
     """-det of the bordered complex Hessian [[rho, rho_kbar], [rho_j, rho_jkbar]]."""
     P, single = _as_batch(p, chart.m)
-    J = _fefferman_batch(
-        np.real(chart.rho_at(P)), chart.grad_at(P), chart.hess_at(P)
-    )
+    grad = chart.grad_at(P)
+    J = -np.linalg.det(_bordered(np.real(chart.rho_at(P)), np.conj(grad), grad, chart.hess_at(P)))
     _check_imag(J, 1e-10, "bordered determinant")
     J = np.real(J)
     return float(J[0]) if single else J
@@ -433,9 +404,29 @@ def _loghess_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
     if np.min(Jval) <= 0:
         i = int(np.argmin(Jval))
         raise NonpositiveJ(f"J = {Jval[i]:.3e} at point index {i}")
-    L = _levi_form(fb.Zc, eval_array(chart._logJ_hess_exprs(), fb.P))
+    L = _levi_form(fb.Zc, _loghess_ambient(chart, fb))
     L = 0.5 * (L + np.conj(np.swapaxes(L, 1, 2)))
     return L
+
+
+def _loghess_ambient(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
+    """(K, j, k) ambient Hessian (log J)_{j kbar} = tr(B^-1 d_kbar d_j B) - tr(B^-1 d_kbar B B^-1 d_j B)
+    by Jacobi's formula; beyond the ambient jets it needs d_j d_kbar rho_{a cbar}."""
+    hol2, jet3 = _ambient_jets(chart, fb)
+    ms = range(chart.m)
+    jet4 = eval_array(
+        [[[[chart.jet((a, False), (c, True), (j, False), (k, True)) for c in ms] for a in ms] for k in ms]
+         for j in ms], fb.P)
+    Binv = np.linalg.inv(_bordered(fb.rho, np.conj(fb.grad), fb.grad, fb.hess))
+    # by blocks of d_cbar d_j B = [[rho_{j cbar}, conj(jet3[b, j, c])], [jet3[a, c, j], jet4[j, c]]]
+    first = (Binv[:, 0, 0, None, None] * fb.hess
+             + np.einsum("kb,kbjc->kjc", Binv[:, 1:, 0], np.conj(jet3))
+             + np.einsum("ka,kacj->kjc", Binv[:, 0, 1:], jet3)
+             + np.einsum("kba,kjcab->kjc", Binv[:, 1:, 1:], jet4))
+    # B is Hermitian, so d_cbar B = (d_c B)^H and the second trace is tr((d_c B)^H B^-1 d_j B B^-1)
+    dB = _bordered(fb.grad, fb.hess, np.swapaxes(hol2, 1, 2), np.moveaxis(jet3, 3, 1))
+    Z = np.einsum("krs,kjsp,kpq->kjrq", Binv, dB, Binv, optimize=True)
+    return first - np.einsum("kjrq,kcrq->kjc", Z, np.conj(dB))
 
 
 def loghess_J(chart: HypersurfaceChart, p) -> np.ndarray:

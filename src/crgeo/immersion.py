@@ -208,15 +208,19 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
 
     torsion = -1j * np.einsum("kabx,kx->kab", holo, np.conj(Ha))
 
-    II0 = np.real(
-        np.einsum("kpqx,krsx,krp,ksq->k", holo, np.conj(holo), fb.hinv, fb.hinv)
-    )
+    II0 = _levi_norm2(holo, fb.hinv)
 
     return fb, {
         "dF": dF, "E": E, "qbasis": q, "holo": holo, "H": H, "Ha": Ha, "Hnorm2": Hnorm2,
         "torsion": torsion, "II0": II0,
         "normality": normality, "symmetry": symmetry, "H_tangential": H_tangential,
     }
+
+
+def _levi_norm2(T, hinv):
+    """Levi-raised squared norm h^{p rbar} h^{q sbar} T_{pq(x)} conj(T_{rs(x)}) of stacked (K, n, n[, A])."""
+    T = T.reshape(T.shape[:3] + (-1,))
+    return np.real(np.einsum("kpqx,krsx,krp,ksq->k", T, np.conj(T), hinv, hinv))
 
 
 def second_fundamental_form(spec: ImmersionSpec, p, w_index=None) -> SecondFundamentalForm:

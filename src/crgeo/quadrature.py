@@ -29,17 +29,10 @@ FD_STEP = 1e-6
 
 @dataclass
 class RadialChart:
-    """Radial graph data: chart, star center, and the search interval."""
+    """Radial graph data: a chart star-shaped about the origin, and the ray search bound."""
 
     chart: HypersurfaceChart
-    center: np.ndarray | None = None
     t_max: float = 10.0
-
-    def __post_init__(self):
-        if self.center is None:
-            self.center = np.zeros(self.chart.m, dtype=complex)
-        else:
-            self.center = np.asarray(self.center, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -136,8 +129,7 @@ def _to_complex(u):
 
 
 def _rho_on_ray(rc, U, t):
-    P = rc.center[None, :] + t[:, None] * _to_complex(U)
-    return np.real(rc.chart.rho_at(P))
+    return np.real(rc.chart.rho_at(t[:, None] * _to_complex(U)))
 
 
 def _radial_batch(rc: RadialChart, U: np.ndarray) -> np.ndarray:
@@ -171,7 +163,7 @@ def _radial_batch(rc: RadialChart, U: np.ndarray) -> np.ndarray:
     if np.any(changes > 1):
         i = int(np.argmax(changes))
         raise NotStarShaped(
-            f"ray {i} crosses the surface {changes[i]} times: not star-shaped about the center"
+            f"ray {i} crosses the surface {changes[i]} times: not star-shaped about the origin"
         )
 
     hi = t_hi
@@ -187,12 +179,12 @@ def _radial_batch(rc: RadialChart, U: np.ndarray) -> np.ndarray:
 
     Z = _to_complex(U)
     for _ in range(6):
-        P = rc.center[None, :] + t[:, None] * Z
+        P = t[:, None] * Z
         val = np.real(rc.chart.rho_at(P))
         slope = 2.0 * np.real(np.einsum("kj,kj->k", rc.chart.grad_at(P), Z))
         t = t - val / np.where(np.abs(slope) < TRANSVERSAL_FLOOR, np.inf, slope)
 
-    P = rc.center[None, :] + t[:, None] * Z
+    P = t[:, None] * Z
     val = np.abs(np.real(rc.chart.rho_at(P)))
     slope = 2.0 * np.real(np.einsum("kj,kj->k", rc.chart.grad_at(P), Z))
     if np.max(val) > ROOT_TOL:
@@ -225,7 +217,7 @@ def radial_solve(rc: RadialChart, omega) -> float:
 def radial_points(rc: RadialChart, U: np.ndarray) -> np.ndarray:
     """On-surface points for a batch of unit directions."""
     t = _radial_batch(rc, U)
-    return rc.center[None, :] + t[:, None] * _to_complex(U)
+    return t[:, None] * _to_complex(U) + 0j  # signed zeros of U become 0, so "-0" never reaches a report
 
 
 # ---- contact volume form ----------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import symbolic as sym
 from .errors import NotEigenmap, NotPluriharmonic, ZeroEnergy
-from .hypersurface import HypersurfaceChart, _as_batch, _frame_batch, _transverse_batch, dbar_b_norm2, eval_array
+from .hypersurface import HypersurfaceChart, _as_batch, _frame_batch, dbar_b_norm2, eval_array, transverse_solve
 from .immersion import ImmersionSpec
 from .quadrature import QuadratureRule, RadialChart, integrate
 
@@ -87,8 +87,7 @@ class TakahashiReport:
 
 
 def _xi_batch(chart, P):
-    xi, r, _ = _transverse_batch(chart.grad_at(P), chart.hess_at(P))
-    return xi, np.real(r)
+    return transverse_solve(chart, P)
 
 
 def _boxb_batch(chart, f: PluriharmonicFunction, P, xi):

@@ -10,6 +10,7 @@ import pytest
 from crgeo.cli import main, parse_params, parse_point
 from crgeo.errors import BadParams, InputError, UnknownSurface
 from crgeo.gallery import gallery, load_surface
+from crgeo.hypersurface import HypersurfaceChart
 from crgeo.dsl import parse_surface_file
 from crgeo.report import Report, decode_number, scan_csv
 
@@ -279,8 +280,13 @@ class TestCli:
         assert rc == 0
         assert out.count("\r\n") == rows + 1
 
-    def test_exit_code_3_on_geometry_error(self):
-        # the origin cannot be projected onto the sphere
+    def test_exit_code_3_on_geometry_error(self, monkeypatch):
+        # the origin cannot be projected onto the sphere: its gradient vanishes,
+        # so projection stops at the first rho evaluation
+        calls = []
+        real = HypersurfaceChart.rho_at
+        monkeypatch.setattr(HypersurfaceChart, "rho_at", lambda ch, P: calls.append(1) or real(ch, P))
         rc, _, err = run_cli(["analyze", "--surface", "sphere", "--point", "0,0"])
         assert rc == 3
         assert json.loads(err)["error"] == "NotOnSurface"
+        assert len(calls) == 1

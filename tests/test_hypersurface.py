@@ -18,9 +18,12 @@ from crgeo.errors import (
 from crgeo.gallery import gallery
 from crgeo.hypersurface import (
     HypersurfaceChart,
+    _ambient_jets,
+    _bordered,
     _connection_batch,
     _frame_batch,
     _frame_levi_derivs,
+    _loghess_ambient,
     _loghess_batch,
     conformal_transverse,
     connection_coeffs,
@@ -296,10 +299,7 @@ class TestLogHessian:
         for _ in range(4):
             p = ch.project(rng.normal(size=3) + 1j * rng.normal(size=3))
             P = p[None, :]
-            lh = np.empty((3, 3), dtype=complex)
-            for j in range(3):
-                for k in range(3):
-                    lh[j, k] = eval_at(ch._logJ_hess_exprs()[j][k], P)[0]
+            lh = _loghess_ambient(ch, _frame_batch(ch, P))[0]
             J = fefferman_det(ch, p)
             grad = ch.grad_at(P)[0]
             closed = np.diag(Avec**2) * np.sum(np.abs(grad) ** 2) - np.einsum(
@@ -420,6 +420,23 @@ class TestConnection:
             return _frame_levi_derivs(chart, fb) + v[:, None, :, None] * hw[:, :, None, :]
 
         monkeypatch.setattr(checks, "_frame_levi_derivs", frame_held_constant)
+        assert _fd_suite(surf, fb) > 1e-3
+
+    @pytest.mark.parametrize("name,params", [("sphere", {"n": 1}), ("reinhardt", {"n": 2})])
+    def test_fd_oracle_flags_wrong_loghess_sign(self, monkeypatch, name, params):
+        surf = gallery(name, **params)
+        fb = _frame_batch(surf.chart, surf.random_points(20, seed=0))
+        assert _fd_suite(surf, fb) < 1e-6
+
+        def second_term_flipped(chart, fb):
+            # tr(B^-1 d_kbar d_j B) + tr(B^-1 d_kbar B B^-1 d_j B)
+            hol2, jet3 = _ambient_jets(chart, fb)
+            Binv = np.linalg.inv(_bordered(fb.rho, np.conj(fb.grad), fb.grad, fb.hess))
+            dB = _bordered(fb.grad, fb.hess, np.swapaxes(hol2, 1, 2), np.moveaxis(jet3, 3, 1))
+            second = np.einsum("kpq,kcrq,krs,kjsp->kjc", Binv, np.conj(dB), Binv, dB)
+            return _loghess_ambient(chart, fb) + 2 * second
+
+        monkeypatch.setattr(checks, "_loghess_ambient", second_term_flipped)
         assert _fd_suite(surf, fb) > 1e-3
 
 

@@ -10,7 +10,7 @@ from crgeo import symbolic as sym
 from crgeo.checks import immersion_suite
 from crgeo.errors import GeometryError, NotPluriharmonic, RankDeficientNormalBasis
 from crgeo.gallery import gallery, scan_surface
-from crgeo.hypersurface import HypersurfaceChart, _connection_batch, ricci_liluk
+from crgeo.hypersurface import _connection_batch, ricci_liluk
 from crgeo.immersion import (
     ImmersionSpec,
     _mixed_sff_batch,
@@ -301,15 +301,15 @@ class TestBatchReuse:
         _mixed_sff_batch(fb, f)
         assert calls == []
 
-    def test_immersion_suite_evaluates_logJ_hessian_once(self, monkeypatch):
+    def test_immersion_suite_evaluates_loghess_ambient_once(self, monkeypatch):
         calls = []
-        real = HypersurfaceChart._logJ_hess_exprs
+        real = hypersurface._loghess_ambient
 
-        def counted(chart):
+        def counted(chart, fb):
             calls.append(1)
-            return real(chart)
+            return real(chart, fb)
 
-        monkeypatch.setattr(HypersurfaceChart, "_logJ_hess_exprs", counted)
+        monkeypatch.setattr(hypersurface, "_loghess_ambient", counted)
         results = immersion_suite(gallery("whitney", n=1), seed=0)
         assert all(r.passed for r in results)
         assert len(calls) == 1

@@ -6,7 +6,7 @@ import pytest
 from crgeo import hypersurface, spectral
 from crgeo import symbolic as sym
 from crgeo.checks import spectral_suite
-from crgeo.errors import NotEigenmap, NotPluriharmonic, ZeroEnergy
+from crgeo.errors import NotEigenmap, NotPluriharmonic, SingularSystem, ZeroEnergy
 from crgeo.gallery import gallery
 from crgeo.immersion import ImmersionSpec
 from crgeo.quadrature import monte_carlo, product_grid
@@ -196,9 +196,21 @@ def solves(monkeypatch):
         calls.append(grad.shape[0])
         return real(grad, hess)
 
-    for mod in (hypersurface, spectral):
-        monkeypatch.setattr(mod, "_transverse_batch", counted)
+    monkeypatch.setattr(hypersurface, "_transverse_batch", counted)
     return calls
+
+
+def test_xi_batch_rejects_complex_curvature(monkeypatch):
+    real = hypersurface._transverse_batch
+
+    def complex_r(grad, hess):
+        xi, r, cond = real(grad, hess)
+        return xi, r + 1e-8j, cond
+
+    monkeypatch.setattr(hypersurface, "_transverse_batch", complex_r)
+    surf = gallery("sphere", r=1.0, n=1)
+    with pytest.raises(SingularSystem, match="transverse curvature"):
+        spectral._xi_batch(surf.chart, surf.random_points(5, seed=0))
 
 
 class TestSolveCounts:
