@@ -63,6 +63,7 @@ from .quadrature import (
     monte_carlo,
     parse_quad_flag,
     product_grid,
+    quasi_monte_carlo,
     radial_solve,
 )
 from .report import TOOL_VERSION as __version__, Report, scan_csv

@@ -38,7 +38,7 @@ from .hypersurface import (
     HypersurfaceChart,
 )
 from .immersion import _gauss_form, _levi_norm2, _mixed_sff_batch, _sff_batch
-from .quadrature import RadialChart, integrate, monte_carlo, product_grid
+from .quadrature import RadialChart, integrate, product_grid, quasi_monte_carlo
 from .spectral import PluriharmonicFunction, _boxb_batch, _energy_density_batch
 
 FD_STEP = 1e-3
@@ -485,7 +485,7 @@ def quadrature_suite(surface: SurfaceSpec, seed=0):
     vol = integrate(rc, lambda P: np.ones(P.shape[0]), product_grid(resolutions[-1]))[0]
     out.append(CheckResult("quadrature.orientation-positive", float(vol), 0.0, bool(vol > 0)))
 
-    vmc, _ = integrate(rc, density, monte_carlo(4000, seed))
+    vmc, _ = integrate(rc, density, quasi_monte_carlo(4000, seed))
     rel = abs(vmc - ref) / abs(ref)
     out.append(CheckResult("quadrature.grid-vs-monte-carlo", float(rel), 5e-3, bool(rel < 5e-3)))
     return out

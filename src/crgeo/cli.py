@@ -277,7 +277,7 @@ def build_parser():
 
     p = sub.add_parser("bound", help="eigenvalue bound report")
     add_surface_args(p)
-    p.add_argument("--quad", required=True, help="grid:<n> or mc:<samples>:<seed>")
+    p.add_argument("--quad", required=True, help="grid:<n>, mc:<samples>:<seed> or qmc:<samples>:<seed>")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("check", help="run invariant suites")

@@ -18,7 +18,7 @@ all computations are pure, so points may be partitioned across workers freely.
 ``eval_array`` is the one batched evaluation path: every array of jets the
 package uses (gradients, Hessians, the third- and fourth-order ambient jets,
 the immersion's derivatives, Kohn-Laplacian gradients) is a nested list of
-expressions evaluated by it.
+expressions evaluated by it, as one ``sym.evaluate`` program per array.
 """
 
 from __future__ import annotations
@@ -148,15 +148,18 @@ def eval_array(exprs, P):
     ``exprs`` is an expression or a nested list of them with shape
     ``shape``; the result has shape ``(..., *shape)``, with one trailing
     index per nesting level: entry ``[..., i, j]`` is ``eval_at(exprs[i][j], P)``.
+    The whole array is one ``sym.evaluate`` call, so a subexpression shared
+    between entries runs once.
     """
     if isinstance(exprs, sym.Expr):
         return eval_at(exprs, P)
     P = np.asarray(P, dtype=complex)
     grid = np.array(exprs, dtype=object)
-    out = np.empty(P.shape[:-1] + grid.shape, dtype=complex)
-    for idx, e in np.ndenumerate(grid):
-        out[(..., *idx)] = eval_at(e, P)
-    return out
+    vals = sym.evaluate(list(grid.flat), [P[..., j] for j in range(P.shape[-1])])
+    out = np.empty(P.shape[:-1] + (grid.size,), dtype=complex)
+    for i, v in enumerate(vals):
+        out[..., i] = v
+    return out.reshape(P.shape[:-1] + grid.shape)
 
 
 def _as_batch(p, m):

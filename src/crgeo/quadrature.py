@@ -37,10 +37,11 @@ class RadialChart:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Either a product grid over the angle box or seeded Monte Carlo.
+    """A product grid over the angle box, seeded Monte Carlo, or seeded
+    quasi-Monte Carlo (randomly shifted Halton points).
 
     ``resolution`` is the base per-angle node count for product grids;
-    ``samples``/``seed`` drive the Monte-Carlo variant.
+    ``samples``/``seed`` drive the two sampled variants.
     """
 
     kind: str
@@ -51,7 +52,8 @@ class QuadratureRule:
     def describe(self):
         if self.kind == "product-grid":
             return f"grid:{self.resolution}"
-        return f"mc:{self.samples}:{self.seed}"
+        prefix = "mc" if self.kind == "monte-carlo" else "qmc"
+        return f"{prefix}:{self.samples}:{self.seed}"
 
 
 def product_grid(resolution: int) -> QuadratureRule:
@@ -66,18 +68,24 @@ def monte_carlo(samples: int, seed: int = 0) -> QuadratureRule:
     return QuadratureRule(kind="monte-carlo", samples=int(samples), seed=int(seed))
 
 
+def quasi_monte_carlo(samples: int, seed: int = 0) -> QuadratureRule:
+    if samples < 8:
+        raise BadParams("quasi-monte-carlo sample count must be at least 8")
+    return QuadratureRule(kind="quasi-monte-carlo", samples=int(samples), seed=int(seed))
+
+
 def parse_quad_flag(text: str) -> QuadratureRule:
-    """Parse ``grid:<n>`` or ``mc:<samples>[:<seed>]``."""
+    """Parse ``grid:<n>``, ``mc:<samples>[:<seed>]`` or ``qmc:<samples>[:<seed>]``."""
     parts = text.split(":")
     try:
         if parts[0] == "grid" and len(parts) == 2:
             return product_grid(int(parts[1]))
-        if parts[0] == "mc" and len(parts) in (2, 3):
+        if parts[0] in ("mc", "qmc") and len(parts) in (2, 3):
             seed = int(parts[2]) if len(parts) == 3 else 0
-            return monte_carlo(int(parts[1]), seed)
+            return (monte_carlo if parts[0] == "mc" else quasi_monte_carlo)(int(parts[1]), seed)
     except ValueError as exc:
         raise BadParams(f"malformed quadrature flag {text!r}") from exc
-    raise BadParams(f"malformed quadrature flag {text!r} (use grid:<n> or mc:<n>:<seed>)")
+    raise BadParams(f"malformed quadrature flag {text!r} (use grid:<n>, mc:<n>:<seed> or qmc:<n>:<seed>)")
 
 
 # ---- spherical coordinates -----------------------------------------------
@@ -128,37 +136,34 @@ def _to_complex(u):
 # ---- radial root finding ---------------------------------------------------
 
 
-def _rho_on_ray(rc, U, t):
-    return np.real(rc.chart.rho_at(t[:, None] * _to_complex(U)))
+def _rho_on_ray(rc, Z, t):
+    return np.real(rc.chart.rho_at(t[:, None] * Z))
 
 
 def _radial_batch(rc: RadialChart, U: np.ndarray) -> np.ndarray:
-    """Smallest positive radial root for each unit direction (K, 2m)."""
-    K = U.shape[0]
-    t_lo = np.full(K, 1e-4 * rc.t_max)
-    f_lo = _rho_on_ray(rc, U, t_lo)
-    sign0 = np.sign(f_lo)
-    if np.any(sign0 == 0):
-        sign0 = np.where(sign0 == 0, -1.0, sign0)
+    """Smallest positive radial root for each unit direction (K, 2m).
 
-    t_hi = np.full(K, np.nan)
-    f_prev, t_prev = f_lo, t_lo
-    t = t_lo.copy()
+    The ray search steps t by 1.5x from 1e-4 t_max to t_max, bisects the
+    first bracket 60 times and polishes with 6 Newton steps: 92 ``rho_at``
+    and 7 ``grad_at`` calls per batch, each on all K directions."""
+    K = U.shape[0]
+    Z = np.asfortranarray(_to_complex(U))  # contiguous columns for evaluation
+    t = np.full(K, 1e-4 * rc.t_max)
+    s_prev = np.sign(_rho_on_ray(rc, Z, t))
+    lo = t.copy()
+    hi = np.full(K, np.nan)
     changes = np.zeros(K, dtype=int)
-    lo = t_lo.copy()
     while np.min(t) < rc.t_max:
-        t = np.minimum(t * 1.5, rc.t_max)
-        f = _rho_on_ray(rc, U, t)
-        flip = (np.sign(f) != np.sign(f_prev)) & (np.sign(f_prev) != 0)
-        first = flip & np.isnan(t_hi)
-        t_hi[first] = t[first]
-        lo[first] = t_prev[first]
-        changes += flip.astype(int)
-        f_prev, t_prev = f, t
-        if np.max(t) >= rc.t_max and np.min(t) >= rc.t_max:
-            break
-    if np.any(np.isnan(t_hi)):
-        i = int(np.argmax(np.isnan(t_hi)))
+        t_next = np.minimum(t * 1.5, rc.t_max)
+        s = np.sign(_rho_on_ray(rc, Z, t_next))
+        flip = (s != s_prev) & (s_prev != 0)
+        first = flip & np.isnan(hi)
+        hi[first] = t_next[first]
+        lo[first] = t[first]
+        changes += flip
+        s_prev, t = s, t_next
+    if np.any(np.isnan(hi)):
+        i = int(np.argmax(np.isnan(hi)))
         raise NoCrossing(f"ray {i} misses the surface for t in (0, {rc.t_max}]")
     if np.any(changes > 1):
         i = int(np.argmax(changes))
@@ -166,18 +171,15 @@ def _radial_batch(rc: RadialChart, U: np.ndarray) -> np.ndarray:
             f"ray {i} crosses the surface {changes[i]} times: not star-shaped about the origin"
         )
 
-    hi = t_hi
-    f_lo = _rho_on_ray(rc, U, lo)
+    # lo only moves to points where rho has the sign it has at lo
+    s_lo = np.sign(_rho_on_ray(rc, Z, lo))
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        f_mid = _rho_on_ray(rc, U, mid)
-        left = np.sign(f_mid) == np.sign(f_lo)
-        lo = np.where(left, mid, lo)
-        f_lo = np.where(left, f_mid, f_lo)
-        hi = np.where(left, hi, mid)
+        left = np.sign(_rho_on_ray(rc, Z, mid)) == s_lo
+        np.copyto(lo, mid, where=left)
+        np.copyto(hi, mid, where=~left)
     t = 0.5 * (lo + hi)
 
-    Z = _to_complex(U)
     for _ in range(6):
         P = t[:, None] * Z
         val = np.real(rc.chart.rho_at(P))
@@ -303,11 +305,47 @@ def _eval_on_angles(rc: RadialChart, density, angles):
     return np.abs(contact_volume_density(chart, P, V)) * dens, P
 
 
+def _halton(samples: int, d: int) -> np.ndarray:
+    """Points 1..samples of the Halton sequence in [0, 1)^d (first d primes)."""
+    primes = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    out = np.zeros((samples, d))
+    for col, p in enumerate(primes):
+        i, f = np.arange(1, samples + 1), 1.0
+        while i.any():
+            f /= p
+            out[:, col] += f * (i % p)
+            i //= p
+    return out
+
+
+def _sample_directions(rule: QuadratureRule, d: int) -> np.ndarray:
+    """Unit directions in R^d: normalized Gaussians, drawn by numpy's
+    generator for Monte Carlo and, for quasi-Monte Carlo, by Box-Muller on
+    Halton points shifted modulo 1 by one seeded uniform vector
+    (Cranley-Patterson rotation)."""
+    if rule.kind == "monte-carlo":
+        U = np.random.default_rng(rule.seed).standard_normal((rule.samples, d))
+    else:
+        x = (_halton(rule.samples, d) + np.random.default_rng(rule.seed).random(d)) % 1.0
+        radius = np.sqrt(-2.0 * np.log1p(-x[:, 0::2]))  # 1 - x > 0, so the log stays finite
+        U = np.empty_like(x)
+        U[:, 0::2] = radius * np.cos(2.0 * np.pi * x[:, 1::2])
+        U[:, 1::2] = radius * np.sin(2.0 * np.pi * x[:, 1::2])
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    return U
+
+
 def integrate(rc: RadialChart, density, rule: QuadratureRule):
     """Integral of ``density`` against theta ^ (dtheta)^n over the surface.
 
     Returns (value, error_estimate): refinement-halving error for grids,
-    one-sigma sample error for Monte Carlo.
+    the one-sigma sample error of plain Monte Carlo for both sampled rules
+    (randomized quasi-Monte Carlo errors typically stay well below it).
     """
     d = 2 * rc.chart.m
     if rule.kind == "product-grid":
@@ -319,11 +357,8 @@ def integrate(rc: RadialChart, density, rule: QuadratureRule):
         vals_h, _ = _eval_on_angles(rc, density, angles_h)
         value_h = float(np.sum(w_h * vals_h))
         return value, abs(value - value_h)
-    if rule.kind == "monte-carlo":
-        rng = np.random.default_rng(rule.seed)
-        U = rng.standard_normal((rule.samples, d))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        angles = sphere_angles(U)
+    if rule.kind in ("monte-carlo", "quasi-monte-carlo"):
+        angles = sphere_angles(_sample_directions(rule, d))
         vals, _ = _eval_on_angles(rc, density, angles)
         jac = sphere_jacobian(angles)
         contrib = vals / jac

@@ -188,7 +188,7 @@ def reilly_bound(spec: ImmersionSpec, quad: QuadratureRule) -> EigenBoundReport:
         upper_bound=chart.n * mean,
         volume_error=err_vol,
         mean_error=abs(err_h2 / volume) + abs(mean * err_vol / volume),
-        samples_used=quad.samples if quad.kind == "monte-carlo" else quad.resolution,
+        samples_used=quad.samples or quad.resolution,
     )
 
 
@@ -223,7 +223,7 @@ def tension_bound(
         tension, _ = integrate(rc, tension_density, quad)
         volume, err_vol = integrate(rc, lambda P: np.ones(P.shape[0]), quad)
         floor = ENERGY_FLOOR * max(1.0, volume)
-        samples = quad.samples if quad.kind == "monte-carlo" else quad.resolution
+        samples = quad.samples or quad.resolution
     else:
         if sample_points is None:
             raise ZeroEnergy("certified-constant mode needs sample_points")

@@ -12,6 +12,10 @@ Normal forms kept by the constructors:
   * re(e) is rewritten to (e + conj(e))/2;
   * 0/1 absorption and constant folding are applied locally.
 
+``evaluate`` runs one or more expressions as a flat post-order program over
+their union DAG: shared nodes run once, conjugate partners are mirrored by
+``np.conj``, and each intermediate is dropped after its last reader.
+
 Distributing conj through log assumes the log argument stays off the negative
 real axis; every expression in scope takes log of positive real quantities
 (squared norms and 1 + |.|^2 combinations), where conj(log u) == log(conj u).
@@ -36,7 +40,7 @@ _LOG = "log"
 class Expr:
     """Immutable expression-tree node. Build through the module factories."""
 
-    __slots__ = ("op", "args", "payload", "_dcache", "_conj", "_indices")
+    __slots__ = ("op", "args", "payload", "_dcache", "_conj", "_indices", "_prog")
 
     def __init__(self, op, args=(), payload=None):
         self.op = op
@@ -45,6 +49,7 @@ class Expr:
         self._dcache = {}
         self._conj = None
         self._indices = None
+        self._prog = None
 
     # arithmetic sugar; accepted scalars are wrapped into constants
     def __add__(self, other):
@@ -253,56 +258,100 @@ def differentiate(e: Expr, j: int, conjugated: bool = False) -> Expr:
     return out
 
 
-def evaluate(e: Expr, coords):
-    """Evaluate at a point.
+def evaluate(exprs, coords):
+    """Evaluate one expression, or a list of them (giving a list), at a point.
 
     ``coords`` is a sequence of complex scalars, or of equally shaped numpy
-    arrays for vectorized evaluation over many points at once.  Shared
-    subtrees are evaluated once per call.
+    arrays for vectorized evaluation over many points at once.  The
+    expressions run as one ``_compile`` program; one expression keeps its
+    program for later calls.
     """
-    memo = {}
+    if isinstance(exprs, Expr):
+        if exprs._prog is None:
+            exprs._prog = _compile([exprs])
+        return _run(exprs._prog, coords)[0]
+    return _run(_compile(exprs), coords)
+
+
+_CONJ = "conj"  # program-only op: the conjugate of a value already computed
+
+
+def _compile(roots):
+    """Post-order program of the union DAG of ``roots``: ``(code, outs, nregs)``.
+
+    A node shared between roots runs once; a node whose conjugate partner
+    already ran is one ``np.conj`` of that value.  Each instruction is
+    ``(op, out, a, b, node)``: it writes register ``out`` from operand
+    registers ``a``, ``b`` (or the node's payload).  A register is released
+    after its value's last reader, so the next value written there drops it.
+    """
+    pos, prog, uses = {}, [], []  # prog: (node, op, operand positions); uses: readers
+
+    def visit(e):
+        i = pos.get(id(e))
+        if i is None:
+            partner = pos.get(id(e._conj)) if e.args else None
+            if partner is None:
+                op, reads = e.op, tuple(map(visit, e.args))
+            else:
+                op, reads = _CONJ, (partner,)
+                uses[partner] += 1
+            i = pos[id(e)] = len(prog)
+            prog.append((e, op, reads))
+            uses.append(0)
+        uses[i] += 1
+        return i
+
+    outs = [visit(e) for e in roots]  # the roots' own uses are never released
+    reg, free, code, nregs = [], [], [], 0
+    for e, op, reads in prog:
+        a = reg[reads[0]] if reads else None
+        b = reg[reads[1]] if len(reads) == 2 else None
+        for q in reads:
+            uses[q] -= 1
+            if not uses[q]:
+                free.append(reg[q])
+        out = free.pop() if free else nregs
+        nregs = max(nregs, out + 1)
+        reg.append(out)
+        if op == _CONST:
+            a = e.payload
+        elif op == _VAR:
+            a, b = e.payload
+        elif op == _POW:
+            b = e.payload
+        code.append((op, out, a, b, e))
+    return tuple(code), tuple(reg[i] for i in outs), nregs
+
+
+def _run(program, coords):
+    code, outs, nregs = program
+    r = [None] * nregs
+    dim = len(coords)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _eval(e, coords, memo)
-
-
-def _eval(e, coords, memo):
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-
-    op = e.op
-    if op == _CONST:
-        v = e.payload
-    elif op == _VAR:
-        j, c = e.payload
-        if j >= len(coords):
-            raise DomainError(f"variable z{j + 1} outside point of dimension {len(coords)}", e)
-        v = np.conj(coords[j]) if c else coords[j]
-    elif op == _ADD:
-        v = _eval(e.args[0], coords, memo) + _eval(e.args[1], coords, memo)
-    elif op == _MUL:
-        v = _eval(e.args[0], coords, memo) * _eval(e.args[1], coords, memo)
-    elif op == _NEG:
-        v = -_eval(e.args[0], coords, memo)
-    elif op == _RECIP:
-        u = _eval(e.args[0], coords, memo)
-        _guard_nonzero(u, e)
-        v = 1.0 / u
-    elif op == _POW:
-        u = _eval(e.args[0], coords, memo)
-        if e.payload < 0:
-            _guard_nonzero(u, e)
-        v = u ** e.payload
-    elif op == _LOG:
-        u = _eval(e.args[0], coords, memo)
-        _guard_nonzero(u, e)
-        v = np.log(u)
-    else:  # pragma: no cover
-        raise AssertionError(f"unhandled op {op}")
-
-    memo[key] = v
-    return v
+        for op, out, a, b, e in code:
+            if op == _MUL:
+                r[out] = r[a] * r[b]
+            elif op == _ADD:
+                r[out] = r[a] + r[b]
+            elif op == _CONJ:
+                r[out] = np.conj(r[a])
+            elif op == _NEG:
+                r[out] = -r[a]
+            elif op == _VAR:
+                if a >= dim:
+                    raise DomainError(f"variable z{a + 1} outside point of dimension {dim}", e)
+                r[out] = np.conj(coords[a]) if b else coords[a]
+            elif op == _CONST:
+                r[out] = a
+            elif op == _POW:
+                if b < 0:
+                    _guard_nonzero(r[a], e)
+                r[out] = r[a] ** b
+            else:
+                _guard_nonzero(r[a], e)
+                r[out] = 1.0 / r[a] if op == _RECIP else np.log(r[a])
+    return [r[k] for k in outs]
 
 
 def _guard_nonzero(u, e):

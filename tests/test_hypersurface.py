@@ -109,6 +109,17 @@ class TestEvalArray:
         np.testing.assert_array_equal(out[:, 0, 0], np.full(5, 3j))
         assert eval_array(sym.const(1), P).shape == (5,)
 
+    def test_one_evaluate_call_per_array(self, monkeypatch):
+        ch = sphere_chart(m=3)
+        P = np.array([[0.6, 0.8j, 0.0], [0.0, 0.6, 0.8]], dtype=complex)
+        calls = []
+        evaluate = sym.evaluate
+        monkeypatch.setattr(sym, "evaluate", lambda e, coords: calls.append(e) or evaluate(e, coords))
+        hess = ch.hess_at(P)
+        assert len(calls) == 1 and len(calls[0]) == 9
+        assert hess.shape == (2, 3, 3)
+        np.testing.assert_array_equal(hess[0], np.eye(3))
+
 
 class TestFrame:
     def test_sphere_pole(self):

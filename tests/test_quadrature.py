@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
+from crgeo import quadrature
 from crgeo import symbolic as sym
 from crgeo.errors import BadParams, NoCrossing, NotStarShaped
 from crgeo.gallery import gallery
 from crgeo.hypersurface import HypersurfaceChart
 from crgeo.quadrature import (
     RadialChart,
+    _radial_batch,
     integrate,
     monte_carlo,
     parse_quad_flag,
     product_grid,
+    quasi_monte_carlo,
     radial_solve,
     sphere_angles,
     sphere_point,
@@ -69,6 +72,55 @@ class TestRadialSolve:
             radial_solve(rc, u)
 
 
+def random_directions(seed, K, d):
+    U = np.random.default_rng(seed).standard_normal((K, d))
+    return U / np.linalg.norm(U, axis=1, keepdims=True)
+
+
+class TestRadialBatch:
+    # (surface, params, closed-form radius along the complex direction u)
+    CASES = [
+        ("sphere", {"r": 1.3, "n": 1}, lambda u: np.full(len(u), 1.3)),
+        ("sphere", {"r": 0.8, "n": 2}, lambda u: np.full(len(u), 0.8)),
+        ("whitney", {}, lambda u: np.ones(len(u))),
+        ("ellipsoid", {"A": (0.1, 0.2, 0.3)},
+         lambda u: 1 / np.sqrt(1 + np.real(u**2 @ np.array([0.1, 0.2, 0.3])))),
+    ]
+
+    @pytest.mark.parametrize("name,params,radius", CASES)
+    def test_roots_match_closed_forms(self, name, params, radius):
+        surf = gallery(name, **params)
+        U = random_directions(7, 200, 2 * surf.chart.m)
+        t = _radial_batch(RadialChart(surf.chart), U)
+        assert np.max(np.abs(t - radius(U[:, 0::2] + 1j * U[:, 1::2]))) < 1e-12
+
+    def test_evaluation_counts_per_batch(self, monkeypatch):
+        chart = gallery("ellipsoid", A=(0.1, 0.2, 0.3)).chart
+        K = 17
+        calls = {"rho": [], "grad": []}
+
+        def counted(kind, fn):
+            def wrapper(P):
+                calls[kind].append(P.shape)
+                return fn(P)
+            return wrapper
+
+        monkeypatch.setattr(chart, "rho_at", counted("rho", chart.rho_at))
+        monkeypatch.setattr(chart, "grad_at", counted("grad", chart.grad_at))
+        _radial_batch(RadialChart(chart), random_directions(8, K, 6))
+        assert calls["rho"] == [(K, 3)] * 92
+        assert calls["grad"] == [(K, 3)] * 7
+
+    def test_error_messages(self):
+        rc = RadialChart(gallery("sphere", r=1.0, n=1).chart, t_max=0.5)
+        with pytest.raises(NoCrossing, match=r"^ray 0 misses the surface for t in \(0, 0.5\]$"):
+            _radial_batch(rc, np.array([[1.0, 0, 0, 0]]))
+        rc = RadialChart(gallery("reinhardt", n=1).chart)
+        U = np.array([[1.0, 0, 1.0, 0]]) / np.sqrt(2)
+        with pytest.raises(NotStarShaped, match=r"^ray 0 crosses the surface \d+ times: not star-shaped about the origin$"):
+            _radial_batch(rc, U)
+
+
 class TestSphericalCoordinates:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
@@ -121,6 +173,35 @@ class TestIntegrate:
         assert a == b
 
 
+class TestQuasiMonteCarlo:
+    def test_halton_radical_inverses(self):
+        h = quadrature._halton(4, 3)
+        np.testing.assert_allclose(h[:, 0], [1 / 2, 1 / 4, 3 / 4, 1 / 8], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(h[:, 1], [1 / 3, 2 / 3, 1 / 9, 4 / 9], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(h[:, 2], [1 / 5, 2 / 5, 3 / 5, 4 / 5], rtol=0, atol=1e-15)
+
+    def test_shift_onto_zero_stays_finite(self, monkeypatch):
+        rule = quasi_monte_carlo(16, seed=5)
+        shift = np.random.default_rng(5).random(4)
+        halton = quadrature._halton(16, 4)
+        halton[:, 0] = 1.0 - shift[0]  # every first coordinate lands on u = 0
+        monkeypatch.setattr(quadrature, "_halton", lambda n, d: halton)
+        U = quadrature._sample_directions(rule, 4)
+        assert np.all(np.isfinite(U))
+        np.testing.assert_allclose(np.linalg.norm(U, axis=1), 1.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_beats_monte_carlo_error_bar(self, seed):
+        # |z1|^2 averages to 1/2 over the unit sphere
+        rc = RadialChart(gallery("sphere", r=1.0, n=1).chart)
+        dens = lambda P: 1.0 + np.abs(P[:, 0]) ** 2
+        exact = 1.5 * VOL_S3
+        qmc, _ = integrate(rc, dens, quasi_monte_carlo(4000, seed))
+        _, mc_err = integrate(rc, dens, monte_carlo(4000, seed))
+        assert abs(qmc - exact) / exact < 1e-3
+        assert abs(qmc - exact) < 0.2 * mc_err
+
+
 class TestRuleParsing:
     def test_grid(self):
         r = parse_quad_flag("grid:24")
@@ -130,7 +211,14 @@ class TestRuleParsing:
         r = parse_quad_flag("mc:5000:7")
         assert r.kind == "monte-carlo" and r.samples == 5000 and r.seed == 7
 
+    def test_qmc_round_trips(self):
+        for text, seed in (("qmc:4000:3", 3), ("qmc:64", 0)):
+            r = parse_quad_flag(text)
+            assert r.kind == "quasi-monte-carlo" and r.seed == seed
+            assert parse_quad_flag(r.describe()) == r
+        assert parse_quad_flag("mc:5000:7").describe() == "mc:5000:7"
+
     def test_malformed(self):
-        for bad in ("grid", "grid:x", "mc:", "foo:3", "grid:2"):
+        for bad in ("grid", "grid:x", "mc:", "foo:3", "grid:2", "qmc:4", "qmc:1:2:3"):
             with pytest.raises(BadParams):
                 parse_quad_flag(bad)

@@ -81,6 +81,66 @@ class TestEvaluate:
         assert abs(ev(e, 2.0) - 20.0) < 1e-14
 
 
+def bits(v):
+    """The IEEE bit patterns of a complex value or array."""
+    return np.ascontiguousarray(v, dtype=complex).view(np.uint64)
+
+
+def union_with_conj_pairs(rng, m):
+    """Random entries plus re/im/conj trees of some of them."""
+    entries = random_exprs(rng, m, count=6)
+    return entries + [sym.re(entries[0]), sym.conj(entries[1]), sym.im(entries[2]), sym.abs2(entries[3])]
+
+
+class TestProgram:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_union_matches_each_entry_alone(self, seed):
+        rng = np.random.default_rng(seed)
+        exprs = union_with_conj_pairs(rng, 3)
+        P = sym._random_coords(rng, 3, 40)
+        coords = [P[:, j] for j in range(3)]
+        union = sym.evaluate(exprs, coords)
+        assert len(union) == len(exprs)
+        for e, v in zip(exprs, union):
+            np.testing.assert_array_equal(bits(v), bits(sym.evaluate(e, coords)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_conj_mirror_is_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        P = sym._random_coords(rng, 2, 40)
+        coords = [P[:, j] for j in range(2)]
+        for e in random_exprs(rng, 2, count=6):
+            np.testing.assert_array_equal(bits(np.conj(sym.evaluate(e, coords))),
+                                          bits(sym.evaluate(sym.conj(e), coords)))
+
+    def test_shared_and_conjugate_nodes_run_once(self):
+        e = next(e for e in random_exprs(np.random.default_rng(3), 2) if e.args)
+        code = sym._compile([e])[0]
+        size, mirrored = len(code), [ins[0] for ins in code].count("conj")
+        # re(e) = 0.5 * (e + conj(e)): conj(e) is one instruction, not a second tree
+        code = sym._compile([sym.re(e)])[0]
+        assert len(code) == size + 4
+        assert [ins[0] for ins in code].count("conj") == mirrored + 1
+        assert len(sym._compile([e, sym.mul(e, sym.const(2))])[0]) == size + 2
+
+    def test_domain_error_in_union_names_subexpression(self):
+        bad = sym.recip(sym.add(sym.var(0), sym.const(-1)))
+        exprs = [sym.abs2(sym.var(1)), sym.add(sym.const(1), bad), sym.var(0)]
+        with pytest.raises(DomainError) as info:
+            sym.evaluate(exprs, [np.array([1.0 + 0j, 2.0]), np.array([1j, 1.0])])
+        assert info.value.subexpression is bad
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_union_holds_no_more_live_values_than_its_largest_entry(self, seed):
+        exprs = random_exprs(np.random.default_rng(seed), 3, count=10)
+        entry_peak = max(sym._compile([e])[2] for e in exprs)
+        code, outs, nregs = sym._compile(exprs)
+        # the finished entries' values are held; beyond them, the union needs
+        # no more registers than one entry alone
+        assert nregs - (len(exprs) - 1) <= entry_peak
+        assert nregs < len(code)
+
+
 class TestHolomorphy:
     def test_polynomial_is_holomorphic(self):
         e = sym.intpow(sym.var(0), 2) + 3 * sym.var(1)
