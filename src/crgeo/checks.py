@@ -278,7 +278,7 @@ def _conformal_tworoute(surface, rng, fb):
         if efac is None:
             continue
         hat_chart = HypersurfaceChart(sym.mul(efac, chart.rho), chart.m)
-        xi2, r2, _ = _transverse_batch(hat_chart.grad_at(fb.P), hat_chart.hess_at(fb.P))
+        _, r2 = _transverse_batch(hat_chart.grad_at(fb.P), hat_chart.hess_at(fb.P))
         worst = max(worst, float(np.max(np.abs(rhat - np.real(r2)))))
     return worst
 
@@ -286,10 +286,11 @@ def _conformal_tworoute(surface, rng, fb):
 def _fd_suite(surface: SurfaceSpec, fb):
     """Worst FD mismatch of the symbolic jets, the chain-rule frame derivatives
     and the log J Hessian at the points of a frame batch."""
-    chart = surface.chart
-    exprs = [chart.rho] + chart._grad_exprs() + [e for row in chart._hess_exprs() for e in row]
+    chart, m = surface.chart, surface.dim
+    exprs = [chart.rho, *sym.jets(chart.rho, m, "h"), *(e for row in sym.jets(chart.rho, m, "hb") for e in row)]
     if surface.immersion is not None:
-        exprs += surface.immersion.F + [e for row in surface.immersion.dF_exprs() for e in row]
+        F = surface.immersion.F
+        exprs += F + [e for row in sym.jets(F, m, "h") for e in row]
     exprs += [f.ftilde for f in surface.plurifamily]
     worst = max(max_fd_mismatch(e, fb.P) for e in exprs)
     for s, fd in [(_frame_levi_derivs(chart, fb), fd_frame_levi_derivs(chart, fb)),

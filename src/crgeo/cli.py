@@ -25,9 +25,9 @@ from . import dsl
 from . import symbolic as sym
 from .checks import run_suites
 from .errors import BadParams, CrgeoError, GeometryError, InputError, UnreadableFile
-from .gallery import GALLERY_DOC, SurfaceSpec, gallery, load_surface, scan_surface
-from .hypersurface import _frame_batch, _ricci_batch
-from .immersion import _gauss_form, _levi_norm2, _sff_batch
+from .gallery import GALLERY_DOC, SurfaceSpec, _curvature_batch, gallery, load_surface, scan_surface
+from .hypersurface import _frame_batch  # noqa: F401 -- perfbench's tracer test reads this binding
+from .immersion import _gauss_form, _levi_norm2
 from .quadrature import parse_quad_flag
 from .report import Report, scan_csv
 from .spectral import reilly_bound, tension_bound
@@ -47,6 +47,16 @@ _DEFAULT_GALLERY = (
 )
 
 
+def _parse_value(text, kinds=(int, float)):
+    """The first of ``kinds`` that parses ``text``; InputError when none does."""
+    for kind in kinds:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise InputError(f"cannot parse value {text!r}")
+
+
 def parse_params(text):
     """Parse 'k=v,k=(a,b,c)' CLI parameter strings."""
     out = {}
@@ -60,15 +70,9 @@ def parse_params(text):
         if value.startswith("("):
             if not value.endswith(")"):
                 raise InputError(f"unbalanced tuple in {item!r}")
-            out[key] = tuple(float(v) for v in value[1:-1].split(",") if v.strip())
-            continue
-        try:
-            out[key] = int(value)
-        except ValueError:
-            try:
-                out[key] = float(value)
-            except ValueError as exc:
-                raise InputError(f"cannot parse value {value!r}") from exc
+            out[key] = tuple(_parse_value(v, (float,)) for v in value[1:-1].split(",") if v.strip())
+        else:
+            out[key] = _parse_value(value)
     return out
 
 
@@ -77,16 +81,20 @@ def parse_point(text, dim):
     parts = dsl.split_top_level(text)
     if len(parts) == 2 * dim and all("i" not in p for p in parts):
         vals = [float(p) for p in parts]
-        return np.array([complex(vals[2 * j], vals[2 * j + 1]) for j in range(dim)])
-    if len(parts) != dim:
+        point = np.array([complex(vals[2 * j], vals[2 * j + 1]) for j in range(dim)])
+    elif len(parts) != dim:
         raise InputError(f"point needs {dim} complex components (or {2 * dim} reals), got {len(parts)}")
-    out = []
-    for p in parts:
-        e = dsl.parse_expr(p)
-        if sym.free_indices(e):
-            raise InputError(f"point component {p!r} is not a constant")
-        out.append(complex(sym.evaluate(e, [])))
-    return np.array(out)
+    else:
+        point = []
+        for p in parts:
+            e = dsl.parse_expr(p)
+            if sym.free_indices(e):
+                raise InputError(f"point component {p!r} is not a constant")
+            point.append(complex(sym.evaluate(e, [])))
+        point = np.array(point)
+    if not np.all(np.isfinite(point)):
+        raise InputError(f"point {text!r} has a non-finite coordinate")
+    return point
 
 
 def _load_surface(args) -> SurfaceSpec:
@@ -103,7 +111,7 @@ def _load_surface(args) -> SurfaceSpec:
     return gallery(args.surface, **parse_params(getattr(args, "params", None)))
 
 
-def _surface_meta(surface, args):
+def _surface_meta(surface):
     return {"name": surface.name, "params": surface.params, "dim": surface.dim, "n": surface.n}
 
 
@@ -120,16 +128,9 @@ def _emit(text, out_path):
 
 def cmd_analyze(args):
     surface = _load_surface(args)
-    chart = surface.chart
-    p = parse_point(args.point, chart.m)
-    p = chart.project(p)
+    p = surface.chart.project(parse_point(args.point, surface.dim))
 
-    P = p[None, :]
-    if surface.immersion is not None:
-        fb, f = _sff_batch(surface.immersion, P)
-    else:
-        fb, f = _frame_batch(chart, P), None
-    ric, R, L = _ricci_batch(chart, fb)
+    fb, f, ric, R, L = _curvature_batch(surface, p[None, :])
     record = {
         "point": p,
         "h": fb.h[0],
@@ -152,7 +153,7 @@ def cmd_analyze(args):
                 "mean_curvature_vs_r": float(abs(f["Hnorm2"][0] - fb.r[0])),
             },
         })
-    rep = Report(surface=_surface_meta(surface, args), command="analyze", records=[record])
+    rep = Report(surface=_surface_meta(surface), command="analyze", records=[record])
     _emit(rep.to_json(), args.out)
     return EXIT_OK
 
@@ -161,12 +162,14 @@ def cmd_scan(args):
     surface = _load_surface(args)
     if args.grid < 1:
         raise BadParams(f"--grid must be a positive integer, got {args.grid}")
+    if not 0 < args.umbilic_tol < np.inf:
+        raise BadParams(f"--umbilic-tol must be a finite number above 0, got {args.umbilic_tol}")
     budget = int(args.grid) ** 3
     scan = scan_surface(surface, budget, umbilic_tolerance=args.umbilic_tol)
     _emit(scan_csv(scan, surface.dim), args.out)
     if args.meta_out:
         rep = Report(
-            surface=_surface_meta(surface, args),
+            surface=_surface_meta(surface),
             command=f"scan --grid {args.grid}",
             aggregates={
                 "points": int(scan["points"].shape[0]),
@@ -209,12 +212,14 @@ def cmd_bound(args):
             agg["volume"] = tb.volume
         if agg["samples_used"] is None:
             agg["samples_used"] = tb.samples_used
-    rep = Report(surface=_surface_meta(surface, args), command=f"bound --quad {args.quad}", aggregates=agg)
+    rep = Report(surface=_surface_meta(surface), command=f"bound --quad {args.quad}", aggregates=agg)
     _emit(rep.to_json(), args.out)
     return EXIT_OK
 
 
 def cmd_check(args):
+    if args.seed < 0:
+        raise BadParams(f"--seed must be nonnegative, got {args.seed}")
     if args.all:
         targets = [gallery(name, **params) for name, params in _DEFAULT_GALLERY]
     else:

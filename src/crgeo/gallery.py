@@ -10,6 +10,7 @@ generators (random on-surface samples and deterministic scan grids).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,11 +109,25 @@ def _identity_vars(m):
     return [sym.var(j) for j in range(m)]
 
 
+def _real_param(value, name):
+    x = float(value)
+    if not math.isfinite(x):
+        raise BadParams(f"parameter {name} must be finite, got {x}")
+    return x
+
+
+def _int_param(value, name):
+    x = _real_param(value, name)
+    if not x.is_integer():
+        raise BadParams(f"parameter {name} must be an integer, got {x}")
+    return int(x)
+
+
 def _build_sphere(r=1.0, n=1):
-    radius = float(r)
-    n = int(n)
-    if radius <= 0:
-        raise BadParams("sphere radius must be positive")
+    radius = _real_param(r, "r")
+    n = _int_param(n, "n")
+    if not (radius > 0 and 0 < radius * radius < math.inf):
+        raise BadParams(f"sphere radius must be positive, with r^2 a positive finite float: r={radius}")
     if n < 1:
         raise BadParams("CR dimension n must be at least 1")
     m = n + 1
@@ -132,8 +147,8 @@ def _build_sphere(r=1.0, n=1):
 
 
 def _build_ellipsoid(A=(0.1, 0.2, 0.3), dim=None):
-    A = tuple(float(a) for a in np.atleast_1d(A))
-    m = len(A) if dim is None else int(dim)
+    A = tuple(_real_param(a, "A") for a in np.atleast_1d(A))
+    m = len(A) if dim is None else _int_param(dim, "dim")
     if m < 2:
         raise BadParams("ellipsoid needs ambient dimension at least 2")
     if len(A) != m:
@@ -155,7 +170,7 @@ def _build_ellipsoid(A=(0.1, 0.2, 0.3), dim=None):
 
 
 def _build_whitney(n=1):
-    n = int(n)
+    n = _int_param(n, "n")
     if n < 1:
         raise BadParams("CR dimension n must be at least 1")
     m = n + 1
@@ -201,7 +216,7 @@ class _ReinhardtSampler:
 
 
 def _build_reinhardt(n=1):
-    n = int(n)
+    n = _int_param(n, "n")
     if n < 1:
         raise BadParams("CR dimension n must be at least 1")
     m = n + 1
@@ -280,6 +295,19 @@ def load_surface(fields: dict, name="custom") -> SurfaceSpec:
 # ---- batched surface scan ----------------------------------------------------
 
 
+def _curvature_batch(surface: SurfaceSpec, P):
+    """Geometry of ``analyze`` and ``scan`` at points P: the SFF batch when the
+    surface carries an immersion, else the frame batch alone, then the Ricci data.
+
+    Returns (fb, f, ric, R, L); ``f`` is the SFF field dict, or None.
+    """
+    if surface.immersion is not None:
+        fb, f = _sff_batch(surface.immersion, P)
+    else:
+        fb, f = _frame_batch(surface.chart, P), None
+    return (fb, f) + _ricci_batch(surface.chart, fb)
+
+
 def scan_surface(surface: SurfaceSpec, budget: int, umbilic_tolerance=UMBILIC_TOLERANCE):
     """Whole-surface scan: curvature scalars and umbilicity at grid points.
 
@@ -288,18 +316,14 @@ def scan_surface(surface: SurfaceSpec, budget: int, umbilic_tolerance=UMBILIC_TO
     immersion.
     """
     P, spacing = surface.scan_grid(budget)
-    chart = surface.chart
+    fb, f, _, R, L = _curvature_batch(surface, P)
     out = {"points": P, "spacing": spacing}
-    if surface.immersion is not None:
-        fb, f = _sff_batch(surface.immersion, P)
+    if f is not None:
         out["II0norm2"] = f["II0"]
         out["Hnorm2"] = f["Hnorm2"]
         out["is_umbilic"] = f["II0"] < umbilic_tolerance
-    else:
-        fb = _frame_batch(chart, P)
     out["r"] = fb.r
     out["J"] = fb.J
-    ric, R, L = _ricci_batch(chart, fb)
     out["scalarR"] = R
     out["min_eig_L"] = np.linalg.eigvalsh(L)[:, 0]
     return out

@@ -12,13 +12,14 @@ of points and return stacked arrays.  Each point carries its own distinguished
 coordinate w, and every helper takes batches that mix them: only the w-column
 of the frame varies, so frame derivatives follow by the chain rule from
 w-free ambient jets.  The public functions are the K=1 wrappers with the
-per-point error contracts.  Charts are immutable after construction and
+per-point error contracts; those that return one point's result refuse a
+batch of several points.  Charts are immutable after construction and
 all computations are pure, so points may be partitioned across workers freely.
 
 ``eval_array`` is the one batched evaluation path: every array of jets the
 package uses (gradients, Hessians, the third- and fourth-order ambient jets,
-the immersion's derivatives, Kohn-Laplacian gradients) is a nested list of
-expressions evaluated by it, as one ``sym.evaluate`` program per array.
+the immersion's derivatives, Kohn-Laplacian gradients) is a ``sym.jets``
+list evaluated by it, as one ``sym.evaluate`` program per array.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ COND_REJECT = 1e12
 
 
 class HypersurfaceChart:
-    """A defining function with cached symbolic jets.
+    """A real defining function rho on C^m.
 
     Parameters
     ----------
@@ -67,26 +68,6 @@ class HypersurfaceChart:
         self.m = int(dim)
         self.n = self.m - 1
         self.name = name
-        self._jets: dict[tuple, sym.Expr] = {(): rho}
-
-    # ---- symbolic jets ---------------------------------------------------
-
-    def jet(self, *steps) -> sym.Expr:
-        """Derivative of rho along a sequence of (index, conjugated) steps."""
-        key = tuple(steps)
-        e = self._jets.get(key)
-        if e is None:
-            base = self.jet(*steps[:-1])
-            j, c = steps[-1]
-            e = sym.differentiate(base, j, c)
-            self._jets[key] = e
-        return e
-
-    def _grad_exprs(self):
-        return [self.jet((j, False)) for j in range(self.m)]
-
-    def _hess_exprs(self):
-        return [[self.jet((j, False), (k, True)) for k in range(self.m)] for j in range(self.m)]
 
     # ---- numeric evaluation ----------------------------------------------
 
@@ -95,25 +76,25 @@ class HypersurfaceChart:
 
     def grad_at(self, P):
         """(..., m) array of rho_j."""
-        return eval_array(self._grad_exprs(), P)
+        return eval_array(sym.jets(self.rho, self.m, "h"), P)
 
     def hess_at(self, P):
         """(..., m, m) array of rho_{j kbar}."""
-        return eval_array(self._hess_exprs(), P)
+        return eval_array(sym.jets(self.rho, self.m, "hb"), P)
 
     def project(self, p):
         """Pull a nearby point onto {rho = 0} by Newton along the gradient
         (at most 80 steps, stopping once |rho| < 1e-13).
 
         Raises NotOnSurface when 80 steps leave |rho| >= ON_SURFACE_TOL, and at
-        once when such a point has a zero gradient.
+        once when such a point has a zero gradient or rho is not finite.
         """
         z = np.array(p, dtype=complex)
         batched = z.ndim == 2
         Z = z if batched else z[None, :]
         for it in range(81):  # 80 Newton steps, then a last look at rho
             val = np.real(self.rho_at(Z))
-            if it == 80 or np.max(np.abs(val)) < 1e-13:
+            if it == 80 or np.max(np.abs(val)) < 1e-13 or not np.all(np.isfinite(val)):
                 break
             g = self.grad_at(Z)
             denom = 2.0 * np.sum(np.abs(g) ** 2, axis=1)
@@ -122,7 +103,7 @@ class HypersurfaceChart:
             step = val / np.where(denom == 0, 1.0, denom)
             Z = Z - step[:, None] * np.conj(g)
         offs = np.abs(val)
-        if np.max(offs) >= ON_SURFACE_TOL:
+        if not np.max(offs) < ON_SURFACE_TOL:  # a NaN fails too
             i = int(np.argmax(offs))
             raise NotOnSurface(
                 f"projection left |rho| = {offs[i]:.3e} at point index {i} (tol {ON_SURFACE_TOL:.1e})"
@@ -169,6 +150,14 @@ def _as_batch(p, m):
     if P.ndim == 2 and P.shape[1] == m:
         return P, False
     raise ValueError(f"expected point shape (m,) or (K, m) with m={m}, got {P.shape}")
+
+
+def _one_point(p, m):
+    """(1, m) batch of a K=1 wrapper's point; a batch of several points is refused."""
+    P, _ = _as_batch(p, m)
+    if P.shape[0] != 1:
+        raise ValueError(f"expected one point, got a batch of {P.shape[0]}")
+    return P
 
 
 # ---- frame ------------------------------------------------------------------
@@ -230,7 +219,7 @@ class _FrameBatch:
     """Stacked frame data over K points sharing a chart; w varies per point.
 
     ``hol2`` and ``jet3`` hold the ambient jets rho_{lj} and d_j rho_{l cbar}
-    once ``_ambient_jets`` has evaluated them.
+    once ``_ambient_derivs`` has evaluated them.
     """
 
     __slots__ = ("P", "w", "fc", "Zc", "h", "hinv", "heigs", "xi", "r", "J", "grad", "hess", "rho",
@@ -271,7 +260,7 @@ def _check_imag(values, tol, what, cls=ValueError):
 def _transverse_batch(grad, hess):
     """Solve { rho_j xi^j = 1, rho_{j kbar} xi^j = r rho_kbar } pointwise.
 
-    Returns (xi (K, m), r (K,) complex, cond (K,)).
+    Returns (xi (K, m), r (K,) complex).
     """
     K, m = grad.shape
     A = _transverse_matrix(grad, hess)
@@ -290,7 +279,7 @@ def _transverse_batch(grad, hess):
         x[healthy] = np.linalg.solve(A[healthy], b[healthy][..., None])[..., 0]
     for i in np.nonzero(~healthy)[0]:
         x[i] = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
-    return x[:, :m], x[:, m], cond
+    return x[:, :m], x[:, m]
 
 
 def _transverse_matrix(grad, hess):
@@ -321,24 +310,18 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
     _check_imag(rho, 1e-9, "rho", NotOnSurface)
     rho = np.real(rho)
     offs = np.abs(rho)
-    if np.max(offs) >= ON_SURFACE_TOL:
+    if not np.max(offs) < ON_SURFACE_TOL:  # a NaN fails too
         i = int(np.argmax(offs))
         raise NotOnSurface(f"|rho| = {offs[i]:.3e} at point index {i} exceeds tol {ON_SURFACE_TOL:.1e}")
 
     grad = chart.grad_at(P)
     absg = np.abs(grad)
-    gmax = np.max(absg, axis=1)
-    if np.min(gmax) <= FRAME_THRESHOLD:
-        i = int(np.argmin(gmax))
-        raise DegenerateFrame(f"all |rho_j| <= {FRAME_THRESHOLD:.1e} at point index {i}")
-    if w_index is None:
-        w = np.argmax(absg, axis=1)
-    else:
-        w = np.full(P.shape[0], int(w_index))
-        small = absg[np.arange(P.shape[0]), w] <= FRAME_THRESHOLD
-        if np.any(small):
-            i = int(np.argmax(small))
-            raise DegenerateFrame(f"|rho_w| <= {FRAME_THRESHOLD:.1e} for pinned w at point index {i}")
+    # at the argmax w, |rho_w| = max_j |rho_j|: one gate serves both choices of w
+    w = np.argmax(absg, axis=1) if w_index is None else np.full(P.shape[0], int(w_index))
+    small = absg[np.arange(P.shape[0]), w] <= FRAME_THRESHOLD
+    if np.any(small):
+        i = int(np.argmax(small))
+        raise DegenerateFrame(f"|rho_w| <= {FRAME_THRESHOLD:.1e} for w = {w[i]} at point index {i}")
 
     hess = chart.hess_at(P)
     fb = _FrameBatch()
@@ -365,7 +348,7 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
         )
     fb.hinv = np.linalg.inv(fb.h)
 
-    xi, r, _ = _transverse_batch(grad, hess)
+    xi, r = _transverse_batch(grad, hess)
     _check_imag(r, 1e-10, "transverse curvature", SingularSystem)
     fb.xi, fb.r = xi, np.real(r)
 
@@ -377,15 +360,14 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
 
 def frame_at(chart: HypersurfaceChart, p, w_index=None) -> FrameData:
     """Moving frame and derived scalars at one on-surface point."""
-    P, _ = _as_batch(p, chart.m)
-    return _frame_batch(chart, P, w_index=w_index).frame_data(0)
+    return _frame_batch(chart, _one_point(p, chart.m), w_index=w_index).frame_data(0)
 
 
 def transverse_solve(chart: HypersurfaceChart, p):
     """Transverse (1,0)-field xi and curvature r at a point: solves the
     (m+1)x(m+1) system { rho_j xi^j = 1 ; rho_{j kbar} xi^j = r rho_kbar }."""
     P, single = _as_batch(p, chart.m)
-    xi, r, _ = _transverse_batch(chart.grad_at(P), chart.hess_at(P))
+    xi, r = _transverse_batch(chart.grad_at(P), chart.hess_at(P))
     _check_imag(r, 1e-10, "transverse curvature", SingularSystem)
     if single:
         return xi[0], float(np.real(r[0]))
@@ -415,11 +397,8 @@ def _loghess_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
 def _loghess_ambient(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
     """(K, j, k) ambient Hessian (log J)_{j kbar} = tr(B^-1 d_kbar d_j B) - tr(B^-1 d_kbar B B^-1 d_j B)
     by Jacobi's formula; beyond the ambient jets it needs d_j d_kbar rho_{a cbar}."""
-    hol2, jet3 = _ambient_jets(chart, fb)
-    ms = range(chart.m)
-    jet4 = eval_array(
-        [[[[chart.jet((a, False), (c, True), (j, False), (k, True)) for c in ms] for a in ms] for k in ms]
-         for j in ms], fb.P)
+    hol2, jet3 = _ambient_derivs(chart, fb)
+    jet4 = eval_array(sym.jets(chart.rho, chart.m, "hbhb"), fb.P)
     Binv = np.linalg.inv(_bordered(fb.rho, np.conj(fb.grad), fb.grad, fb.hess))
     # by blocks of d_cbar d_j B = [[rho_{j cbar}, conj(jet3[b, j, c])], [jet3[a, c, j], jet4[j, c]]]
     first = (Binv[:, 0, 0, None, None] * fb.hess
@@ -435,9 +414,7 @@ def _loghess_ambient(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
 def loghess_J(chart: HypersurfaceChart, p) -> np.ndarray:
     """Restriction of the complex Hessian of log J to the frame:
     L_{alpha betabar} = Z_alpha^j conj(Z_beta^k) (log J)_{j kbar}."""
-    P, _ = _as_batch(p, chart.m)
-    fb = _frame_batch(chart, P)
-    return _loghess_batch(chart, fb)[0]
+    return _loghess_batch(chart, _frame_batch(chart, _one_point(p, chart.m)))[0]
 
 
 # ---- connection --------------------------------------------------------------
@@ -486,15 +463,12 @@ def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch, include_reeb=Tr
     return omega
 
 
-def _ambient_jets(chart, fb):
+def _ambient_derivs(chart, fb):
     """(hol2, jet3) with hol2[k, l, j] = rho_{lj} and jet3[k, l, c, j] =
     d_j rho_{l cbar} at the batch's points, evaluated once per batch."""
     if fb.hol2 is None:
-        ms = range(chart.m)
-        fb.hol2 = eval_array([[chart.jet((l, False), (j, False)) for j in ms] for l in ms], fb.P)
-        fb.jet3 = eval_array(
-            [[[chart.jet((l, False), (c, True), (j, False)) for j in ms] for c in ms] for l in ms], fb.P
-        )
+        fb.hol2 = eval_array(sym.jets(chart.rho, chart.m, "hh"), fb.P)
+        fb.jet3 = eval_array(sym.jets(chart.rho, chart.m, "hbh"), fb.P)
     return fb.hol2, fb.jet3
 
 
@@ -504,7 +478,7 @@ def _frame_w_derivs(chart, fb):
     Only the w-column of the frame coefficients varies; by the chain rule
     d_j Z_gamma^w = -Z_gamma^l rho_{lj} / rho_w.
     """
-    hol2, _ = _ambient_jets(chart, fb)
+    hol2, _ = _ambient_derivs(chart, fb)
     S = np.einsum("kaj,klj,kgl->kag", fb.Zc, hol2, fb.Zc)
     return -S / fb.at_w(fb.grad)[:, None, None]
 
@@ -521,7 +495,7 @@ def _frame_levi_derivs(chart, fb):
     constant columns; the w-columns contribute (Z_gamma Z_beta^w) rho_{w mubar}
     and rho_{beta wbar} Z_gamma conj(Z_mu^w).
     """
-    _, jet3 = _ambient_jets(chart, fb)
+    _, jet3 = _ambient_derivs(chart, fb)
     Zc = fb.Zc
     Zgh = np.einsum("kgj,kbl,klcj,kmc->kgbm", Zc, Zc, jet3, np.conj(Zc), optimize=True)
     # v[k, beta] = Z_beta^l rho_{l wbar}; rho'' is Hermitian, so rho_{w cbar} conj(Z_mu^c) = conj(v_mu)
@@ -536,7 +510,7 @@ def _xi_frame_derivatives(chart, fb):
     m = chart.m
     K = fb.P.shape[0]
     grad, hess = fb.grad, fb.hess
-    hol2, jet3 = _ambient_jets(chart, fb)
+    hol2, jet3 = _ambient_derivs(chart, fb)
 
     A = _transverse_matrix(grad, hess)
     x = np.concatenate([fb.xi, fb.r[:, None].astype(complex)], axis=1)
@@ -580,8 +554,7 @@ def _ricci_batch(chart, fb):
 def ricci_liluk(chart: HypersurfaceChart, p, w_index=None):
     """Ricci form restricted to the frame and its scalar trace:
     Ric = (n+1) r h - L with L the restricted Hessian of log J."""
-    P, _ = _as_batch(p, chart.m)
-    fb = _frame_batch(chart, P, w_index=w_index)
+    fb = _frame_batch(chart, _one_point(p, chart.m), w_index=w_index)
     ric, R, _ = _ricci_batch(chart, fb)
     return ric[0], float(R[0])
 
@@ -610,7 +583,7 @@ def _conformal_batch(chart, sigma, fb):
     """r_hat of ``conformal_transverse`` at the points of a frame batch."""
     sval = eval_at(sigma, fb.P)
     _check_imag(sval, 1e-9, "sigma")
-    dsig = eval_array([sym.differentiate(sigma, j, False) for j in range(chart.m)], fb.P)
+    dsig = eval_array(sym.jets(sigma, chart.m, "h"), fb.P)
     xi_sigma = np.einsum("kj,kj->k", fb.xi, dsig)
     dens = dbar_b_norm2(fb, dsig)
     return np.exp(-np.real(sval)) * (fb.r + 2.0 * np.real(xi_sigma) - dens)

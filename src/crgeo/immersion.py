@@ -26,13 +26,13 @@ from .errors import NotPluriharmonic, NotStrictlyPseudoconvex, RankDeficientNorm
 from .hypersurface import (
     FrameData,
     HypersurfaceChart,
-    _as_batch,
     _check_imag,
     _connection_batch,
     _frame_batch,
     _frame_conj_w_derivs,
     _frame_w_derivs,
     _loghess_batch,
+    _one_point,
     eval_array,
 )
 
@@ -67,14 +67,6 @@ class ImmersionSpec:
         for comp in self.F:
             rho = sym.add(rho, sym.abs2(comp))
         self.chart = HypersurfaceChart(rho, self.dim, name=name)
-        self._dF = None
-
-    def dF_exprs(self):
-        if self._dF is None:
-            self._dF = [
-                [sym.differentiate(comp, j, False) for j in range(self.dim)] for comp in self.F
-            ]
-        return self._dF
 
     def __repr__(self):
         return f"ImmersionSpec(N={self.N}, dim={self.dim}, {self.name or 'custom'})"
@@ -172,7 +164,7 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     n, N = spec.n, spec.N
     K = P.shape[0]
 
-    dF = eval_array(spec.dF_exprs(), P)
+    dF = eval_array(sym.jets(spec.F, spec.dim, "h"), P)
     sv = np.linalg.svd(dF, compute_uv=False)
     if np.min(sv[:, -1]) <= IMMERSION_SV_FLOOR:
         i = int(np.argmin(sv[:, -1]))
@@ -184,9 +176,7 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     q = _normal_basis(E, fb.hinv, N)
 
     # Z_alpha (Z_gamma F^d) = Z_alpha^j Z_gamma^l d_j d_l F^d + (Z_alpha Z_gamma^w) d_w F^d
-    d2F = eval_array(
-        [[[sym.differentiate(e, j) for j in range(spec.dim)] for e in row] for row in spec.dF_exprs()], P
-    )
+    d2F = eval_array(sym.jets(spec.F, spec.dim, "hh"), P)
     ZZF = np.einsum("kaj,kgl,kdlj->kagd", fb.Zc, fb.Zc, d2F)
     ZZF += _frame_w_derivs(spec.chart, fb)[..., None] * fb.at_w(dF)[:, None, None, :]
 
@@ -225,7 +215,7 @@ def _levi_norm2(T, hinv):
 
 def second_fundamental_form(spec: ImmersionSpec, p, w_index=None) -> SecondFundamentalForm:
     """Second fundamental form, mean curvature, and torsion at one point."""
-    P, _ = _as_batch(p, spec.dim)
+    P = _one_point(p, spec.dim)
     fb, f = _sff_batch(spec, P, w_index=w_index)
     return SecondFundamentalForm(
         point=P[0],
@@ -293,8 +283,7 @@ def umbilicity_report(spec: ImmersionSpec, p) -> UmbilicityReport:
     The left side is the restricted Hessian of log J computed from the chart
     alone; the right side is assembled from the second fundamental form.
     """
-    P, _ = _as_batch(p, spec.dim)
-    fb, f = _sff_batch(spec, P)
+    fb, f = _sff_batch(spec, _one_point(p, spec.dim))
     L = _loghess_batch(spec.chart, fb)
     G = _gauss_form(f["holo"], fb.hinv)
     residual = float(np.max(np.abs(L - G)))

@@ -49,6 +49,10 @@ class QuadratureRule:
     samples: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise BadParams(f"quadrature seed must be nonnegative, got {self.seed}")
+
     def describe(self):
         if self.kind == "product-grid":
             return f"grid:{self.resolution}"

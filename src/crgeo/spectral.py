@@ -47,9 +47,6 @@ class PluriharmonicFunction:
                 )
             self._checked = True
 
-    def dbar_exprs(self, m):
-        return [sym.differentiate(self.ftilde, j, conjugated=True) for j in range(m)]
-
     def __repr__(self):
         return f"PluriharmonicFunction({self.label or sym.to_text(self.ftilde)})"
 
@@ -92,7 +89,7 @@ def _xi_batch(chart, P):
 
 def _boxb_batch(chart, f: PluriharmonicFunction, P, xi):
     f.ensure_valid()
-    dbar = eval_array(f.dbar_exprs(chart.m), P)
+    dbar = eval_array(sym.jets(f.ftilde, chart.m, "b"), P)
     return chart.n * np.einsum("kj,kj->k", np.conj(xi), dbar)
 
 
@@ -105,7 +102,7 @@ def boxb_pluriharmonic(chart: HypersurfaceChart, f: PluriharmonicFunction, p):
 
 
 def _energy_density_batch(chart, f: PluriharmonicFunction, fb):
-    return dbar_b_norm2(fb, np.conj(eval_array(f.dbar_exprs(chart.m), fb.P)))
+    return dbar_b_norm2(fb, np.conj(eval_array(sym.jets(f.ftilde, chart.m, "b"), fb.P)))
 
 
 def dbarb_energy_density(chart: HypersurfaceChart, f: PluriharmonicFunction, p):
@@ -130,7 +127,7 @@ def takahashi_check(spec: ImmersionSpec, sample) -> TakahashiReport:
     xi, _ = _xi_batch(chart, P)
 
     Fv = eval_array(spec.F, P)
-    dF = eval_array(spec.dF_exprs(), P)
+    dF = eval_array(sym.jets(spec.F, spec.dim, "h"), P)
     boxb = n * np.conj(np.einsum("kdj,kj->kd", dF, xi))
 
     Fbar = np.conj(Fv)

@@ -12,9 +12,12 @@ Normal forms kept by the constructors:
   * re(e) is rewritten to (e + conj(e))/2;
   * 0/1 absorption and constant folding are applied locally.
 
-``evaluate`` runs one or more expressions as a flat post-order program over
-their union DAG: shared nodes run once, conjugate partners are mirrored by
-``np.conj``, and each intermediate is dropped after its last reader.
+``jets`` builds every derivative array, taking each entry's steps in sorted
+order so that commuting derivatives are one tree.  ``evaluate`` runs one or
+more expressions as a flat post-order program over their union DAG: shared
+nodes run once, conjugate partners are mirrored by ``np.conj``, and each
+intermediate is dropped after its last reader.  The program is kept on the
+first root, keyed by the tuple of roots, so it lives as long as the tree.
 
 Distributing conj through log assumes the log argument stays off the negative
 real axis; every expression in scope takes log of positive real quantities
@@ -40,7 +43,7 @@ _LOG = "log"
 class Expr:
     """Immutable expression-tree node. Build through the module factories."""
 
-    __slots__ = ("op", "args", "payload", "_dcache", "_conj", "_indices", "_prog")
+    __slots__ = ("op", "args", "payload", "_dcache", "_conj", "_indices", "_progs")
 
     def __init__(self, op, args=(), payload=None):
         self.op = op
@@ -49,7 +52,7 @@ class Expr:
         self._dcache = {}
         self._conj = None
         self._indices = None
-        self._prog = None
+        self._progs = None
 
     # arithmetic sugar; accepted scalars are wrapped into constants
     def __add__(self, other):
@@ -258,19 +261,42 @@ def differentiate(e: Expr, j: int, conjugated: bool = False) -> Expr:
     return out
 
 
+def jets(e, m: int, pattern: str):
+    """Nested list of the Wirtinger derivatives of ``e``, or of each expression
+    in a list ``e``, with one index in ``range(m)`` per letter of ``pattern``:
+    ``h`` is d/dz and ``b`` is d/dzbar, so entry ``[j][k]`` of ``"hb"`` is
+    d_j d_kbar e.  Each entry takes its steps sorted by (conjugated, index):
+    permuted multi-indices give the same tree.
+    """
+    if not isinstance(e, Expr):
+        return [jets(x, m, pattern) for x in e]
+
+    def entry(steps):
+        if len(steps) < len(pattern):
+            c = pattern[len(steps)] == "b"
+            return [entry(steps + ((c, j),)) for j in range(m)]
+        out = e
+        for c, j in sorted(steps):
+            out = differentiate(out, j, c)
+        return out
+
+    return entry(())
+
+
 def evaluate(exprs, coords):
     """Evaluate one expression, or a list of them (giving a list), at a point.
 
     ``coords`` is a sequence of complex scalars, or of equally shaped numpy
     arrays for vectorized evaluation over many points at once.  The
-    expressions run as one ``_compile`` program; one expression keeps its
-    program for later calls.
+    expressions run as one ``_compile`` program, kept on the first root and
+    keyed by the tuple of roots.
     """
-    if isinstance(exprs, Expr):
-        if exprs._prog is None:
-            exprs._prog = _compile([exprs])
-        return _run(exprs._prog, coords)[0]
-    return _run(_compile(exprs), coords)
+    roots = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
+    progs = roots[0]._progs = roots[0]._progs or {}
+    if roots not in progs:
+        progs[roots] = _compile(roots)
+    vals = _run(progs[roots], coords)
+    return vals[0] if isinstance(exprs, Expr) else vals
 
 
 _CONJ = "conj"  # program-only op: the conjugate of a value already computed
@@ -328,7 +354,7 @@ def _run(program, coords):
     code, outs, nregs = program
     r = [None] * nregs
     dim = len(coords)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for op, out, a, b, e in code:
             if op == _MUL:
                 r[out] = r[a] * r[b]

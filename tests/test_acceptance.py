@@ -243,8 +243,8 @@ def test_criterion_8_oracle_suite_and_full_check():
         surf = gallery(name, **params)
         P = surf.random_points(50, seed=88)
         worst = max(worst, max_fd_mismatch(surf.chart.rho, P))
-        for j in range(surf.dim):
-            worst = max(worst, max_fd_mismatch(surf.chart.jet((j, False)), P))
+        for e in sym.jets(surf.chart.rho, surf.dim, "h"):
+            worst = max(worst, max_fd_mismatch(e, P))
         fb = _frame_batch(surf.chart, P)
         lh = _loghess_ambient(surf.chart, fb)
         worst = max(worst, float(np.max(np.abs(lh - fd_loghess(surf.chart, P)) / (1.0 + np.abs(lh)))))

@@ -152,6 +152,34 @@ class TestReportSchema:
         jsonschema.validate(doc["aggregates"], subschema("bound_aggregates"))
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["analyze", "--surface", "ellipsoid", "--params", "A=(x)", "--point", "1,0,0"], "InputError"),
+    (["check", "--surface", "sphere", "--seed", "-1"], "BadParams"),
+    (["bound", "--surface", "sphere", "--quad", "mc:8:-1"], "BadParams"),
+    (["bound", "--surface", "sphere", "--quad", "qmc:8:-1"], "BadParams"),
+    (["analyze", "--surface", "sphere", "--params", "r=1e300", "--point", "1,0"], "BadParams"),
+    (["analyze", "--surface", "sphere", "--point", "1e999,0"], "InputError"),
+    (["scan", "--surface", "sphere", "--grid", "3", "--umbilic-tol", "nan"], "BadParams"),
+    (["scan", "--surface", "sphere", "--grid", "3", "--umbilic-tol", "-1"], "BadParams"),
+    (["analyze", "--surface", "sphere", "--params", "n=1.5", "--point", "1,0"], "BadParams"),
+    (["analyze", "--surface", "sphere", "--params", "r=nan", "--point", "1,0"], "BadParams"),
+    (["analyze", "--surface", "ellipsoid", "--params", "A=(nan,0)", "--point", "1,0"], "BadParams"),
+])
+def test_bad_input_exits_2_with_a_json_error(argv, error):
+    rc, _, err = run_cli(argv)
+    assert rc == 2
+    doc = json.loads(err)
+    assert set(doc) == {"error", "message"}
+    assert doc["error"] == error
+
+
+def test_far_point_is_not_on_the_surface():
+    # |rho| overflows to inf and Newton to NaN: the projection gate must still fire
+    rc, _, err = run_cli(["analyze", "--surface", "sphere", "--point", "1e200,0"])
+    assert rc == 3
+    assert json.loads(err)["error"] == "NotOnSurface"
+
+
 class TestCli:
     def test_gallery_list(self):
         rc, out, _ = run_cli(["gallery-list"])

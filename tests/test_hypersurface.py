@@ -18,7 +18,7 @@ from crgeo.errors import (
 from crgeo.gallery import gallery
 from crgeo.hypersurface import (
     HypersurfaceChart,
-    _ambient_jets,
+    _ambient_derivs,
     _bordered,
     _connection_batch,
     _frame_batch,
@@ -215,6 +215,22 @@ class TestFrame:
         p = np.array([1.0, np.sqrt(1.5)], dtype=complex)
         with pytest.raises(NotStrictlyPseudoconvex):
             frame_at(ch, p)
+
+    def test_pinned_w_with_vanishing_rho_w_rejected(self):
+        # at (1, 0) on the unit sphere rho_2 = conj(z2) = 0; the argmax frame picks w = 0
+        ch = sphere_chart()
+        p = np.array([1, 0], dtype=complex)
+        assert frame_at(ch, p).w_index == 0
+        with pytest.raises(DegenerateFrame):
+            frame_at(ch, p, w_index=1)
+
+    @pytest.mark.parametrize("wrapper", [frame_at, loghess_J, ricci_liluk])
+    def test_single_point_wrappers_refuse_a_batch(self, wrapper):
+        ch = sphere_chart()
+        P = np.array([[1, 0], [0.6, 0.8]], dtype=complex)
+        with pytest.raises(ValueError):
+            wrapper(ch, P)
+        wrapper(ch, P[:1])
 
 
 class TestTransverse:
@@ -441,7 +457,7 @@ class TestConnection:
 
         def second_term_flipped(chart, fb):
             # tr(B^-1 d_kbar d_j B) + tr(B^-1 d_kbar B B^-1 d_j B)
-            hol2, jet3 = _ambient_jets(chart, fb)
+            hol2, jet3 = _ambient_derivs(chart, fb)
             Binv = np.linalg.inv(_bordered(fb.rho, np.conj(fb.grad), fb.grad, fb.hess))
             dB = _bordered(fb.grad, fb.hess, np.swapaxes(hol2, 1, 2), np.moveaxis(jet3, 3, 1))
             second = np.einsum("kpq,kcrq,krs,kjsp->kjc", Binv, np.conj(dB), Binv, dB)

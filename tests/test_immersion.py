@@ -127,6 +127,14 @@ class TestWhitney:
             rep = umbilicity_report(surf.immersion, p)
             assert rep.logJ_trace_residual < 1e-9
 
+    @pytest.mark.parametrize("wrapper", [second_fundamental_form, umbilicity_report])
+    def test_single_point_wrappers_refuse_a_batch(self, wrapper):
+        spec = gallery("whitney").immersion
+        P = np.array([[0, 1], [0.6, 0.8]], dtype=complex)
+        with pytest.raises(ValueError):
+            wrapper(spec, P)
+        wrapper(spec, P[:1])
+
 
 class TestTorsion:
     def test_sphere_torsion_vanishes(self):
@@ -288,11 +296,10 @@ class TestBatchReuse:
             monkeypatch.setattr(mod, "eval_array", counted)
         fb, f = _sff_batch(spec, P)
         assert len(np.unique(fb.w)) == 2
-        ms = range(chart.m)
         jets = (
-            [[chart.jet((l, False), (j, False)) for j in ms] for l in ms],
-            [[[chart.jet((l, False), (c, True), (j, False)) for j in ms] for c in ms] for l in ms],
-            [[[sym.differentiate(e, j) for j in ms] for e in row] for row in spec.dF_exprs()],
+            sym.jets(chart.rho, chart.m, "hh"),
+            sym.jets(chart.rho, chart.m, "hbh"),
+            sym.jets(spec.F, chart.m, "hh"),
         )
         assert all(calls.count(_leaf_ids(exprs)) == 1 for exprs in jets)
         assert len(set(calls)) == len(calls)

@@ -204,8 +204,8 @@ def test_xi_batch_rejects_complex_curvature(monkeypatch):
     real = hypersurface._transverse_batch
 
     def complex_r(grad, hess):
-        xi, r, cond = real(grad, hess)
-        return xi, r + 1e-8j, cond
+        xi, r = real(grad, hess)
+        return xi, r + 1e-8j
 
     monkeypatch.setattr(hypersurface, "_transverse_batch", complex_r)
     surf = gallery("sphere", r=1.0, n=1)

@@ -1,5 +1,7 @@
 """Wirtinger engine: derivative rules, evaluation semantics, zero tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 from crgeo import symbolic as sym
 from crgeo.checks import fd_wirtinger, random_exprs, symcore_suite
 from crgeo.errors import DomainError
+from crgeo.gallery import gallery
+from crgeo.hypersurface import eval_array, eval_at
+from crgeo.quadrature import RadialChart, _radial_batch
 
 
 def ev(e, *coords):
@@ -139,6 +144,105 @@ class TestProgram:
         # no more registers than one entry alone
         assert nregs - (len(exprs) - 1) <= entry_peak
         assert nregs < len(code)
+
+
+# the order in which each jet array's entries used to take their steps:
+# entry index -> (index, conjugated) steps
+OLD_ORDER = {
+    "h": lambda j: ((j, False),),
+    "hb": lambda j, k: ((j, False), (k, True)),
+    "hh": lambda l, j: ((l, False), (j, False)),
+    "hbh": lambda l, c, j: ((l, False), (c, True), (j, False)),
+    "hbhb": lambda j, k, a, c: ((a, False), (c, True), (j, False), (k, True)),
+}
+
+JET_SURFACES = [
+    ("sphere", {"r": 1.0, "n": 1}), ("sphere", {"r": 1.0, "n": 2}), ("ellipsoid", {"A": (0.1, 0.2, 0.3)}),
+    ("whitney", {"n": 1}), ("whitney", {"n": 2}), ("reinhardt", {"n": 1}), ("reinhardt", {"n": 2}),
+]
+
+
+def chain(e, steps):
+    for j, c in steps:
+        e = sym.differentiate(e, j, c)
+    return e
+
+
+def flat(nested):
+    return list(np.array(nested, dtype=object).ravel())
+
+
+class TestJets:
+    @pytest.mark.parametrize("name,params", JET_SURFACES)
+    @pytest.mark.parametrize("pattern", sorted(OLD_ORDER))
+    def test_entries_match_the_ordered_chain(self, name, params, pattern):
+        surf = gallery(name, **params)
+        rho, m = surf.chart.rho, surf.dim
+        P = surf.random_points(20, seed=7)
+        new = eval_array(sym.jets(rho, m, pattern), P)
+        idx = list(itertools.product(range(m), repeat=len(pattern)))
+        old = np.stack([eval_at(chain(rho, OLD_ORDER[pattern](*i)), P) for i in idx], axis=-1)
+        old = old.reshape(new.shape)
+        assert np.max(np.abs(new - old)) <= 1e-13 * max(1.0, np.max(np.abs(old)))
+
+    def test_permuted_multi_indices_are_one_tree(self):
+        rho = gallery("reinhardt", n=2).chart.rho
+        hh, hbh, j4 = (sym.jets(rho, 3, p) for p in ("hh", "hbh", "hbhb"))
+        for j, k, a, c in itertools.product(range(3), repeat=4):
+            assert hh[j][a] is hh[a][j]
+            assert hbh[j][k][a] is hbh[a][k][j]
+            assert j4[j][k][a][c] is j4[a][c][j][k] is j4[a][k][j][c] is j4[j][c][a][k]
+        # 81 fourth jets: 6 unbarred pairs x 6 barred pairs
+        assert len({id(e) for e in flat(j4)}) == 36
+
+    @pytest.mark.parametrize("name,params", JET_SURFACES)
+    def test_first_and_mixed_jets_are_the_ordered_nodes(self, name, params):
+        surf = gallery(name, **params)
+        rho, m = surf.chart.rho, surf.dim
+        for j in range(m):
+            assert sym.jets(rho, m, "h")[j] is sym.differentiate(rho, j, False)
+            for k in range(m):
+                assert sym.jets(rho, m, "hb")[j][k] is chain(rho, OLD_ORDER["hb"](j, k))
+
+    def test_a_list_of_expressions_gives_one_array_each(self):
+        F = [sym.var(0), sym.mul(sym.var(0), sym.var(1))]
+        dF = sym.jets(F, 2, "h")
+        assert dF[1][0] is sym.differentiate(F[1], 0, False)
+        assert dF[0][1].op == "const" and dF[0][1].payload == 0
+        assert sym.jets(F[1], 2, "b")[0].payload == 0
+
+
+class TestProgramCache:
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        calls = []
+        real = sym._compile
+
+        def counted(roots):
+            calls.append(tuple(roots))
+            return real(roots)
+
+        monkeypatch.setattr(sym, "_compile", counted)
+        return calls
+
+    def test_once_per_distinct_root_tuple(self, compiles):
+        e0, e1 = random_exprs(np.random.default_rng(5), 2, count=2)
+        coords = [np.array([0.5 + 0.1j, 0.9]), np.array([0.7, 1.1 - 0.3j])]
+        for _ in range(3):
+            sym.evaluate([e0, e1], coords)
+            sym.evaluate(e0, coords)
+            sym.evaluate([e0], coords)  # one expression and a list of it share a program
+            sym.evaluate([e1, e0], coords)
+        assert compiles == [(e0, e1), (e0,), (e1, e0)]
+
+    def test_radial_batch_compiles_its_gradient_list_once(self, compiles):
+        surf = gallery("whitney", n=1)
+        compiles.clear()  # building the surface ran its zero tests
+        rng = np.random.default_rng(0)
+        U = rng.standard_normal((16, 4))
+        _radial_batch(RadialChart(surf.chart), U / np.linalg.norm(U, axis=1, keepdims=True))
+        grad = tuple(sym.jets(surf.chart.rho, 2, "h"))
+        assert compiles == [(surf.chart.rho,), grad]
 
 
 class TestHolomorphy:
