@@ -9,7 +9,8 @@ first/second symbolic derivatives against Richardson-extrapolated central
 finite differences on the real jet (steps 1e-3 and 5e-4).  The chain-rule
 frame derivatives Z_gamma h_{beta mubar} are checked against the same finite
 differences of the numeric Levi matrix, each point's frame held at its own w,
-and the Hessian (log J)_{j kbar} against second differences of log(-det B).
+the connection's Reeb slot against those of the solved transverse field, and
+the Hessian (log J)_{j kbar} against second differences of log(-det B).
 
 ``run_suites`` powers the CLI ``check`` subcommand; each result carries the
 residual actually measured so report consumers can re-threshold.
@@ -252,7 +253,7 @@ def hypersurface_suite(surface: SurfaceSpec, seed=0):
 
 def _metric_compatibility(chart, fb):
     n = chart.n
-    omega = _connection_batch(chart, fb, include_reeb=False)
+    omega = _connection_batch(chart, fb)
     lhs = _frame_levi_derivs(chart, fb)
     t1 = np.einsum("kbsg,ksm->kgbm", omega[:, :, :, :n], fb.h)
     t2 = np.einsum("kmsg,kbs->kgbm", np.conj(omega[:, :, :, n : 2 * n]), fb.h)
@@ -284,8 +285,8 @@ def _conformal_tworoute(surface, rng, fb):
 
 
 def _fd_suite(surface: SurfaceSpec, fb):
-    """Worst FD mismatch of the symbolic jets, the chain-rule frame derivatives
-    and the log J Hessian at the points of a frame batch."""
+    """Worst FD mismatch of the symbolic jets, the chain-rule frame derivatives,
+    the connection's Reeb slot and the log J Hessian at the points of a frame batch."""
     chart, m = surface.chart, surface.dim
     exprs = [chart.rho, *sym.jets(chart.rho, m, "h"), *(e for row in sym.jets(chart.rho, m, "hb") for e in row)]
     if surface.immersion is not None:
@@ -294,6 +295,7 @@ def _fd_suite(surface: SurfaceSpec, fb):
     exprs += [f.ftilde for f in surface.plurifamily]
     worst = max(max_fd_mismatch(e, fb.P) for e in exprs)
     for s, fd in [(_frame_levi_derivs(chart, fb), fd_frame_levi_derivs(chart, fb)),
+                  (_connection_batch(chart, fb)[..., -1], fd_reeb_slot(chart, fb)),
                   (_loghess_ambient(chart, fb), fd_loghess(chart, fb.P))]:
         worst = max(worst, float(np.max(np.abs(s - fd) / (1.0 + np.abs(s)))))
     return worst
@@ -325,6 +327,17 @@ def fd_frame_levi_derivs(chart, fb):
 
     dh = np.stack([fd_wirtinger(levi, fb.P, j)[0] for j in range(chart.m)], axis=-1)
     return np.einsum("kgj,kbmj->kgbm", fb.Zc, dh)
+
+
+def fd_reeb_slot(chart, fb):
+    """(K, beta, alpha) array of omega_beta^alpha(T) = -i Z_beta xi^{fc(alpha)} from
+    finite differences of the transverse field solved at shifted points."""
+
+    def xi(Q):
+        return _transverse_batch(chart.grad_at(Q), chart.hess_at(Q))[0]
+
+    dxi = np.stack([fd_wirtinger(xi, fb.P, j)[0] for j in range(chart.m)], axis=-1)
+    return -1j * np.einsum("kbj,kaj->kba", fb.Zc, np.take_along_axis(dxi, fb.fc[:, :, None], axis=1))
 
 
 def immersion_suite(surface: SurfaceSpec, seed=0):

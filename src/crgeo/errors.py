@@ -30,7 +30,7 @@ class UnreadableFile(InputError):
 
 
 class NotRealValued(InputError, ValueError):
-    """The defining expression (rho, or |F|^2 + psi) is not real-valued."""
+    """The defining expression (rho, or |F|^2 + psi) or the conformal exponent sigma is not real-valued."""
 
 
 class DomainError(CrgeoError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import symbolic as sym
 from .errors import BadParams, NotStarShaped, UnknownSurface
-from .hypersurface import HypersurfaceChart, _frame_batch, _ricci_batch
+from .hypersurface import HypersurfaceChart, _frame_batch, _require_real, _ricci_batch
 from .immersion import UMBILIC_TOLERANCE, ImmersionSpec, _sff_batch
 from .quadrature import RadialChart, radial_points, sphere_point
 from .spectral import PluriharmonicFunction
@@ -240,6 +240,11 @@ def _build_reinhardt(n=1):
 def _build_custom(fields: dict, name="custom"):
     m = fields["dim"]
     rho = fields["rho"]
+    sigma = fields.get("sigma")
+    if sigma is not None:
+        _require_real(sigma, "sigma")
+    if "psi" in fields and "F" not in fields:
+        raise BadParams("psi is the pluriharmonic part of |F|^2 + psi and needs F")
     imm = None
     if "F" in fields:
         imm = ImmersionSpec(fields["F"], dim=m, psi=fields.get("psi"), name=name)
@@ -254,7 +259,7 @@ def _build_custom(fields: dict, name="custom"):
         params={"dim": m},
         chart=chart,
         immersion=imm,
-        sigma=fields.get("sigma"),
+        sigma=sigma,
     )
 
 

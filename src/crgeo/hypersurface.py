@@ -4,8 +4,10 @@ Everything is derived from one real-valued defining expression rho on C^m
 (m = n + 1): the moving frame Z_alpha = d_alpha - (rho_alpha/rho_w) d_w, the
 Levi matrix, the transverse (1,0)-field xi with its curvature r, Tanaka-Webster
 connection coefficients, and the Ricci data assembled from them.  One bordered
-matrix B = [[rho, rho_kbar], [rho_j, rho_{j kbar}]] gives J = -det B and, by
-Jacobi's formula on its ambient derivatives, the complex Hessian of log J.
+matrix B = [[rho, rho_kbar], [rho_j, rho_{j kbar}]] carries the pointwise
+algebra: on the surface (-r, xi) is row 0 of B^-1 and J = -det B, while
+d_j B^-1 = -B^-1 d_j B B^-1, formed once per batch, gives the connection's
+Reeb slot and, by Jacobi's formula, the complex Hessian of log J.
 
 Internals are vectorized: the private ``*_batch`` helpers accept (K, m) arrays
 of points and return stacked arrays.  Each point carries its own distinguished
@@ -62,8 +64,7 @@ class HypersurfaceChart:
         bad = [j for j in sym.free_indices(rho) if j >= dim]
         if bad:
             raise ValueError(f"rho uses variables beyond dim={dim}: {sorted(bad)}")
-        if not sym.appears_zero(sym.im(rho), tol=1e-12):
-            raise NotRealValued("rho must be real-valued")
+        _require_real(rho, "rho")
         self.rho = rho
         self.m = int(dim)
         self.n = self.m - 1
@@ -113,6 +114,11 @@ class HypersurfaceChart:
     def __repr__(self):
         label = self.name or sym.to_text(self.rho)
         return f"HypersurfaceChart(dim={self.m}, {label})"
+
+
+def _require_real(e, what):
+    if not sym.appears_zero(sym.im(e), tol=1e-12):
+        raise NotRealValued(f"{what} must be real-valued")
 
 
 def eval_at(e, P):
@@ -218,12 +224,13 @@ def _levi_form(Zc, H):
 class _FrameBatch:
     """Stacked frame data over K points sharing a chart; w varies per point.
 
-    ``hol2`` and ``jet3`` hold the ambient jets rho_{lj} and d_j rho_{l cbar}
-    once ``_ambient_derivs`` has evaluated them.
+    ``hol2`` and ``jet3`` hold the ambient jets rho_{lj} and d_j rho_{l cbar},
+    and ``Binv``, ``dB`` and ``BdBB`` hold B^-1, d_j B and B^-1 d_j B B^-1, once
+    ``_ambient_derivs`` has built them.
     """
 
     __slots__ = ("P", "w", "fc", "Zc", "h", "hinv", "heigs", "xi", "r", "J", "grad", "hess", "rho",
-                 "hol2", "jet3")
+                 "hol2", "jet3", "Binv", "dB", "BdBB")
 
     def subset(self, mask):
         out = _FrameBatch()
@@ -258,38 +265,29 @@ def _check_imag(values, tol, what, cls=ValueError):
 
 
 def _transverse_batch(grad, hess):
-    """Solve { rho_j xi^j = 1, rho_{j kbar} xi^j = r rho_kbar } pointwise.
+    """Solve { rho_j xi^j = 1, rho_{j kbar} xi^j = r rho_kbar } pointwise as B^T u = e_0,
+    with the corner of B zero: u = (-r, xi) is row 0 of B^-1.
 
     Returns (xi (K, m), r (K,) complex).
     """
     K, m = grad.shape
-    A = _transverse_matrix(grad, hess)
-    b = np.zeros((K, m + 1), dtype=complex)
-    b[:, 0] = 1.0
-    cond = np.linalg.cond(A)
+    Bt = np.swapaxes(_bordered(0.0, np.conj(grad), grad, hess), 1, 2)
+    e0 = np.zeros((K, m + 1), dtype=complex)
+    e0[:, 0] = 1.0
+    cond = np.linalg.cond(Bt)
     bad = cond > COND_REJECT
     if np.any(bad):
         i = int(np.argmax(bad))
         raise SingularSystem(
             f"transverse system singular at point index {i} (cond {cond[i]:.3e})"
         )
-    x = np.empty((K, m + 1), dtype=complex)
+    u = np.empty((K, m + 1), dtype=complex)
     healthy = cond <= COND_LSTSQ
     if np.any(healthy):
-        x[healthy] = np.linalg.solve(A[healthy], b[healthy][..., None])[..., 0]
+        u[healthy] = np.linalg.solve(Bt[healthy], e0[healthy][..., None])[..., 0]
     for i in np.nonzero(~healthy)[0]:
-        x[i] = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
-    return x[:, :m], x[:, m]
-
-
-def _transverse_matrix(grad, hess):
-    """(K, m+1, m+1) matrix of the transverse system in the unknowns (xi, r)."""
-    K, m = grad.shape
-    A = np.zeros((K, m + 1, m + 1), dtype=complex)
-    A[:, 0, :m] = grad
-    A[:, 1:, :m] = np.swapaxes(hess, 1, 2)
-    A[:, 1:, m] = -np.conj(grad)
-    return A
+        u[i] = np.linalg.lstsq(Bt[i], e0[i], rcond=None)[0]
+    return u[:, 1:], -u[:, 0]
 
 
 def _bordered(corner, row, col, block):
@@ -326,7 +324,7 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
     hess = chart.hess_at(P)
     fb = _FrameBatch()
     fb.P, fb.w, fb.grad, fb.hess, fb.rho = P, w, grad, hess, rho
-    fb.hol2 = fb.jet3 = None
+    fb.hol2 = fb.jet3 = fb.Binv = fb.dB = fb.BdBB = None
     fb.fc, fb.Zc = _frame_coeffs(grad, w)
 
     # rounding in Zc H Zc^* scales with |Zc|^2 |H|: 1e-10 at unit scale
@@ -365,7 +363,8 @@ def frame_at(chart: HypersurfaceChart, p, w_index=None) -> FrameData:
 
 def transverse_solve(chart: HypersurfaceChart, p):
     """Transverse (1,0)-field xi and curvature r at a point: solves the
-    (m+1)x(m+1) system { rho_j xi^j = 1 ; rho_{j kbar} xi^j = r rho_kbar }."""
+    (m+1)x(m+1) system { rho_j xi^j = 1 ; rho_{j kbar} xi^j = r rho_kbar },
+    whose solution (-r, xi) is row 0 of the inverse bordered matrix B^-1."""
     P, single = _as_batch(p, chart.m)
     xi, r = _transverse_batch(chart.grad_at(P), chart.hess_at(P))
     _check_imag(r, 1e-10, "transverse curvature", SingularSystem)
@@ -397,18 +396,16 @@ def _loghess_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
 def _loghess_ambient(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
     """(K, j, k) ambient Hessian (log J)_{j kbar} = tr(B^-1 d_kbar d_j B) - tr(B^-1 d_kbar B B^-1 d_j B)
     by Jacobi's formula; beyond the ambient jets it needs d_j d_kbar rho_{a cbar}."""
-    hol2, jet3 = _ambient_derivs(chart, fb)
+    _, jet3 = _ambient_derivs(chart, fb)
     jet4 = eval_array(sym.jets(chart.rho, chart.m, "hbhb"), fb.P)
-    Binv = np.linalg.inv(_bordered(fb.rho, np.conj(fb.grad), fb.grad, fb.hess))
+    Binv = fb.Binv
     # by blocks of d_cbar d_j B = [[rho_{j cbar}, conj(jet3[b, j, c])], [jet3[a, c, j], jet4[j, c]]]
     first = (Binv[:, 0, 0, None, None] * fb.hess
              + np.einsum("kb,kbjc->kjc", Binv[:, 1:, 0], np.conj(jet3))
              + np.einsum("ka,kacj->kjc", Binv[:, 0, 1:], jet3)
              + np.einsum("kba,kjcab->kjc", Binv[:, 1:, 1:], jet4))
     # B is Hermitian, so d_cbar B = (d_c B)^H and the second trace is tr((d_c B)^H B^-1 d_j B B^-1)
-    dB = _bordered(fb.grad, fb.hess, np.swapaxes(hol2, 1, 2), np.moveaxis(jet3, 3, 1))
-    Z = np.einsum("krs,kjsp,kpq->kjrq", Binv, dB, Binv, optimize=True)
-    return first - np.einsum("kjrq,kcrq->kjc", Z, np.conj(dB))
+    return first - np.einsum("kjrq,kcrq->kjc", fb.BdBB, np.conj(fb.dB))
 
 
 def loghess_J(chart: HypersurfaceChart, p) -> np.ndarray:
@@ -434,12 +431,13 @@ class ConnectionData:
     omega: np.ndarray
 
 
-def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch, include_reeb=True) -> np.ndarray:
-    """(K, n, n, 2n+1) connection coefficients.
+def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
+    """(K, n, n, 2n+1) connection coefficients, every slot filled.
 
-    When ``include_reeb`` is false the Reeb slot is left zero (it needs the
-    implicit derivative of the transverse field, which form computations on
-    holomorphic pairs never touch).
+    The Reeb slot omega_beta^alpha(T) = -i Z_beta xi^alpha differentiates row 0
+    of B^-1.  B keeps its rho corner: that row differs from the zero-corner
+    solve of ``_transverse_batch`` by a multiple of rho, which Z_beta
+    annihilates on the surface.
     """
     n = chart.n
 
@@ -456,19 +454,24 @@ def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch, include_reeb=Tr
         omega[:, :, g, g] -= xi_low
         # omega_beta^alpha(Z_gammabar) = xi^alpha h_{beta gammabar}
         omega[:, :, :, n + g] = fb.h[:, :, g][:, :, None] * xi_frame[:, None, :]
-    if include_reeb:
-        # slot 2n: omega_beta^alpha(T) = -i Z_beta xi^alpha via implicit
-        # differentiation of the transverse linear system
-        omega[:, :, :, 2 * n] = -1j * _xi_frame_derivatives(chart, fb)
+    # slot 2n: d_j xi = -(B^-1 d_j B B^-1)[0, 1:], so -i Z_beta xi^alpha = i Zc (B^-1 d_j B B^-1)[0, 1 + fc]
+    _ambient_derivs(chart, fb)
+    dxi = np.take_along_axis(fb.BdBB[:, :, 0, 1:], fb.fc[:, None, :], axis=2)
+    omega[:, :, :, 2 * n] = 1j * np.einsum("kbj,kja->kba", fb.Zc, dxi)
     return omega
 
 
 def _ambient_derivs(chart, fb):
     """(hol2, jet3) with hol2[k, l, j] = rho_{lj} and jet3[k, l, c, j] =
-    d_j rho_{l cbar} at the batch's points, evaluated once per batch."""
+    d_j rho_{l cbar} at the batch's points, evaluated once per batch; the
+    first call also fills fb.Binv = B^-1 for B = [[rho, rho_kbar], [rho_j,
+    rho_{j kbar}]], fb.dB[k, j] = d_j B and fb.BdBB[k, j] = B^-1 d_j B B^-1 = -d_j B^-1."""
     if fb.hol2 is None:
         fb.hol2 = eval_array(sym.jets(chart.rho, chart.m, "hh"), fb.P)
         fb.jet3 = eval_array(sym.jets(chart.rho, chart.m, "hbh"), fb.P)
+        fb.Binv = np.linalg.inv(_bordered(fb.rho, np.conj(fb.grad), fb.grad, fb.hess))
+        fb.dB = _bordered(fb.grad, fb.hess, np.swapaxes(fb.hol2, 1, 2), np.moveaxis(fb.jet3, 3, 1))
+        fb.BdBB = np.einsum("krs,kjsp,kpq->kjrq", fb.Binv, fb.dB, fb.Binv, optimize=True)
     return fb.hol2, fb.jet3
 
 
@@ -503,28 +506,6 @@ def _frame_levi_derivs(chart, fb):
     Zgh += _frame_w_derivs(chart, fb)[:, :, :, None] * np.conj(v)[:, None, None, :]
     Zgh += v[:, None, :, None] * _frame_conj_w_derivs(fb)[:, :, None, :]
     return Zgh
-
-
-def _xi_frame_derivatives(chart, fb):
-    """(K, beta, alpha) array of Z_beta xi^{fc(alpha)}."""
-    m = chart.m
-    K = fb.P.shape[0]
-    grad, hess = fb.grad, fb.hess
-    hol2, jet3 = _ambient_derivs(chart, fb)
-
-    A = _transverse_matrix(grad, hess)
-    x = np.concatenate([fb.xi, fb.r[:, None].astype(complex)], axis=1)
-
-    # dA/dz^j assembled from pure-holomorphic and third-order jets
-    dA = np.zeros((K, m, m + 1, m + 1), dtype=complex)  # [k, j, row, col]
-    dA[:, :, 0, :m] = np.transpose(hol2, (0, 2, 1))
-    dA[:, :, 1:, :m] = np.transpose(jet3, (0, 3, 2, 1))
-    dA[:, :, 1:, m] = -np.transpose(hess, (0, 2, 1))  # d_j(-rho_kbar) = -rho_{j kbar}
-
-    rhs = -np.einsum("kjrc,kc->krj", dA, x)
-    dx = np.linalg.solve(A, rhs)  # (K, m+1, j): d_j of (xi, r)
-    dxi = np.take_along_axis(dx, fb.fc[:, :, None], axis=1)
-    return np.einsum("kbj,kaj->kba", fb.Zc, dxi)
 
 
 def connection_coeffs(chart: HypersurfaceChart, frame: FrameData) -> ConnectionData:

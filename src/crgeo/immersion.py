@@ -180,7 +180,7 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     ZZF = np.einsum("kaj,kgl,kdlj->kagd", fb.Zc, fb.Zc, d2F)
     ZZF += _frame_w_derivs(spec.chart, fb)[..., None] * fb.at_w(dF)[:, None, None, :]
 
-    omega = _connection_batch(spec.chart, fb, include_reeb=False)
+    omega = _connection_batch(spec.chart, fb)
     Vraw = ZZF - np.einsum("kgba,kbd->kagd", omega[:, :, :, :n], E)
 
     Vn, t = _project_tangential(Vraw, E, fb.hinv)

@@ -152,6 +152,12 @@ class TestReportSchema:
         jsonschema.validate(doc["aggregates"], subschema("bound_aggregates"))
 
 
+BAD_SURFACE_FILES = {
+    "complex_sigma.txt": "rho = abs2(z1) + abs2(z2) - 1\ndim = 2\nsigma = z1\n",
+    "psi_without_F.txt": "rho = abs2(z1) + abs2(z2) - 1\ndim = 2\npsi = 5\n",
+}
+
+
 @pytest.mark.parametrize("argv,error", [
     (["analyze", "--surface", "ellipsoid", "--params", "A=(x)", "--point", "1,0,0"], "InputError"),
     (["check", "--surface", "sphere", "--seed", "-1"], "BadParams"),
@@ -164,9 +170,13 @@ class TestReportSchema:
     (["analyze", "--surface", "sphere", "--params", "n=1.5", "--point", "1,0"], "BadParams"),
     (["analyze", "--surface", "sphere", "--params", "r=nan", "--point", "1,0"], "BadParams"),
     (["analyze", "--surface", "ellipsoid", "--params", "A=(nan,0)", "--point", "1,0"], "BadParams"),
+    (["check", "--surface-file", "complex_sigma.txt"], "NotRealValued"),
+    (["bound", "--surface-file", "psi_without_F.txt", "--quad", "grid:4"], "BadParams"),
 ])
-def test_bad_input_exits_2_with_a_json_error(argv, error):
-    rc, _, err = run_cli(argv)
+def test_bad_input_exits_2_with_a_json_error(argv, error, tmp_path):
+    for name, text in BAD_SURFACE_FILES.items():
+        (tmp_path / name).write_text(text)
+    rc, _, err = run_cli([str(tmp_path / a) if a in BAD_SURFACE_FILES else a for a in argv])
     assert rc == 2
     doc = json.loads(err)
     assert set(doc) == {"error", "message"}

@@ -398,25 +398,25 @@ class TestConnection:
         expected = -1j * fr.Zcoeffs[0, fr.frame_coords[0]]
         assert abs(cd.omega[0, 0, 2] - expected) < 1e-12
 
-    def test_reeb_slot_vs_fd_of_transverse_field(self):
-        # implicit derivative of the transverse solve against central
-        # finite differences of the solved field
-        ch = ellipsoid_chart((0.1, 0.2, 0.3))
-        p = ch.project(np.array([0.4 + 0.2j, 0.5 - 0.1j, 0.6 + 0.3j]))
+    @pytest.mark.parametrize("name,params", [
+        ("ellipsoid", {"A": (0.1, 0.2, 0.3)}), ("whitney", {"n": 1}), ("whitney", {"n": 2})])
+    def test_reeb_slot_vs_fd_of_transverse_field(self, name, params):
+        # implicit derivative of the transverse solve against central finite
+        # differences of the solved field; whitney's Levi Hessian is not real,
+        # so an index swap in d_j rho_{k bar} shows there
+        ch = gallery(name, **params).chart
+        n, m = ch.n, ch.m
+        p = ch.project(np.array([0.4 + 0.2j, 0.5 - 0.1j, 0.6 + 0.3j])[:m])
         fr = frame_at(ch, p)
         cd = connection_coeffs(ch, fr)
-        from crgeo.hypersurface import transverse_solve as tsolve
 
         h = 1e-5
-        n, m = 2, 3
         dxi = np.zeros((m, m), dtype=complex)  # d xi^a / dz^j
         for j in range(m):
             ex = np.zeros(m, dtype=complex)
             ex[j] = h
-            ey = np.zeros(m, dtype=complex)
-            ey[j] = 1j * h
-            dx = (tsolve(ch, p + ex)[0] - tsolve(ch, p - ex)[0]) / (2 * h)
-            dy = (tsolve(ch, p + ey)[0] - tsolve(ch, p - ey)[0]) / (2 * h)
+            dx = (transverse_solve(ch, p + ex)[0] - transverse_solve(ch, p - ex)[0]) / (2 * h)
+            dy = (transverse_solve(ch, p + 1j * ex)[0] - transverse_solve(ch, p - 1j * ex)[0]) / (2 * h)
             dxi[:, j] = 0.5 * (dx - 1j * dy)
         for b in range(n):
             for a in range(n):
@@ -447,6 +447,25 @@ class TestConnection:
             return _frame_levi_derivs(chart, fb) + v[:, None, :, None] * hw[:, :, None, :]
 
         monkeypatch.setattr(checks, "_frame_levi_derivs", frame_held_constant)
+        assert _fd_suite(surf, fb) > 1e-3
+
+    @pytest.mark.parametrize("name,params", [("whitney", {"n": 1}), ("whitney", {"n": 2})])
+    def test_fd_oracle_flags_conjugated_reeb_derivative(self, monkeypatch, name, params):
+        surf = gallery(name, **params)
+        fb = _frame_batch(surf.chart, surf.random_points(20, seed=0))
+        assert _fd_suite(surf, fb) < 1e-6
+
+        def conjugated_column(chart, fb):
+            # takes d_j rho_kbar as rho_{k jbar}: row 0 of d_j B transposed
+            omega = _connection_batch(chart, fb)
+            dB = fb.dB.copy()
+            dB[:, :, 0, 1:] = np.swapaxes(fb.hess, 1, 2)
+            BdBB = np.einsum("krs,kjsp,kpq->kjrq", fb.Binv, dB, fb.Binv)
+            dxi = np.take_along_axis(BdBB[:, :, 0, 1:], fb.fc[:, None, :], axis=2)
+            omega[..., -1] = 1j * np.einsum("kbj,kja->kba", fb.Zc, dxi)
+            return omega
+
+        monkeypatch.setattr(checks, "_connection_batch", conjugated_column)
         assert _fd_suite(surf, fb) > 1e-3
 
     @pytest.mark.parametrize("name,params", [("sphere", {"n": 1}), ("reinhardt", {"n": 2})])

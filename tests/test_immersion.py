@@ -10,7 +10,7 @@ from crgeo import symbolic as sym
 from crgeo.checks import immersion_suite
 from crgeo.errors import GeometryError, NotPluriharmonic, RankDeficientNormalBasis
 from crgeo.gallery import gallery, scan_surface
-from crgeo.hypersurface import _connection_batch, ricci_liluk
+from crgeo.hypersurface import _connection_batch, _ricci_batch, ricci_liluk
 from crgeo.immersion import (
     ImmersionSpec,
     _mixed_sff_batch,
@@ -307,6 +307,21 @@ class TestBatchReuse:
         calls.clear()
         _mixed_sff_batch(fb, f)
         assert calls == []
+
+    def test_sff_then_ricci_inverts_bordered_matrix_once(self, monkeypatch):
+        # the connection's Reeb slot and the log J Hessian share one B^-1
+        surf = gallery("whitney", n=2)
+        inverted = []
+        real = np.linalg.inv
+
+        def counted(a):
+            inverted.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        fb, _ = _sff_batch(surf.immersion, surf.random_points(20, seed=0))
+        _ricci_batch(surf.chart, fb)
+        assert inverted.count((20, 4, 4)) == 1
 
     def test_immersion_suite_evaluates_loghess_ambient_once(self, monkeypatch):
         calls = []
