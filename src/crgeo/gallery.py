@@ -68,8 +68,7 @@ class SurfaceSpec:
         """
         if self._sampler is not None:
             return self._sampler.scan_grid(budget)
-        d = 2 * self.dim
-        angles, step = _angle_grid(budget, d - 1)
+        angles, step = _angle_grid(budget, 2 * self.dim - 2, 1)
         P = radial_points(self.radial(), sphere_point(angles))
         spacing = step * float(np.max(np.abs(P)))
         return P, spacing
@@ -90,15 +89,17 @@ def _nodes_per_axis(budget, n_axes):
     return q
 
 
-def _angle_grid(budget, n_angles):
-    """Product grid over [0,pi]^(n_angles-1) x [0,2pi); polar counts odd."""
-    q = _nodes_per_axis(budget, n_angles)
+def _angle_grid(budget, n_polar, n_azimuth):
+    """Product grid over [0,pi]^n_polar x [0,2pi)^n_azimuth; polar counts odd.
+
+    Returns (angles (K, n_polar + n_azimuth), largest step)."""
+    q = _nodes_per_axis(budget, n_polar + n_azimuth)
     polar_count = _odd(q)
-    axes = [np.linspace(0.0, np.pi, polar_count) for _ in range(n_angles - 1)]
-    axes.append(np.linspace(0.0, 2 * np.pi, q, endpoint=False))
+    axes = [np.linspace(0.0, np.pi, polar_count)] * n_polar
+    axes += [np.linspace(0.0, 2 * np.pi, q, endpoint=False)] * n_azimuth
     grids = np.meshgrid(*axes, indexing="ij")
     angles = np.stack([g.ravel() for g in grids], axis=1)
-    steps = [np.pi / (polar_count - 1)] * (n_angles - 1) + [2 * np.pi / q]
+    steps = [np.pi / (polar_count - 1)] * n_polar + [2 * np.pi / q]
     return angles, max(steps)
 
 
@@ -202,16 +203,9 @@ class _ReinhardtSampler:
     def scan_grid(self, budget):
         # axes: (m-2) polar + 1 azimuth for the log-moduli sphere, m phases
         m = self.m
-        n_axes = 2 * m - 1
-        q = _nodes_per_axis(budget, n_axes)
-        axes = [np.linspace(0.0, np.pi, _odd(q)) for _ in range(m - 2)]
-        axes += [np.linspace(0.0, 2 * np.pi, q, endpoint=False)] * (m + 1)
-        grids = np.meshgrid(*axes, indexing="ij")
-        angles = np.stack([g.ravel() for g in grids], axis=1)
+        angles, step = _angle_grid(budget, m - 2, m + 1)
         L = sphere_point(angles[:, : m - 1])
-        phases = angles[:, m - 1 :]
-        P = np.exp(L / 2.0) * np.exp(1j * phases)
-        step = max([np.pi / (_odd(q) - 1)] * (m - 2) + [2 * np.pi / q])
+        P = np.exp(L / 2.0) * np.exp(1j * angles[:, m - 1 :])
         return P, step * float(np.e**0.5)
 
 

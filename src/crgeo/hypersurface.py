@@ -43,7 +43,6 @@ from .errors import (
 ON_SURFACE_TOL = 1e-10
 FRAME_THRESHOLD = 1e-8
 PD_EIGENVALUE_FLOOR = 1e-10
-COND_LSTSQ = 1e10
 COND_REJECT = 1e12
 
 
@@ -281,12 +280,7 @@ def _transverse_batch(grad, hess):
         raise SingularSystem(
             f"transverse system singular at point index {i} (cond {cond[i]:.3e})"
         )
-    u = np.empty((K, m + 1), dtype=complex)
-    healthy = cond <= COND_LSTSQ
-    if np.any(healthy):
-        u[healthy] = np.linalg.solve(Bt[healthy], e0[healthy][..., None])[..., 0]
-    for i in np.nonzero(~healthy)[0]:
-        u[i] = np.linalg.lstsq(Bt[i], e0[i], rcond=None)[0]
+    u = np.linalg.solve(Bt, e0[..., None])[..., 0]
     return u[:, 1:], -u[:, 0]
 
 

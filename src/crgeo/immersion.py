@@ -76,6 +76,9 @@ class ImmersionSpec:
 class SecondFundamentalForm:
     """Per-point extrinsic package in an orthonormal basis of the normal space.
 
+    ``normal_basis`` rows come from the complete QR in ``_normal_basis``;
+    ``holo`` and ``H_normal`` are components in that basis, while the norms
+    and the torsion do not depend on it.
     ``holo[alpha, gamma, a]`` are the holomorphic components, ``H`` the
     ambient (1,0)-mean curvature vector with squared length ``Hnorm2``,
     ``torsion`` the pseudohermitian torsion matrix, ``IIcirc_norm2`` the
@@ -113,55 +116,36 @@ class UmbilicityReport:
     is_umbilic: bool
 
 
-def _project_tangential(V, E, hinv):
-    """Split V (K, ..., N) into its normal rest and tangential pairings.
+def _normal_basis(E):
+    """Orthonormal basis (K, N - n, N) of the Hermitian complement of span{E_alpha}.
 
-    ``t[..., beta] = <V, E_beta>`` are the Hermitian pairings against the
-    pushed frame; the tangential part is recovered through the inverse Levi
-    matrix and subtracted.
+    The rows are the trailing N - n columns of the complete QR of E^T (K, N, n);
+    a diagonal entry |R_jj| below NORMAL_BASIS_FLOOR means the pushed frame
+    has lost rank.
     """
-    t = np.einsum("k...d,kbd->k...b", V, np.conj(E))
-    c = np.einsum("k...b,kba->k...a", t, hinv)
-    tangential = np.einsum("k...a,kad->k...d", c, E)
-    return V - tangential, t
-
-
-def _normal_basis(E, hinv, N):
-    """Orthonormal basis of the orthogonal complement of span{E_alpha}.
-
-    Modified Gram-Schmidt on the coordinate vectors, orthogonalized against
-    the tangent span first, picking the largest remaining residual at each
-    round (pivoting keeps the construction well-posed for every point of a
-    batch at once).
-    """
-    K, n, _ = E.shape
-    A = N - n
-    cand = np.broadcast_to(np.eye(N, dtype=complex), (K, N, N)).copy()
-    cand, _ = _project_tangential(cand, E, hinv)
-    q = np.empty((K, A, N), dtype=complex)
-    for a in range(A):
-        norms = np.linalg.norm(cand, axis=2)
-        pick = np.argmax(norms, axis=1)
-        best = norms[np.arange(K), pick]
-        if np.min(best) < NORMAL_BASIS_FLOOR:
-            i = int(np.argmin(best))
-            raise RankDeficientNormalBasis(
-                f"normal residual {best[i]:.3e} at point index {i}"
-            )
-        qa = cand[np.arange(K), pick] / best[:, None]
-        q[:, a] = qa
-        coef = np.einsum("kcd,kd->kc", cand, np.conj(qa))
-        cand = cand - coef[:, :, None] * qa[:, None, :]
-    return q
+    n = E.shape[1]
+    Q, R = np.linalg.qr(np.swapaxes(E, 1, 2), mode="complete")
+    diag = np.min(np.abs(np.diagonal(R[:, :n], axis1=1, axis2=2)), axis=1)
+    if np.min(diag) < NORMAL_BASIS_FLOOR:
+        i = int(np.argmin(diag))
+        raise RankDeficientNormalBasis(f"pushed-frame QR has |R_jj| = {diag[i]:.3e} at point index {i}")
+    return np.swapaxes(Q[:, :, n:], 1, 2)
 
 
 def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     """Second-fundamental-form arrays over a (K, m) batch.
 
+    ``V[k, alpha, gamma] = Z_alpha(Z_gamma F) - omega_gamma^beta(Z_alpha) E_beta`` is the
+    raw ambient vector; its pairings ``t`` with the pushed frame E_beta = Z_beta F are the
+    normality residual, and ``holo`` reads its components in the QR normal basis
+    directly, since that basis is orthogonal to span{E_beta}.  ``torsion_ambient`` is
+    the torsion by the basis-free pairing -i <V, H>, which the checks compare with
+    ``torsion``; V itself is not kept, so scans do not hold a (K, n, n, N) array.
+
     Returns (frame_batch, dict of stacked arrays keyed by name).
     """
     fb = _frame_batch(spec.chart, P, w_index=w_index)
-    n, N = spec.n, spec.N
+    n = spec.n
     K = P.shape[0]
 
     dF = eval_array(sym.jets(spec.F, spec.dim, "h"), P)
@@ -173,7 +157,7 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
         )
 
     E = np.einsum("kaj,kdj->kad", fb.Zc, dF)
-    q = _normal_basis(E, fb.hinv, N)
+    q = _normal_basis(E)
 
     # Z_alpha (Z_gamma F^d) = Z_alpha^j Z_gamma^l d_j d_l F^d + (Z_alpha Z_gamma^w) d_w F^d
     d2F = eval_array(sym.jets(spec.F, spec.dim, "hh"), P)
@@ -183,10 +167,10 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     omega = _connection_batch(spec.chart, fb)
     Vraw = ZZF - np.einsum("kgba,kbd->kagd", omega[:, :, :, :n], E)
 
-    Vn, t = _project_tangential(Vraw, E, fb.hinv)
+    t = np.einsum("kagd,kbd->kagb", Vraw, np.conj(E))
     normality = np.max(np.abs(t).reshape(K, -1), axis=1)
 
-    holo = np.einsum("kagd,kxd->kagx", Vn, np.conj(q))
+    holo = np.einsum("kagd,kxd->kagx", Vraw, np.conj(q))
     symmetry = np.max(np.abs(holo - np.swapaxes(holo, 1, 2)).reshape(K, -1), axis=1)
     holo = 0.5 * (holo + np.swapaxes(holo, 1, 2))
 
@@ -197,12 +181,13 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     Hnorm2 = np.real(np.einsum("kd,kd->k", H, np.conj(H)))
 
     torsion = -1j * np.einsum("kabx,kx->kab", holo, np.conj(Ha))
+    torsion_ambient = -1j * np.einsum("kabd,kd->kab", Vraw, np.conj(H))
 
     II0 = _levi_norm2(holo, fb.hinv)
 
     return fb, {
         "dF": dF, "E": E, "qbasis": q, "holo": holo, "H": H, "Ha": Ha, "Hnorm2": Hnorm2,
-        "torsion": torsion, "II0": II0,
+        "torsion": torsion, "torsion_ambient": torsion_ambient, "II0": II0,
         "normality": normality, "symmetry": symmetry, "H_tangential": H_tangential,
     }
 

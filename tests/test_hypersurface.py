@@ -281,6 +281,39 @@ class TestTransverse:
         with pytest.raises(SingularSystem):
             transverse_solve(ch, np.array([1j, 0.0]))
 
+    @staticmethod
+    def _near_singular_system(rng, eps, m=3):
+        """(grad, hess) whose Levi block has eigenvalue eps on a direction
+        orthogonal to grad: the bordered system's cond grows like 1/eps, while
+        its solution stays of order one."""
+        X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        U = np.linalg.qr(X)[0]
+        lam = np.concatenate([rng.uniform(0.5, 2.0, m - 1), [eps]])
+        return 1.5 * np.conj(U[:, 0]), ((U * lam) @ np.conj(U.T)).T
+
+    def test_ill_conditioned_points_get_their_own_solve(self):
+        rng = np.random.default_rng(3)
+        grad, hess = map(np.array, zip(*[self._near_singular_system(rng, e)
+                                         for e in (0.7, 1e-11, 3e-12, 1e-11)]))
+        Bt = np.swapaxes(_bordered(0.0, np.conj(grad), grad, hess), 1, 2)
+        cond = np.linalg.cond(Bt)
+        assert cond[0] < 1e2 and np.all((cond[1:] > 1e10) & (cond[1:] <= hypersurface.COND_REJECT))
+        xi, r = hypersurface._transverse_batch(grad, hess)
+        e0 = np.eye(4, dtype=complex)[0]
+        for k in range(4):
+            u = np.linalg.solve(Bt[k], e0)
+            np.testing.assert_allclose(xi[k], u[1:], rtol=1e-13, atol=1e-15)
+            assert abs(r[k] + u[0]) <= 1e-13 * abs(u[0])
+        assert np.max(np.abs(np.einsum("kj,kj->k", grad, xi) - 1)) < 1e-12
+        resid = np.einsum("kjl,kj->kl", hess, xi) - r[:, None] * np.conj(grad)
+        assert np.max(np.abs(resid)) < 1e-12
+
+    def test_cond_beyond_reject_raises(self):
+        rng = np.random.default_rng(4)
+        grad, hess = map(np.array, zip(*[self._near_singular_system(rng, e) for e in (0.7, 1e-15)]))
+        with pytest.raises(SingularSystem, match="point index 1"):
+            hypersurface._transverse_batch(grad, hess)
+
 
 class TestFefferman:
     def test_sphere_is_one(self):

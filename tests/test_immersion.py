@@ -176,6 +176,42 @@ class TestTorsion:
             assert np.max(np.abs(np.array(norms) - norms[0])) < 1e-8
 
 
+class TestNormalBasis:
+    @pytest.mark.parametrize("name, params", [
+        ("whitney", {"n": 2}),
+        ("ellipsoid", {"A": (0.3, -0.2, 0.1)}),
+        ("sphere", {"r": 1.0, "n": 1}),
+    ])
+    def test_rows_orthonormal_and_orthogonal_to_pushed_frame(self, name, params):
+        surf = gallery(name, **params)
+        _, f = _sff_batch(surf.immersion, surf.random_points(30, seed=4))
+        q, E = f["qbasis"], f["E"]
+        assert q.shape[1:] == (surf.immersion.N - surf.n, surf.immersion.N)
+        gram = np.einsum("kxd,kyd->kxy", q, np.conj(q))
+        assert np.max(np.abs(gram - np.eye(q.shape[1]))) < 1e-14
+        assert np.max(np.abs(np.einsum("kad,kxd->kax", E, np.conj(q)))) < 1e-14
+
+    def test_rank_deficient_frame_rejected(self):
+        E = np.array([[[1.0, 0.5j, 0.0], [2.0, 1.0j, 0.0]]])
+        with pytest.raises(RankDeficientNormalBasis, match="point index 0"):
+            immersion._normal_basis(E)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_torsion_ambient_route_flags_a_truncated_basis(self, monkeypatch, n):
+        real = immersion._normal_basis
+
+        def truncated(E):
+            # zero the last basis row, keeping the shapes the suite expects
+            q = real(E)
+            q[:, -1] = 0.0
+            return q
+
+        monkeypatch.setattr(immersion, "_normal_basis", truncated)
+        results = {r.name: r for r in immersion_suite(gallery("whitney", n=n), seed=0)}
+        assert results["sff.torsion-ambient-route"].residual > 1e-3
+        assert not results["sff.torsion-ambient-route"].passed
+
+
 class TestCurvatureBounds:
     def test_scalar_curvature_identity_everywhere(self):
         for name, params in [("sphere", {"n": 2}), ("ellipsoid", {"A": (0.1, 0.2, 0.3)}), ("whitney", {})]:
