@@ -31,6 +31,7 @@ from .errors import (
     SingularSystem,
     UnknownSurface,
     UnreadableFile,
+    UnwritableFile,
     ZeroEnergy,
 )
 from .gallery import SurfaceSpec, gallery, load_surface, scan_surface

@@ -180,6 +180,20 @@ def _rel_eigs(L, h):
     return np.linalg.eigvalsh(M)
 
 
+def _reselection_spreads(grad, build, count):
+    """Largest change of each of ``count`` quantities, ``build(w)`` on the first
+    10 points, over the frames at every w where those points keep |rho_w| >= 1e-6."""
+    base, spreads = None, np.zeros(count)
+    for w in range(grad.shape[1]):
+        if np.min(np.abs(grad[:10, w])) < 1e-6:
+            continue
+        vals = build(w)
+        base = vals if base is None else base
+        # np.maximum keeps a NaN change, so a broken frame cannot pass as spread 0
+        spreads = np.maximum(spreads, [np.max(np.abs(v - b)) for v, b in zip(vals, base)])
+    return spreads
+
+
 def hypersurface_suite(surface: SurfaceSpec, seed=0):
     chart = surface.chart
     rng = np.random.default_rng(seed)
@@ -216,17 +230,12 @@ def hypersurface_suite(surface: SurfaceSpec, seed=0):
             "frame.r-closed-form", np.max(np.abs(rcf - fb.r[ok])), 1e-9))
 
     # frame independence of r, J, scalar R, and the (L, h)-eigenvalues
-    per_w = []
-    for w in range(chart.m):
-        if np.min(np.abs(fb.grad[:10, w])) < 1e-6:
-            continue
+    def reselected(w):
         fbw = _frame_batch(chart, P[:10], w_index=w)
-        ric, R, L = _ricci_batch(chart, fbw)
-        per_w.append((fbw.r, fbw.J, R, np.sort(_rel_eigs(L, fbw.h), axis=1)))
-    spread = 0.0
-    for a in per_w[1:]:
-        for x, y in zip(per_w[0], a):
-            spread = max(spread, float(np.max(np.abs(x - y))))
+        _, R, L = _ricci_batch(chart, fbw)
+        return fbw.r, fbw.J, R, np.sort(_rel_eigs(L, fbw.h), axis=1)
+
+    spread = np.max(_reselection_spreads(fb.grad, reselected, 4))
     out.append(CheckResult.from_residual("frame.w-independence", spread, 1e-8))
 
     # restricted log-determinant Hessian: PSD for squared-norm surfaces
@@ -394,18 +403,11 @@ def immersion_suite(surface: SurfaceSpec, seed=0):
         "reeb.mean-curvature-normal", np.max(f["H_tangential"]), 1e-8))
 
     # invariance of |II0|^2 and |A|^2 under frame re-selection
-    vals0 = valsA = None
-    spread = spreadA = 0.0
-    for w in range(chart.m):
-        if np.min(np.abs(fb.grad[:10, w])) < 1e-6:
-            continue
+    def reselected(w):
         fbw, fw = _sff_batch(spec, P[:10], w_index=w)
-        a2 = _levi_norm2(fw["torsion"], fbw.hinv)
-        if vals0 is None:
-            vals0, valsA = fw["II0"], a2
-        else:
-            spread = max(spread, float(np.max(np.abs(fw["II0"] - vals0))))
-            spreadA = max(spreadA, float(np.max(np.abs(a2 - valsA))))
+        return fw["II0"], _levi_norm2(fw["torsion"], fbw.hinv)
+
+    spread, spreadA = _reselection_spreads(fb.grad, reselected, 2)
     out.append(CheckResult.from_residual("sff.II0-frame-invariance", spread, 1e-8))
     out.append(CheckResult.from_residual("sff.torsion-norm-frame-invariance", spreadA, 1e-8))
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import dsl
 from . import symbolic as sym
 from .checks import run_suites
-from .errors import BadParams, CrgeoError, GeometryError, InputError, UnreadableFile
+from .errors import BadParams, CrgeoError, GeometryError, InputError, UnreadableFile, UnwritableFile
 from .gallery import GALLERY_DOC, SurfaceSpec, _curvature_batch, gallery, load_surface, scan_surface
 from .hypersurface import _frame_batch  # noqa: F401 -- perfbench's tracer test reads this binding
 from .immersion import _gauss_form, _levi_norm2
@@ -67,10 +67,12 @@ def parse_params(text):
             raise InputError(f"parameter {item!r} is not of the form key=value")
         key, value = item.split("=", 1)
         key, value = key.strip(), value.strip()
+        if key in out:
+            raise InputError(f"parameter {key!r} is given twice")
         if value.startswith("("):
             if not value.endswith(")"):
                 raise InputError(f"unbalanced tuple in {item!r}")
-            out[key] = tuple(_parse_value(v, (float,)) for v in value[1:-1].split(",") if v.strip())
+            out[key] = tuple(_parse_value(v, (float,)) for v in value[1:-1].split(","))  # "" entries fail
         else:
             out[key] = _parse_value(value)
     return out
@@ -117,8 +119,11 @@ def _surface_meta(surface):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UnwritableFile(f"cannot write {out_path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -178,8 +183,7 @@ def cmd_scan(args):
                 "umbilic_count": int(np.sum(scan["is_umbilic"])) if "is_umbilic" in scan else None,
             },
         )
-        with open(args.meta_out, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_json())
+        _emit(rep.to_json(), args.meta_out)
     return EXIT_OK
 
 
@@ -204,6 +208,7 @@ def cmd_bound(args):
         else:
             pts = surface.random_points(100, seed=rule.seed)
             tb = tension_bound(surface.chart, surface.plurifamily, sample_points=pts)
+            agg["quad"] = f"certified:{len(pts)}:{rule.seed}"  # the rule that ran
         agg.update({
             "tension_energy": tb.energy, "tension_total": tb.total_tension,
             "tension_upper": tb.tension_bound,
@@ -244,8 +249,7 @@ def cmd_check(args):
             ],
             aggregates={"passed": ok},
         )
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_json())
+        _emit(rep.to_json(), args.out)
     print("ALL CHECKS PASSED" if ok else "CHECK FAILURES PRESENT")
     return EXIT_OK if ok else EXIT_INVARIANT
 
@@ -310,6 +314,9 @@ def main(argv=None) -> int:
         return EXIT_GEOMETRY
     except CrgeoError as exc:
         _error_json(exc)
+        return EXIT_INPUT
+    except RecursionError:  # every recursive walk (parser, expression trees) follows a user expression
+        _error_json(InputError(f"an expression nests past the recursion limit {sys.getrecursionlimit()}"))
         return EXIT_INPUT
 
 

@@ -29,6 +29,10 @@ class UnreadableFile(InputError):
     """An input file could not be opened or decoded."""
 
 
+class UnwritableFile(InputError):
+    """An output file could not be opened or written."""
+
+
 class NotRealValued(InputError, ValueError):
     """The defining expression (rho, or |F|^2 + psi) or the conformal exponent sigma is not real-valued."""
 
@@ -82,7 +86,7 @@ class ZeroEnergy(GeometryError):
 
 
 class NoCrossing(GeometryError):
-    """Ray from the origin misses the surface within t_max."""
+    """Ray from the origin misses the surface within the search bound T_MAX."""
 
 
 class NonTransversal(GeometryError):

@@ -19,7 +19,7 @@ from . import symbolic as sym
 from .errors import BadParams, NotStarShaped, UnknownSurface
 from .hypersurface import HypersurfaceChart, _frame_batch, _require_real, _ricci_batch
 from .immersion import UMBILIC_TOLERANCE, ImmersionSpec, _sff_batch
-from .quadrature import RadialChart, radial_points, sphere_point
+from .quadrature import MAX_NODES, RadialChart, radial_points, sphere_point
 from .spectral import PluriharmonicFunction
 
 
@@ -93,6 +93,8 @@ def _angle_grid(budget, n_polar, n_azimuth):
     """Product grid over [0,pi]^n_polar x [0,2pi)^n_azimuth; polar counts odd.
 
     Returns (angles (K, n_polar + n_azimuth), largest step)."""
+    if budget > MAX_NODES:
+        raise BadParams(f"scan budget {budget} exceeds the ceiling of {MAX_NODES} points")
     q = _nodes_per_axis(budget, n_polar + n_azimuth)
     polar_count = _odd(q)
     axes = [np.linspace(0.0, np.pi, polar_count)] * n_polar

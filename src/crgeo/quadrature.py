@@ -25,14 +25,16 @@ from .hypersurface import HypersurfaceChart
 ROOT_TOL = 1e-12
 TRANSVERSAL_FLOOR = 1e-10
 FD_STEP = 1e-6
+T_MAX = 10.0  # rays are searched for a crossing over t in (0, T_MAX]
+MAX_NODES = 10**6  # largest grid, sample set or scan; larger requests are rejected before allocating
+_PREFIX = {"product-grid": "grid", "monte-carlo": "mc", "quasi-monte-carlo": "qmc"}
 
 
 @dataclass
 class RadialChart:
-    """Radial graph data: a chart star-shaped about the origin, and the ray search bound."""
+    """Radial graph data: a chart star-shaped about the origin."""
 
     chart: HypersurfaceChart
-    t_max: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -50,31 +52,32 @@ class QuadratureRule:
     seed: int = 0
 
     def __post_init__(self):
+        if self.kind not in _PREFIX:
+            raise BadParams(f"unknown quadrature kind {self.kind!r}")
+        if self.kind == "product-grid" and self.resolution < 3:
+            raise BadParams("grid resolution must be at least 3")
+        if self.kind != "product-grid" and self.samples < 8:
+            raise BadParams(f"{self.kind} sample count must be at least 8")
+        if self.samples > MAX_NODES:
+            raise BadParams(f"{self.samples} samples exceed the ceiling of {MAX_NODES}")
         if self.seed < 0:
             raise BadParams(f"quadrature seed must be nonnegative, got {self.seed}")
 
     def describe(self):
         if self.kind == "product-grid":
             return f"grid:{self.resolution}"
-        prefix = "mc" if self.kind == "monte-carlo" else "qmc"
-        return f"{prefix}:{self.samples}:{self.seed}"
+        return f"{_PREFIX[self.kind]}:{self.samples}:{self.seed}"
 
 
 def product_grid(resolution: int) -> QuadratureRule:
-    if resolution < 3:
-        raise BadParams("grid resolution must be at least 3")
     return QuadratureRule(kind="product-grid", resolution=int(resolution))
 
 
 def monte_carlo(samples: int, seed: int = 0) -> QuadratureRule:
-    if samples < 8:
-        raise BadParams("monte-carlo sample count must be at least 8")
     return QuadratureRule(kind="monte-carlo", samples=int(samples), seed=int(seed))
 
 
 def quasi_monte_carlo(samples: int, seed: int = 0) -> QuadratureRule:
-    if samples < 8:
-        raise BadParams("quasi-monte-carlo sample count must be at least 8")
     return QuadratureRule(kind="quasi-monte-carlo", samples=int(samples), seed=int(seed))
 
 
@@ -147,18 +150,18 @@ def _rho_on_ray(rc, Z, t):
 def _radial_batch(rc: RadialChart, U: np.ndarray) -> np.ndarray:
     """Smallest positive radial root for each unit direction (K, 2m).
 
-    The ray search steps t by 1.5x from 1e-4 t_max to t_max, bisects the
+    The ray search steps t by 1.5x from 1e-4 T_MAX to T_MAX, bisects the
     first bracket 60 times and polishes with 6 Newton steps: 92 ``rho_at``
     and 7 ``grad_at`` calls per batch, each on all K directions."""
     K = U.shape[0]
     Z = np.asfortranarray(_to_complex(U))  # contiguous columns for evaluation
-    t = np.full(K, 1e-4 * rc.t_max)
+    t = np.full(K, 1e-4 * T_MAX)
     s_prev = np.sign(_rho_on_ray(rc, Z, t))
     lo = t.copy()
     hi = np.full(K, np.nan)
     changes = np.zeros(K, dtype=int)
-    while np.min(t) < rc.t_max:
-        t_next = np.minimum(t * 1.5, rc.t_max)
+    while np.min(t) < T_MAX:
+        t_next = np.minimum(t * 1.5, T_MAX)
         s = np.sign(_rho_on_ray(rc, Z, t_next))
         flip = (s != s_prev) & (s_prev != 0)
         first = flip & np.isnan(hi)
@@ -168,7 +171,7 @@ def _radial_batch(rc: RadialChart, U: np.ndarray) -> np.ndarray:
         s_prev, t = s, t_next
     if np.any(np.isnan(hi)):
         i = int(np.argmax(np.isnan(hi)))
-        raise NoCrossing(f"ray {i} misses the surface for t in (0, {rc.t_max}]")
+        raise NoCrossing(f"ray {i} misses the surface for t in (0, {T_MAX}]")
     if np.any(changes > 1):
         i = int(np.argmax(changes))
         raise NotStarShaped(
@@ -184,15 +187,14 @@ def _radial_batch(rc: RadialChart, U: np.ndarray) -> np.ndarray:
         np.copyto(hi, mid, where=~left)
     t = 0.5 * (lo + hi)
 
-    for _ in range(6):
+    for step in range(7):  # the seventh pass only reads the residual and slope at the root
         P = t[:, None] * Z
         val = np.real(rc.chart.rho_at(P))
         slope = 2.0 * np.real(np.einsum("kj,kj->k", rc.chart.grad_at(P), Z))
+        if step == 6:
+            break
         t = t - val / np.where(np.abs(slope) < TRANSVERSAL_FLOOR, np.inf, slope)
-
-    P = t[:, None] * Z
-    val = np.abs(np.real(rc.chart.rho_at(P)))
-    slope = 2.0 * np.real(np.einsum("kj,kj->k", rc.chart.grad_at(P), Z))
+    val = np.abs(val)
     if np.max(val) > ROOT_TOL:
         i = int(np.argmax(val))
         raise NoCrossing(f"radial polish stalled at |rho| = {val[i]:.2e} on ray {i}")
@@ -232,8 +234,6 @@ def radial_points(rc: RadialChart, U: np.ndarray) -> np.ndarray:
 def _pfaffian(D):
     """Pfaffian of stacked antisymmetric (K, 2k, 2k) matrices, recursively."""
     size = D.shape[-1]
-    if size == 0:
-        return np.ones(D.shape[0])
     if size == 2:
         return D[:, 0, 1]
     acc = np.zeros(D.shape[0], dtype=D.dtype)
@@ -249,40 +249,32 @@ def contact_volume_density(chart: HypersurfaceChart, P: np.ndarray, V: np.ndarra
     """theta ^ (dtheta)^n evaluated on tangent vectors V (K, 2n+1, m).
 
     Tangent vectors are given by their complex coordinate components; theta
-    and dtheta come from the chart's exact first and second jets at P.
+    and dtheta come from the chart's exact first and second jets at P.  The
+    form is n! times the Pfaffian of dtheta(V_i, V_j) bordered by theta(V_i).
     """
-    n = chart.n
     grad = chart.grad_at(P)
     hess = chart.hess_at(P)
     beta = 1j * np.conj(np.einsum("kj,kij->ki", grad, V))
     A = np.einsum("kia,kab,kjb->kij", V, hess, np.conj(V))
-    D = 1j * (A - np.swapaxes(A, 1, 2))
-
-    total = np.zeros(P.shape[0], dtype=complex)
-    idx = list(range(2 * n + 1))
-    fact = math.factorial(n)
-    for i in idx:
-        rest = np.array([r for r in idx if r != i])
-        minor = D[:, rest[:, None], rest[None, :]]
-        total = total + ((-1) ** i) * beta[:, i] * fact * _pfaffian(minor)
+    M = np.zeros((P.shape[0], V.shape[1] + 1, V.shape[1] + 1), dtype=complex)
+    M[:, 0, 1:], M[:, 1:, 0] = beta, -beta
+    M[:, 1:, 1:] = 1j * (A - np.swapaxes(A, 1, 2))
+    total = math.factorial(chart.n) * _pfaffian(M)
     imag = np.max(np.abs(total.imag)) if total.size else 0.0
     if imag > 1e-6 * max(1.0, np.max(np.abs(total.real))):
         raise NonTransversal(f"volume form came out non-real (imag {imag:.2e})")
     return np.real(total)
 
 
-def _grid_nodes(rule: QuadratureRule, d: int, resolution=None):
+def _grid_nodes(res: int, d: int):
     """Gauss-Legendre x uniform product nodes over the angle box of S^{d-1}."""
-    res = rule.resolution if resolution is None else resolution
-    n_polar = d - 2
-    axes, weights = [], []
-    for _ in range(n_polar):
-        x, w = np.polynomial.legendre.leggauss(res)
-        axes.append(0.5 * np.pi * (x + 1.0))
-        weights.append(0.5 * np.pi * w)
     k_phi = max(4, res)
-    axes.append(2.0 * np.pi * np.arange(k_phi) / k_phi)
-    weights.append(np.full(k_phi, 2.0 * np.pi / k_phi))
+    nodes = res ** (d - 2) * k_phi
+    if nodes > MAX_NODES:
+        raise BadParams(f"grid:{res} needs {nodes} nodes on S^{d - 1}, over the ceiling of {MAX_NODES}")
+    x, w = np.polynomial.legendre.leggauss(res)
+    axes = [0.5 * np.pi * (x + 1.0)] * (d - 2) + [2.0 * np.pi * np.arange(k_phi) / k_phi]
+    weights = [0.5 * np.pi * w] * (d - 2) + [np.full(k_phi, 2.0 * np.pi / k_phi)]
     grids = np.meshgrid(*axes, indexing="ij")
     wgrids = np.meshgrid(*weights, indexing="ij")
     angles = np.stack([g.ravel() for g in grids], axis=1)
@@ -306,7 +298,7 @@ def _eval_on_angles(rc: RadialChart, density, angles):
         step[:, i] = FD_STEP
         V[:, i, :] = (param_points(angles + step) - param_points(angles - step)) / (2 * FD_STEP)
     dens = np.asarray(density(P), dtype=float)
-    return np.abs(contact_volume_density(chart, P, V)) * dens, P
+    return np.abs(contact_volume_density(chart, P, V)) * dens
 
 
 def _halton(samples: int, d: int) -> np.ndarray:
@@ -353,21 +345,12 @@ def integrate(rc: RadialChart, density, rule: QuadratureRule):
     """
     d = 2 * rc.chart.m
     if rule.kind == "product-grid":
-        angles, w = _grid_nodes(rule, d)
-        vals, _ = _eval_on_angles(rc, density, angles)
-        value = float(np.sum(w * vals))
-        half = max(3, rule.resolution // 2)
-        angles_h, w_h = _grid_nodes(rule, d, resolution=half)
-        vals_h, _ = _eval_on_angles(rc, density, angles_h)
-        value_h = float(np.sum(w_h * vals_h))
-        return value, abs(value - value_h)
-    if rule.kind in ("monte-carlo", "quasi-monte-carlo"):
-        angles = sphere_angles(_sample_directions(rule, d))
-        vals, _ = _eval_on_angles(rc, density, angles)
-        jac = sphere_jacobian(angles)
-        contrib = vals / jac
-        area = sphere_area(d)
-        value = float(area * np.mean(contrib))
-        err = float(area * np.std(contrib) / math.sqrt(rule.samples))
-        return value, err
-    raise BadParams(f"unknown quadrature kind {rule.kind!r}")
+        values = []
+        for res in (rule.resolution, max(3, rule.resolution // 2)):
+            angles, w = _grid_nodes(res, d)
+            values.append(float(np.sum(w * _eval_on_angles(rc, density, angles))))
+        return values[0], abs(values[0] - values[1])
+    angles = sphere_angles(_sample_directions(rule, d))
+    contrib = _eval_on_angles(rc, density, angles) / sphere_jacobian(angles)
+    area = sphere_area(d)
+    return float(area * np.mean(contrib)), float(area * np.std(contrib) / math.sqrt(rule.samples))

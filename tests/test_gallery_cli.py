@@ -155,6 +155,8 @@ class TestReportSchema:
 BAD_SURFACE_FILES = {
     "complex_sigma.txt": "rho = abs2(z1) + abs2(z2) - 1\ndim = 2\nsigma = z1\n",
     "psi_without_F.txt": "rho = abs2(z1) + abs2(z2) - 1\ndim = 2\npsi = 5\n",
+    "long_sum.txt": "rho = abs2(z1) + abs2(z2) - 1" + " + z1 - z1" * 1500 + "\ndim = 2\n",
+    "deep_parens.txt": "rho = " + "(" * 1200 + "abs2(z1) + abs2(z2) - 1" + ")" * 1200 + "\ndim = 2\n",
 }
 
 
@@ -172,11 +174,25 @@ BAD_SURFACE_FILES = {
     (["analyze", "--surface", "ellipsoid", "--params", "A=(nan,0)", "--point", "1,0"], "BadParams"),
     (["check", "--surface-file", "complex_sigma.txt"], "NotRealValued"),
     (["bound", "--surface-file", "psi_without_F.txt", "--quad", "grid:4"], "BadParams"),
+    # output paths in a directory that does not exist
+    (["scan", "--surface", "sphere", "--grid", "3", "--out", "absent/x.csv"], "UnwritableFile"),
+    (["scan", "--surface", "sphere", "--grid", "3", "--meta-out", "absent/m.json"], "UnwritableFile"),
+    (["check", "--surface", "sphere", "--out", "absent/c.json"], "UnwritableFile"),
+    # --params that would silently build another surface
+    (["analyze", "--surface", "ellipsoid", "--params", "A=(0.1,,0.3)", "--point", "1,0,0"], "InputError"),
+    (["analyze", "--surface", "sphere", "--params", "r=1,r=2", "--point", "1,0"], "InputError"),
+    # oversized inputs: nesting past the recursion limit, node counts past the ceiling
+    (["analyze", "--surface", "sphere", "--params", "n=100000", "--point", "1,0"], "InputError"),
+    (["analyze", "--surface-file", "long_sum.txt", "--point", "1,0"], "InputError"),
+    (["analyze", "--surface-file", "deep_parens.txt", "--point", "1,0"], "InputError"),
+    (["scan", "--surface", "sphere", "--grid", "100000"], "BadParams"),
+    (["bound", "--surface", "sphere", "--quad", "grid:100000000"], "BadParams"),
 ])
 def test_bad_input_exits_2_with_a_json_error(argv, error, tmp_path):
     for name, text in BAD_SURFACE_FILES.items():
         (tmp_path / name).write_text(text)
-    rc, _, err = run_cli([str(tmp_path / a) if a in BAD_SURFACE_FILES else a for a in argv])
+    in_tmp = lambda a: a in BAD_SURFACE_FILES or a.startswith("absent/")
+    rc, _, err = run_cli([str(tmp_path / a) if in_tmp(a) else a for a in argv])
     assert rc == 2
     doc = json.loads(err)
     assert set(doc) == {"error", "message"}
@@ -248,6 +264,10 @@ class TestCli:
         agg = json.loads(out)["aggregates"]
         assert agg["reilly_upper"] is None
         assert abs(decode_number(agg["tension_upper"]) - 0.5) < 1e-12
+        # the report names the rule that ran, not the --quad it could not use
+        assert (agg["samples_used"], agg["quad"]) == (100, "certified:100:0")
+        _, out, _ = run_cli(["bound", "--surface", "reinhardt", "--params", "n=1", "--quad", "mc:64:7"])
+        assert json.loads(out)["aggregates"]["quad"] == "certified:100:7"
 
     def test_bound_deterministic_with_mc_seed(self):
         args = ["bound", "--surface", "sphere", "--params", "r=1,n=1", "--quad", "mc:2000:5"]

@@ -624,3 +624,17 @@ class TestSuiteFrameBatches:
         results = hypersurface_suite(gallery(name, **params), seed=0)
         assert all(r.passed for r in results)
         assert len(calls) == batches
+
+    def test_nan_in_a_reselected_frame_fails_w_independence(self, monkeypatch):
+        real = checks._frame_batch
+
+        def broken(chart, P, w_index=None):
+            fb = real(chart, P, w_index=w_index)
+            if w_index == 1:
+                fb.r = fb.r * np.nan
+            return fb
+
+        monkeypatch.setattr(checks, "_frame_batch", broken)
+        results = {r.name: r for r in hypersurface_suite(gallery("sphere", r=1.0, n=1), seed=0)}
+        assert np.isnan(results["frame.w-independence"].residual)
+        assert not results["frame.w-independence"].passed

@@ -9,6 +9,7 @@ from crgeo.errors import BadParams, NoCrossing, NotStarShaped
 from crgeo.gallery import gallery
 from crgeo.hypersurface import HypersurfaceChart
 from crgeo.quadrature import (
+    QuadratureRule,
     RadialChart,
     _radial_batch,
     integrate,
@@ -61,7 +62,7 @@ class TestRadialSolve:
             radial_solve(rc, np.array([2.0, 0, 0, 0]))
 
     def test_no_crossing(self):
-        rc = RadialChart(gallery("sphere", r=1.0, n=1).chart, t_max=0.5)
+        rc = RadialChart(gallery("sphere", r=20.0, n=1).chart)
         with pytest.raises(NoCrossing):
             radial_solve(rc, np.array([1.0, 0, 0, 0]))
 
@@ -112,8 +113,8 @@ class TestRadialBatch:
         assert calls["grad"] == [(K, 3)] * 7
 
     def test_error_messages(self):
-        rc = RadialChart(gallery("sphere", r=1.0, n=1).chart, t_max=0.5)
-        with pytest.raises(NoCrossing, match=r"^ray 0 misses the surface for t in \(0, 0.5\]$"):
+        rc = RadialChart(gallery("sphere", r=20.0, n=1).chart)
+        with pytest.raises(NoCrossing, match=r"^ray 0 misses the surface for t in \(0, 10.0\]$"):
             _radial_batch(rc, np.array([[1.0, 0, 0, 0]]))
         rc = RadialChart(gallery("reinhardt", n=1).chart)
         U = np.array([[1.0, 0, 1.0, 0]]) / np.sqrt(2)
@@ -222,3 +223,21 @@ class TestRuleParsing:
         for bad in ("grid", "grid:x", "mc:", "foo:3", "grid:2", "qmc:4", "qmc:1:2:3"):
             with pytest.raises(BadParams):
                 parse_quad_flag(bad)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(BadParams, match="unknown quadrature kind 'sobol'"):
+            QuadratureRule(kind="sobol", samples=64)
+
+    def test_node_ceiling(self):
+        with pytest.raises(BadParams, match="ceiling"):
+            parse_quad_flag("mc:1000001")
+        rc = RadialChart(gallery("sphere", r=1.0, n=1).chart)
+        with pytest.raises(BadParams, match=rf"^grid:100000000 needs {10**24} nodes on S\^3"):
+            integrate(rc, ones, product_grid(100000000))
+
+
+def test_pfaffian_of_a_4x4_matrix():
+    a = np.random.default_rng(0).standard_normal((3, 4, 4))
+    a = a - np.swapaxes(a, 1, 2)
+    expected = a[:, 0, 1] * a[:, 2, 3] - a[:, 0, 2] * a[:, 1, 3] + a[:, 0, 3] * a[:, 1, 2]
+    np.testing.assert_allclose(quadrature._pfaffian(a), expected, rtol=1e-14)
