@@ -88,8 +88,8 @@ def max_fd_mismatch(e: sym.Expr, P: np.ndarray) -> float:
         for conjugated in (False, True):
             s = eval_at(sym.differentiate(e, j, conjugated), P)
             gap = np.max(np.abs(s - fd[conjugated]) / (1.0 + np.abs(s)))
-            worst = max(worst, float(gap))
-    return worst
+            worst = np.maximum(worst, gap)
+    return float(worst)
 
 
 def random_exprs(rng, m, count=12):
@@ -149,18 +149,16 @@ def symcore_suite(seed=0):
         a = sym.differentiate(sym.differentiate(e, int(j), False), int(k), True)
         b = sym.differentiate(sym.differentiate(e, int(k), True), int(j), False)
         gap = np.max(np.abs(eval_at(a, P) - eval_at(b, P)))
-        worst_mixed = max(worst_mixed, float(gap))
+        worst_mixed = np.maximum(worst_mixed, gap)
 
         dc = sym.differentiate(sym.conj(e), int(j), False)
         d = sym.differentiate(e, int(j), True)
         gap = np.max(np.abs(eval_at(dc, P) - np.conj(eval_at(d, P))))
-        worst_conj = max(worst_conj, float(gap))
+        worst_conj = np.maximum(worst_conj, gap)
 
-        worst_fd = max(worst_fd, max_fd_mismatch(e, P[:10]))
+        worst_fd = np.maximum(worst_fd, max_fd_mismatch(e, P[:10]))
         for j2 in sym.free_indices(e):
-            worst_fd = max(
-                worst_fd, max_fd_mismatch(sym.differentiate(e, j2, False), P[:10])
-            )
+            worst_fd = np.maximum(worst_fd, max_fd_mismatch(sym.differentiate(e, j2, False), P[:10]))
 
     return [
         CheckResult.from_residual("symbolic.mixed-partial-symmetry", worst_mixed, 1e-9),
@@ -287,7 +285,7 @@ def _conformal_tworoute(surface, rng, fb):
             continue
         hat_chart = HypersurfaceChart(sym.mul(efac, chart.rho), chart.m)
         _, r2 = _transverse_batch(hat_chart.grad_at(fb.P), hat_chart.hess_at(fb.P))
-        worst = max(worst, float(np.max(np.abs(rhat - np.real(r2)))))
+        worst = np.maximum(worst, np.max(np.abs(rhat - np.real(r2))))
     return worst
 
 
@@ -300,12 +298,12 @@ def _fd_suite(surface: SurfaceSpec, fb):
         F = surface.immersion.F
         exprs += F + [e for row in sym.jets(F, m, "h") for e in row]
     exprs += [f.ftilde for f in surface.plurifamily]
-    worst = max(max_fd_mismatch(e, fb.P) for e in exprs)
+    worst = np.max([max_fd_mismatch(e, fb.P) for e in exprs])
     for s, fd in [(_frame_levi_derivs(chart, fb), fd_frame_levi_derivs(chart, fb)),
                   (_connection_batch(chart, fb)[..., -1], fd_reeb_slot(chart, fb)),
                   (_loghess_ambient(chart, fb), fd_loghess(chart, fb.P))]:
-        worst = max(worst, float(np.max(np.abs(s - fd) / (1.0 + np.abs(s)))))
-    return worst
+        worst = np.maximum(worst, np.max(np.abs(s - fd) / (1.0 + np.abs(s))))
+    return float(worst)
 
 
 def fd_loghess(chart, P):
@@ -456,9 +454,9 @@ def spectral_suite(surface: SurfaceSpec, seed=0):
         dens_sum = np.zeros(P.shape[0])
         for j, f in enumerate(surface.plurifamily):
             Lj = np.log(np.abs(P[:, j]) ** 2)
-            worst_b = max(worst_b, float(np.max(np.abs(boxb(f) - (n / 2) * Lj))))
+            worst_b = np.maximum(worst_b, np.max(np.abs(boxb(f) - (n / 2) * Lj)))
             dens = _energy_density_batch(chart, f, fb)
-            worst_d = max(worst_d, float(np.max(np.abs(dens - (0.5 - 0.5 * Lj**2)))))
+            worst_d = np.maximum(worst_d, np.max(np.abs(dens - (0.5 - 0.5 * Lj**2))))
             dens_sum += dens
         worst_s = float(np.max(np.abs(dens_sum - n / 2)))
         out.append(CheckResult.from_residual("reinhardt.kohn-identity", worst_b, 1e-9))
@@ -475,7 +473,7 @@ def spectral_suite(surface: SurfaceSpec, seed=0):
         worst = 0.0
         for j, f in enumerate(surface.plurifamily):
             r0 = surface.params["r"]
-            worst = max(worst, float(np.max(np.abs(boxb(f) - (n / r0**2) * np.conj(P[:, j])))))
+            worst = np.maximum(worst, np.max(np.abs(boxb(f) - (n / r0**2) * np.conj(P[:, j]))))
         out.append(CheckResult.from_residual("sphere.conjugate-eigenfunctions", worst, 1e-9))
     return out
 

@@ -273,7 +273,10 @@ def _transverse_batch(grad, hess):
     Bt = np.swapaxes(_bordered(0.0, np.conj(grad), grad, hess), 1, 2)
     e0 = np.zeros((K, m + 1), dtype=complex)
     e0[:, 0] = 1.0
-    cond = np.linalg.cond(Bt)
+    # B is Hermitian with its zero corner, so its singular values are |eigenvalues|
+    lam = np.abs(np.linalg.eigvalsh(Bt))
+    low = lam.min(axis=1)
+    cond = np.divide(lam.max(axis=1), low, out=np.full(K, np.inf), where=low > 0)
     bad = cond > COND_REJECT
     if np.any(bad):
         i = int(np.argmax(bad))

@@ -5,7 +5,10 @@ u in R^{2m} ~ C^m through the first positive radial root of rho.  Integrals
 against the contact volume form theta ^ (dtheta)^n are computed by pulling
 the form back through that parametrization: theta = i dbar-rho and
 dtheta = i ddbar-rho are evaluated exactly from the chart's symbolic jets on
-finite-difference tangent vectors of the parametrization (step 1e-6).
+finite-difference tangent vectors of the parametrization (step 1e-6).  The
+rays of a node set's central differences are solved together: each node's
+ray and its 2(d-1) rays shifted by one step in one angle go into one radial
+solve per block of at most RAY_BLOCK rays.
 
 The pullback enters through its absolute value, which fixes the orientation
 so that the integral of the density 1 is positive.  Node evaluation is pure;
@@ -27,6 +30,7 @@ TRANSVERSAL_FLOOR = 1e-10
 FD_STEP = 1e-6
 T_MAX = 10.0  # rays are searched for a crossing over t in (0, T_MAX]
 MAX_NODES = 10**6  # largest grid, sample set or scan; larger requests are rejected before allocating
+RAY_BLOCK = 4096  # most rays per radial solve of the FD stencil, which bounds its working memory
 _PREFIX = {"product-grid": "grid", "monte-carlo": "mc", "quasi-monte-carlo": "qmc"}
 
 
@@ -147,13 +151,16 @@ def _rho_on_ray(rc, Z, t):
     return np.real(rc.chart.rho_at(t[:, None] * Z))
 
 
-def _radial_batch(rc: RadialChart, U: np.ndarray) -> np.ndarray:
+def _radial_batch(rc: RadialChart, U: np.ndarray, labels=None) -> np.ndarray:
     """Smallest positive radial root for each unit direction (K, 2m).
 
     The ray search steps t by 1.5x from 1e-4 T_MAX to T_MAX, bisects the
     first bracket 60 times and polishes with 6 Newton steps: 92 ``rho_at``
-    and 7 ``grad_at`` calls per batch, each on all K directions."""
+    and 7 ``grad_at`` calls per batch, each on all K directions.  Every ray
+    takes the same steps in t, so a ray's root does not depend on the other
+    rays of the batch.  Errors name ray i as ``labels[i]`` (default i)."""
     K = U.shape[0]
+    labels = np.arange(K) if labels is None else labels
     Z = np.asfortranarray(_to_complex(U))  # contiguous columns for evaluation
     t = np.full(K, 1e-4 * T_MAX)
     s_prev = np.sign(_rho_on_ray(rc, Z, t))
@@ -171,11 +178,11 @@ def _radial_batch(rc: RadialChart, U: np.ndarray) -> np.ndarray:
         s_prev, t = s, t_next
     if np.any(np.isnan(hi)):
         i = int(np.argmax(np.isnan(hi)))
-        raise NoCrossing(f"ray {i} misses the surface for t in (0, {T_MAX}]")
+        raise NoCrossing(f"ray {labels[i]} misses the surface for t in (0, {T_MAX}]")
     if np.any(changes > 1):
         i = int(np.argmax(changes))
         raise NotStarShaped(
-            f"ray {i} crosses the surface {changes[i]} times: not star-shaped about the origin"
+            f"ray {labels[i]} crosses the surface {changes[i]} times: not star-shaped about the origin"
         )
 
     # lo only moves to points where rho has the sign it has at lo
@@ -197,13 +204,13 @@ def _radial_batch(rc: RadialChart, U: np.ndarray) -> np.ndarray:
     val = np.abs(val)
     if np.max(val) > ROOT_TOL:
         i = int(np.argmax(val))
-        raise NoCrossing(f"radial polish stalled at |rho| = {val[i]:.2e} on ray {i}")
+        raise NoCrossing(f"radial polish stalled at |rho| = {val[i]:.2e} on ray {labels[i]}")
     if np.min(np.abs(slope)) < TRANSVERSAL_FLOOR:
         i = int(np.argmin(np.abs(slope)))
-        raise NonTransversal(f"|d rho/dt| = {abs(slope[i]):.2e} at the root of ray {i}")
+        raise NonTransversal(f"|d rho/dt| = {abs(slope[i]):.2e} at the root of ray {labels[i]}")
     if np.min(slope) < 0:
         i = int(np.argmin(slope))
-        raise NonTransversal(f"d rho/dt = {slope[i]:.2e} < 0 at the root of ray {i}")
+        raise NonTransversal(f"d rho/dt = {slope[i]:.2e} < 0 at the root of ray {labels[i]}")
     return t
 
 
@@ -222,9 +229,9 @@ def radial_solve(rc: RadialChart, omega) -> float:
     return float(_radial_batch(rc, u[None, :])[0])
 
 
-def radial_points(rc: RadialChart, U: np.ndarray) -> np.ndarray:
+def radial_points(rc: RadialChart, U: np.ndarray, labels=None) -> np.ndarray:
     """On-surface points for a batch of unit directions."""
-    t = _radial_batch(rc, U)
+    t = _radial_batch(rc, U, labels)
     return t[:, None] * _to_complex(U) + 0j  # signed zeros of U become 0, so "-0" never reaches a report
 
 
@@ -283,20 +290,28 @@ def _grid_nodes(res: int, d: int):
 
 
 def _eval_on_angles(rc: RadialChart, density, angles):
-    """|pullback| * density at each angle node, via FD tangents (step 1e-6)."""
+    """|pullback| * density at each angle node, via FD tangents (step 1e-6).
+
+    The stencil of a node is its own angles and the 2(d-1) sets shifted by
+    +-FD_STEP in one angle.  Nodes go in blocks of RAY_BLOCK // (2d-1), and
+    the stencil rays of a block are stacked set by set ([centre, +e_0, ...,
+    +e_{d-2}, -e_0, ..., -e_{d-2}]) into one radial solve, whose errors name
+    the node.  The density and the volume form then run once on all nodes."""
     chart = rc.chart
     d = 2 * chart.m
     K = angles.shape[0]
-
-    def param_points(a):
-        return radial_points(rc, sphere_point(a))
-
-    P = param_points(angles)
+    sets = 2 * d - 1
+    per_block = RAY_BLOCK // sets
+    step = FD_STEP * np.eye(d - 1)[:, None, :]  # (d-1, 1, d-1): one shifted angle per set
+    P = np.empty((K, chart.m), dtype=complex)
     V = np.empty((K, d - 1, chart.m), dtype=complex)
-    for i in range(d - 1):
-        step = np.zeros_like(angles)
-        step[:, i] = FD_STEP
-        V[:, i, :] = (param_points(angles + step) - param_points(angles - step)) / (2 * FD_STEP)
+    for k0 in range(0, K, per_block):
+        a = angles[k0:k0 + per_block]
+        stacked = np.concatenate([a[None], a + step, a - step]).reshape(-1, d - 1)
+        labels = np.tile(np.arange(k0, k0 + a.shape[0]), sets)
+        Q = radial_points(rc, sphere_point(stacked), labels).reshape(sets, a.shape[0], chart.m)
+        P[k0:k0 + per_block] = Q[0]
+        V[k0:k0 + per_block] = np.swapaxes(Q[1:d] - Q[d:], 0, 1) / (2 * FD_STEP)
     dens = np.asarray(density(P), dtype=float)
     return np.abs(contact_volume_density(chart, P, V)) * dens
 

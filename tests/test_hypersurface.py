@@ -314,6 +314,17 @@ class TestTransverse:
         with pytest.raises(SingularSystem, match="point index 1"):
             hypersurface._transverse_batch(grad, hess)
 
+    def test_gate_reads_the_2_norm_cond(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        grad, hess = map(np.array, zip(*[self._near_singular_system(rng, e) for e in (0.7, 1e-3)]))
+        cond = np.linalg.cond(np.swapaxes(_bordered(0.0, np.conj(grad), grad, hess), 1, 2))
+        monkeypatch.setattr(hypersurface, "COND_REJECT", 0.5 * cond[1])
+        assert cond[0] < hypersurface.COND_REJECT
+        with pytest.raises(SingularSystem, match="point index 1") as err:
+            hypersurface._transverse_batch(grad, hess)
+        gated = float(str(err.value).split("cond ")[1].rstrip(")"))
+        assert abs(gated / cond[1] - 1) < 1e-3  # the message keeps 4 digits
+
 
 class TestFefferman:
     def test_sphere_is_one(self):

@@ -9,14 +9,19 @@ from crgeo.errors import BadParams, NoCrossing, NotStarShaped
 from crgeo.gallery import gallery
 from crgeo.hypersurface import HypersurfaceChart
 from crgeo.quadrature import (
+    FD_STEP,
+    RAY_BLOCK,
     QuadratureRule,
     RadialChart,
+    _eval_on_angles,
     _radial_batch,
+    contact_volume_density,
     integrate,
     monte_carlo,
     parse_quad_flag,
     product_grid,
     quasi_monte_carlo,
+    radial_points,
     radial_solve,
     sphere_angles,
     sphere_point,
@@ -120,6 +125,85 @@ class TestRadialBatch:
         U = np.array([[1.0, 0, 1.0, 0]]) / np.sqrt(2)
         with pytest.raises(NotStarShaped, match=r"^ray 0 crosses the surface \d+ times: not star-shaped about the origin$"):
             _radial_batch(rc, U)
+
+
+def rule_angles(rule, d):
+    if rule.kind == "product-grid":
+        return quadrature._grid_nodes(rule.resolution, d)[0]
+    return sphere_angles(quadrature._sample_directions(rule, d))
+
+
+def per_shift_reference(rc, density, angles):
+    """_eval_on_angles with one radial solve per angle set: the centre, then
+    each +-FD_STEP shift of each angle, every set over all nodes."""
+    chart = rc.chart
+    d = 2 * chart.m
+    P = radial_points(rc, sphere_point(angles))
+    V = np.empty((angles.shape[0], d - 1, chart.m), dtype=complex)
+    for i in range(d - 1):
+        step = np.zeros_like(angles)
+        step[:, i] = FD_STEP
+        plus = radial_points(rc, sphere_point(angles + step))
+        V[:, i, :] = (plus - radial_points(rc, sphere_point(angles - step))) / (2 * FD_STEP)
+    return np.abs(contact_volume_density(chart, P, V)) * density(P)
+
+
+class TestStencilSolve:
+    """The FD stencil's rays are solved in node blocks of at most RAY_BLOCK rays."""
+
+    # the grids and mc:700 need more than one block: 585 nodes per block for m = 2, 372 for m = 3
+    CASES = [
+        ("sphere", {"r": 1.3, "n": 1}, "grid:10"),
+        ("sphere", {"r": 1.3, "n": 1}, "mc:700:3"),
+        ("sphere", {"r": 0.8, "n": 2}, "grid:4"),
+        ("sphere", {"r": 0.8, "n": 2}, "mc:100:5"),
+        ("whitney", {}, "grid:10"),
+        ("whitney", {}, "mc:100:6"),
+        ("ellipsoid", {"A": (0.1, 0.2, 0.3)}, "grid:4"),
+        ("ellipsoid", {"A": (0.1, 0.2, 0.3)}, "mc:400:7"),
+    ]
+
+    @pytest.mark.parametrize("name,params,quad", CASES)
+    def test_equals_per_shift_solves_bit_for_bit(self, name, params, quad):
+        rc = RadialChart(gallery(name, **params).chart)
+        angles = rule_angles(parse_quad_flag(quad), 2 * rc.chart.m)
+        dens = lambda P: 1.0 + np.abs(P[:, 0]) ** 2
+        assert np.array_equal(_eval_on_angles(rc, dens, angles), per_shift_reference(rc, dens, angles))
+
+    @pytest.mark.parametrize("n,quad,nodes", [(1, "grid:10", 1000), (1, "mc:100:0", 100), (2, "grid:4", 1024)])
+    def test_one_call_per_node_block(self, monkeypatch, n, quad, nodes):
+        rc = RadialChart(gallery("sphere", r=1.0, n=n).chart)
+        d = 2 * rc.chart.m
+        angles = rule_angles(parse_quad_flag(quad), d)
+        rays = []
+
+        def counted(rc, U, labels=None):
+            rays.append(U.shape[0])
+            return _radial_batch(rc, U, labels)
+
+        monkeypatch.setattr(quadrature, "_radial_batch", counted)
+        _eval_on_angles(rc, ones, angles)
+        per_block = RAY_BLOCK // (2 * d - 1)
+        assert len(angles) == nodes
+        assert len(rays) == -(-nodes // per_block)
+        assert max(rays) <= RAY_BLOCK
+        assert sum(rays) == (2 * d - 1) * nodes
+
+    def test_failing_shifted_ray_names_its_node(self, monkeypatch):
+        rc = RadialChart(gallery("sphere", r=1.0, n=1).chart)
+        angles = rule_angles(product_grid(10), 4)
+        target = angles[700].copy()
+        target[1] -= FD_STEP  # node 700, in the second block, shifted down in its second angle
+        real = quadrature.sphere_point
+
+        def blinded(a):
+            U = real(a)
+            U[np.all(a == target, axis=1)] = 0.0  # a zero direction never meets the surface
+            return U
+
+        monkeypatch.setattr(quadrature, "sphere_point", blinded)
+        with pytest.raises(NoCrossing, match=r"^ray 700 misses the surface for t in \(0, 10.0\]$"):
+            _eval_on_angles(rc, ones, angles)
 
 
 class TestSphericalCoordinates:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crgeo import hypersurface, spectral
+from crgeo import checks, hypersurface, spectral
 from crgeo import symbolic as sym
 from crgeo.checks import spectral_suite
 from crgeo.errors import NotEigenmap, NotPluriharmonic, SingularSystem, ZeroEnergy
@@ -211,6 +211,13 @@ def test_xi_batch_rejects_complex_curvature(monkeypatch):
     surf = gallery("sphere", r=1.0, n=1)
     with pytest.raises(SingularSystem, match="transverse curvature"):
         spectral._xi_batch(surf.chart, surf.random_points(5, seed=0))
+
+
+def test_nan_energy_density_fails_its_check(monkeypatch):
+    monkeypatch.setattr(checks, "_energy_density_batch", lambda chart, f, fb: np.full(len(fb.P), np.nan))
+    results = {r.name: r for r in spectral_suite(gallery("reinhardt", n=1), seed=0)}
+    assert np.isnan(results["reinhardt.energy-density"].residual)
+    assert not results["reinhardt.energy-density"].passed
 
 
 class TestSolveCounts:
