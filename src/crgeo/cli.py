@@ -16,6 +16,7 @@ invocations (including Monte-Carlo seeds) produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -261,9 +262,16 @@ def cmd_gallery_list(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so ``main`` answers them with exit 2 and
+    a JSON error like any other malformed input; subparsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="crgeo", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="crgeo", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_surface_args(p):
@@ -301,10 +309,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call: it holds no state between parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         _error_json(exc)

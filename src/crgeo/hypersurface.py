@@ -26,6 +26,7 @@ list evaluated by it, as one ``sym.evaluate`` program per array.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,19 +69,35 @@ class HypersurfaceChart:
         self.m = int(dim)
         self.n = self.m - 1
         self.name = name
+        self._jets = {}
 
     # ---- numeric evaluation ----------------------------------------------
 
     def rho_at(self, P):
         return eval_at(self.rho, P)
 
+    def jets(self, pattern):
+        """``sym.jets(self.rho, self.m, pattern)``, built once per chart."""
+        out = self._jets.get(pattern)
+        if out is None:
+            out = self._jets[pattern] = sym.jets(self.rho, self.m, pattern)
+        return out
+
     def grad_at(self, P):
         """(..., m) array of rho_j."""
-        return eval_array(sym.jets(self.rho, self.m, "h"), P)
+        return eval_array(self.jets("h"), P)
 
     def hess_at(self, P):
         """(..., m, m) array of rho_{j kbar}."""
-        return eval_array(sym.jets(self.rho, self.m, "hb"), P)
+        return eval_array(self.jets("hb"), P)
+
+    @functools.cached_property
+    def third_jets_vanish(self):
+        """True when every third jet d_j d_l d_cbar rho is the constant 0, as on
+        every quadric.  ``sym.jets`` builds each fourth jet d_j d_kbar rho_{l cbar}
+        from such a third jet, so then every fourth jet is the constant 0 too."""
+        vals = sym.constants(np.array(self.jets("hbh"), dtype=object).ravel())
+        return vals is not None and not any(vals)
 
     def project(self, p):
         """Pull a nearby point onto {rho = 0} by Newton along the gradient
@@ -135,16 +152,21 @@ def eval_array(exprs, P):
     ``shape``; the result has shape ``(..., *shape)``, with one trailing
     index per nesting level: entry ``[..., i, j]`` is ``eval_at(exprs[i][j], P)``.
     The whole array is one ``sym.evaluate`` call, so a subexpression shared
-    between entries runs once.
+    between entries runs once; an array of constant nodes is filled from
+    their values, with no program compiled or run.
     """
     if isinstance(exprs, sym.Expr):
         return eval_at(exprs, P)
     P = np.asarray(P, dtype=complex)
     grid = np.array(exprs, dtype=object)
-    vals = sym.evaluate(list(grid.flat), [P[..., j] for j in range(P.shape[-1])])
+    flat = list(grid.flat)
     out = np.empty(P.shape[:-1] + (grid.size,), dtype=complex)
-    for i, v in enumerate(vals):
-        out[..., i] = v
+    vals = sym.constants(flat)
+    if vals is not None:
+        out[...] = vals
+    else:
+        for i, v in enumerate(sym.evaluate(flat, [P[..., j] for j in range(P.shape[-1])])):
+            out[..., i] = v
     return out.reshape(P.shape[:-1] + grid.shape)
 
 
@@ -392,15 +414,18 @@ def _loghess_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
 
 def _loghess_ambient(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
     """(K, j, k) ambient Hessian (log J)_{j kbar} = tr(B^-1 d_kbar d_j B) - tr(B^-1 d_kbar B B^-1 d_j B)
-    by Jacobi's formula; beyond the ambient jets it needs d_j d_kbar rho_{a cbar}."""
+    by Jacobi's formula; beyond the ambient jets it needs d_j d_kbar rho_{a cbar}.
+    The terms of the third and fourth jets are skipped when they vanish."""
     _, jet3 = _ambient_derivs(chart, fb)
-    jet4 = eval_array(sym.jets(chart.rho, chart.m, "hbhb"), fb.P)
     Binv = fb.Binv
     # by blocks of d_cbar d_j B = [[rho_{j cbar}, conj(jet3[b, j, c])], [jet3[a, c, j], jet4[j, c]]]
-    first = (Binv[:, 0, 0, None, None] * fb.hess
-             + np.einsum("kb,kbjc->kjc", Binv[:, 1:, 0], np.conj(jet3))
-             + np.einsum("ka,kacj->kjc", Binv[:, 0, 1:], jet3)
-             + np.einsum("kba,kjcab->kjc", Binv[:, 1:, 1:], jet4))
+    first = Binv[:, 0, 0, None, None] * fb.hess
+    if not chart.third_jets_vanish:
+        jet4 = eval_array(chart.jets("hbhb"), fb.P)
+        first = (first
+                 + np.einsum("kb,kbjc->kjc", Binv[:, 1:, 0], np.conj(jet3))
+                 + np.einsum("ka,kacj->kjc", Binv[:, 0, 1:], jet3)
+                 + np.einsum("kba,kjcab->kjc", Binv[:, 1:, 1:], jet4))
     # B is Hermitian, so d_cbar B = (d_c B)^H and the second trace is tr((d_c B)^H B^-1 d_j B B^-1)
     return first - np.einsum("kjrq,kcrq->kjc", fb.BdBB, np.conj(fb.dB))
 
@@ -464,11 +489,15 @@ def _ambient_derivs(chart, fb):
     first call also fills fb.Binv = B^-1 for B = [[rho, rho_kbar], [rho_j,
     rho_{j kbar}]], fb.dB[k, j] = d_j B and fb.BdBB[k, j] = B^-1 d_j B B^-1 = -d_j B^-1."""
     if fb.hol2 is None:
-        fb.hol2 = eval_array(sym.jets(chart.rho, chart.m, "hh"), fb.P)
-        fb.jet3 = eval_array(sym.jets(chart.rho, chart.m, "hbh"), fb.P)
+        fb.hol2 = eval_array(chart.jets("hh"), fb.P)
+        fb.jet3 = eval_array(chart.jets("hbh"), fb.P)
         fb.Binv = np.linalg.inv(_bordered(fb.rho, np.conj(fb.grad), fb.grad, fb.hess))
         fb.dB = _bordered(fb.grad, fb.hess, np.swapaxes(fb.hol2, 1, 2), np.moveaxis(fb.jet3, 3, 1))
-        fb.BdBB = np.einsum("krs,kjsp,kpq->kjrq", fb.Binv, fb.dB, fb.Binv, optimize=True)
+        # stacked matmuls in a fixed order, B^-1 d_j B first: an einsum path search
+        # costs ten times the contraction at K=1, and this order is no slower at scan size
+        K, m, q, _ = fb.dB.shape
+        left = np.swapaxes(fb.dB, 2, 3).reshape(K, m * q, q) @ np.swapaxes(fb.Binv, 1, 2)  # [k, (j p), r]
+        fb.BdBB = (np.swapaxes(left.reshape(K, m, q, q), 2, 3).reshape(K, m * q, q) @ fb.Binv).reshape(K, m, q, q)
     return fb.hol2, fb.jet3
 
 
@@ -497,7 +526,16 @@ def _frame_levi_derivs(chart, fb):
     """
     _, jet3 = _ambient_derivs(chart, fb)
     Zc = fb.Zc
-    Zgh = np.einsum("kgj,kbl,klcj,kmc->kgbm", Zc, Zc, jet3, np.conj(Zc), optimize=True)
+    K, n, m = Zc.shape
+    if chart.third_jets_vanish:
+        Zgh = np.zeros((K, n, n, n), dtype=complex)
+    else:
+        # Z_gamma^j Z_beta^l jet3[l, c, j] conj(Z_mu^c) as stacked matmuls over j, then l, then c
+        ZcT = np.swapaxes(Zc, 1, 2)
+        T = jet3.reshape(K, m * m, m) @ ZcT  # [k, (l c), gamma]
+        T = T.reshape(K, m, m, n).transpose(0, 3, 2, 1).reshape(K, n * m, m) @ ZcT  # [k, (gamma c), beta]
+        T = T.reshape(K, n, m, n).transpose(0, 3, 1, 2).reshape(K, n * n, m) @ np.conj(ZcT)  # [k, (beta gamma), mu]
+        Zgh = T.reshape(K, n, n, n).transpose(0, 2, 1, 3)
     # v[k, beta] = Z_beta^l rho_{l wbar}; rho'' is Hermitian, so rho_{w cbar} conj(Z_mu^c) = conj(v_mu)
     v = np.einsum("kbl,kl->kb", Zc, fb.at_w(fb.hess))
     Zgh += _frame_w_derivs(chart, fb)[:, :, :, None] * np.conj(v)[:, None, None, :]

@@ -283,6 +283,16 @@ def jets(e, m: int, pattern: str):
     return entry(())
 
 
+def constants(exprs):
+    """The values of a list of expressions when every one is a constant node,
+    else None.  The constructors fold every tree free of variables into one
+    constant node, so this tests structure: nothing is evaluated.
+    """
+    if all(e.op == _CONST for e in exprs):
+        return [e.payload for e in exprs]
+    return None
+
+
 def evaluate(exprs, coords):
     """Evaluate one expression, or a list of them (giving a list), at a point.
 

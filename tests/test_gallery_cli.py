@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from crgeo import cli
 from crgeo.cli import main, parse_params, parse_point
 from crgeo.errors import BadParams, InputError, UnknownSurface
 from crgeo.gallery import gallery, load_surface
@@ -187,6 +188,10 @@ BAD_SURFACE_FILES = {
     (["analyze", "--surface-file", "deep_parens.txt", "--point", "1,0"], "InputError"),
     (["scan", "--surface", "sphere", "--grid", "100000"], "BadParams"),
     (["bound", "--surface", "sphere", "--quad", "grid:100000000"], "BadParams"),
+    # usage errors: a missing required flag, an untyped value, an unknown flag
+    (["analyze", "--surface", "sphere"], "InputError"),
+    (["scan", "--surface", "sphere", "--grid", "abc"], "InputError"),
+    (["analyze", "--surface", "sphere", "--point", "1,0", "--bogus"], "InputError"),
 ])
 def test_bad_input_exits_2_with_a_json_error(argv, error, tmp_path):
     for name, text in BAD_SURFACE_FILES.items():
@@ -197,6 +202,31 @@ def test_bad_input_exits_2_with_a_json_error(argv, error, tmp_path):
     doc = json.loads(err)
     assert set(doc) == {"error", "message"}
     assert doc["error"] == error
+
+
+def test_help_still_exits_0():
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert out.getvalue().startswith("usage: crgeo analyze")
+
+
+def test_one_parser_serves_every_call(monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    analyze = ["analyze", "--surface", "sphere", "--params", "r=1,n=2", "--point", "0.6,0.8i,0"]
+    first = run_cli(analyze)
+    usage = run_cli(["analyze", "--surface", "sphere"])
+    scan = run_cli(["scan", "--surface", "sphere", "--grid", "3"])
+    again = run_cli(analyze)
+    cli._parser.cache_clear()
+    assert len(built) == 1
+    assert usage[0] == 2 and json.loads(usage[2])["error"] == "InputError"
+    assert scan[0] == 0 and first[0] == 0
+    assert again == first
 
 
 def test_far_point_is_not_on_the_surface():

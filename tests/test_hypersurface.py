@@ -15,7 +15,7 @@ from crgeo.errors import (
     NotStrictlyPseudoconvex,
     SingularSystem,
 )
-from crgeo.gallery import gallery
+from crgeo.gallery import _curvature_batch, gallery
 from crgeo.hypersurface import (
     HypersurfaceChart,
     _ambient_derivs,
@@ -115,8 +115,12 @@ class TestEvalArray:
         calls = []
         evaluate = sym.evaluate
         monkeypatch.setattr(sym, "evaluate", lambda e, coords: calls.append(e) or evaluate(e, coords))
+        grad = ch.grad_at(P)
+        assert len(calls) == 1 and len(calls[0]) == 3
+        np.testing.assert_array_equal(grad, np.conj(P))
+        # the sphere's Hessian entries are constant nodes: filled in, not evaluated
         hess = ch.hess_at(P)
-        assert len(calls) == 1 and len(calls[0]) == 9
+        assert len(calls) == 1
         assert hess.shape == (2, 3, 3)
         np.testing.assert_array_equal(hess[0], np.eye(3))
 
@@ -649,3 +653,84 @@ class TestSuiteFrameBatches:
         results = {r.name: r for r in hypersurface_suite(gallery("sphere", r=1.0, n=1), seed=0)}
         assert np.isnan(results["frame.w-independence"].residual)
         assert not results["frame.w-independence"].passed
+
+
+def loghess_ambient_adding_every_term(chart, fb):
+    """(log J)_{j kbar} with every jet term added, zero or not, by plain einsum."""
+    _, jet3 = _ambient_derivs(chart, fb)
+    jet4 = eval_array(sym.jets(chart.rho, chart.m, "hbhb"), fb.P)
+    Binv = fb.Binv
+    first = (Binv[:, 0, 0, None, None] * fb.hess
+             + np.einsum("kb,kbjc->kjc", Binv[:, 1:, 0], np.conj(jet3))
+             + np.einsum("ka,kacj->kjc", Binv[:, 0, 1:], jet3)
+             + np.einsum("kba,kjcab->kjc", Binv[:, 1:, 1:], jet4))
+    BdBB = np.einsum("krs,kjsp,kpq->kjrq", Binv, fb.dB, Binv)
+    return first - np.einsum("kjrq,kcrq->kjc", BdBB, np.conj(fb.dB))
+
+
+def frame_levi_derivs_adding_every_term(chart, fb):
+    """Z_gamma h_{beta mubar} with the jet3 term added, zero or not, by plain einsum."""
+    _, jet3 = _ambient_derivs(chart, fb)
+    Zc = fb.Zc
+    v = np.einsum("kbl,kl->kb", Zc, fb.at_w(fb.hess))
+    return (np.einsum("kgj,kbl,klcj,kmc->kgbm", Zc, Zc, jet3, np.conj(Zc))
+            + hypersurface._frame_w_derivs(chart, fb)[:, :, :, None] * np.conj(v)[:, None, None, :]
+            + v[:, None, :, None] * hypersurface._frame_conj_w_derivs(fb)[:, :, None, :])
+
+
+class TestZeroJetsAndContractionOrder:
+    """Quadrics skip their zero third and fourth jets; the contractions keep one order at every K."""
+
+    @pytest.mark.parametrize("name,params", [("ellipsoid", {}), ("sphere", {"n": 2})])
+    def test_skipped_zero_terms_change_nothing(self, name, params):
+        surf = gallery(name, **params)
+        assert surf.chart.third_jets_vanish
+        fb = _frame_batch(surf.chart, surf.random_points(40, seed=2))
+        for got, ref in [(_loghess_ambient(surf.chart, fb), loghess_ambient_adding_every_term(surf.chart, fb)),
+                         (_frame_levi_derivs(surf.chart, fb), frame_levi_derivs_adding_every_term(surf.chart, fb))]:
+            assert np.max(np.abs(got - ref)) < 1e-15
+
+    def test_constant_jet_arrays_compile_nothing(self, monkeypatch):
+        P = gallery("ellipsoid").random_points(4, seed=0)
+        surf = gallery("ellipsoid")  # its jets have no program cached yet
+
+        def no_compile(roots):
+            raise AssertionError("a program was compiled")
+
+        monkeypatch.setattr(sym, "_compile", no_compile)
+        np.testing.assert_array_equal(surf.chart.hess_at(P), np.broadcast_to(np.eye(3), (4, 3, 3)))
+        for pattern in ("hbh", "hbhb"):
+            out = eval_array(sym.jets(surf.chart.rho, 3, pattern), P)
+            assert out.shape == (4,) + (3,) * len(pattern) and not out.any()
+        with pytest.raises(AssertionError, match="compiled"):
+            surf.chart.grad_at(P)
+
+    def test_whitney_keeps_the_jet_terms(self, monkeypatch):
+        patterns = []
+        jets = sym.jets
+        monkeypatch.setattr(sym, "jets", lambda e, m, pattern: patterns.append(pattern) or jets(e, m, pattern))
+        for name, full in [("whitney", True), ("sphere", False)]:
+            surf = gallery(name, n=2)
+            assert surf.chart.third_jets_vanish is not full
+            fb = _frame_batch(surf.chart, surf.random_points(20, seed=1))
+            del patterns[:]
+            lh = _loghess_ambient(surf.chart, fb)
+            assert ("hbhb" in patterns) is full
+            assert np.max(np.abs(lh - loghess_ambient_adding_every_term(surf.chart, fb))) < 1e-13
+            Zgh = _frame_levi_derivs(surf.chart, fb)
+            assert np.max(np.abs(Zgh - frame_levi_derivs_adding_every_term(surf.chart, fb))) < 1e-13
+
+    @pytest.mark.parametrize("name,params", [("whitney", {"n": 2}), ("ellipsoid", {})])
+    def test_one_point_equals_its_row_of_a_batch(self, name, params):
+        surf = gallery(name, **params)
+        P = surf.random_points(50, seed=3)
+
+        def fields(Q):
+            fb, f, ric, R, L = _curvature_batch(surf, Q)
+            return (fb.BdBB, _frame_levi_derivs(surf.chart, fb), _loghess_ambient(surf.chart, fb),
+                    f["holo"], f["II0"], ric, R, L)
+
+        batch = fields(P)
+        for i in (0, 17, 49):
+            for rows, one in zip(batch, fields(P[i:i + 1])):
+                assert np.max(np.abs(rows[i] - one[0])) < 1e-13
