@@ -22,6 +22,11 @@ all computations are pure, so points may be partitioned across workers freely.
 package uses (gradients, Hessians, the third- and fourth-order ambient jets,
 the immersion's derivatives, Kohn-Laplacian gradients) is a ``sym.jets``
 list evaluated by it, as one ``sym.evaluate`` program per array.
+
+rho, r, J, the scalar curvature R, sigma and the contact volume form become
+real through ``_real``, which passes |Im x| <= tol max(1, |Re x|): ``tol`` at
+unit scale and relative above it, so c rho (c > 0), whose r, J and R scale by
+powers of c, passes as rho does.
 """
 
 from __future__ import annotations
@@ -133,7 +138,9 @@ class HypersurfaceChart:
 
 
 def _require_real(e, what):
-    if not sym.appears_zero(sym.im(e), tol=1e-12):
+    """Reject ``e`` unless |Im e| < 1e-12 max(1, |e|) at the points of ``sym.appears_zero``."""
+    imag, val = sym.evaluate([sym.im(e), e], sym.zero_test_coords(e))  # e is a subtree of im(e)
+    if not np.all(np.abs(imag) < 1e-12 * np.maximum(1.0, np.abs(val))):
         raise NotRealValued(f"{what} must be real-valued")
 
 
@@ -279,10 +286,15 @@ class _FrameBatch:
         )
 
 
-def _check_imag(values, tol, what, cls=ValueError):
-    worst = np.max(np.abs(np.imag(values)))
-    if worst > tol:
-        raise cls(f"{what} has imaginary residual {worst:.3e} (tol {tol:.1e})")
+def _real(values, tol, what, cls):
+    """Real part of stacked scalars by the realness rule of the module docstring;
+    raises ``cls`` naming the first point that breaks it.  A NaN passes."""
+    re = np.real(values)
+    bad = np.abs(np.imag(values)) > tol * np.maximum(1.0, np.abs(re))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise cls(f"{what} has imaginary residual {abs(values[i].imag):.3e} at point index {i} (tol {tol:.1e})")
+    return re
 
 
 def _transverse_batch(grad, hess):
@@ -323,9 +335,7 @@ def _bordered(corner, row, col, block):
 
 def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _FrameBatch:
     """Frame, Levi data, transverse field, and J for a (K, m) batch."""
-    rho = np.real_if_close(chart.rho_at(P))
-    _check_imag(rho, 1e-9, "rho", NotOnSurface)
-    rho = np.real(rho)
+    rho = _real(chart.rho_at(P), 1e-9, "rho", NotOnSurface)
     offs = np.abs(rho)
     if not np.max(offs) < ON_SURFACE_TOL:  # a NaN fails too
         i = int(np.argmax(offs))
@@ -366,13 +376,14 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
     fb.hinv = np.linalg.inv(fb.h)
 
     xi, r = _transverse_batch(grad, hess)
-    _check_imag(r, 1e-10, "transverse curvature", SingularSystem)
-    fb.xi, fb.r = xi, np.real(r)
-
-    J = -np.linalg.det(_bordered(rho, np.conj(grad), grad, hess))
-    _check_imag(J, 1e-9, "bordered determinant")
-    fb.J = np.real(J)
+    fb.xi, fb.r = xi, _real(r, 1e-10, "transverse curvature", SingularSystem)
+    fb.J = _fefferman_batch(rho, grad, hess)
     return fb
+
+
+def _fefferman_batch(rho, grad, hess):
+    """(K,) J = -det B of the bordered Hessian from stacked rho, rho_j, rho_{j kbar}."""
+    return _real(-np.linalg.det(_bordered(rho, np.conj(grad), grad, hess)), 1e-10, "J", NonpositiveJ)
 
 
 def frame_at(chart: HypersurfaceChart, p, w_index=None) -> FrameData:
@@ -386,19 +397,14 @@ def transverse_solve(chart: HypersurfaceChart, p):
     whose solution (-r, xi) is row 0 of the inverse bordered matrix B^-1."""
     P, single = _as_batch(p, chart.m)
     xi, r = _transverse_batch(chart.grad_at(P), chart.hess_at(P))
-    _check_imag(r, 1e-10, "transverse curvature", SingularSystem)
-    if single:
-        return xi[0], float(np.real(r[0]))
-    return xi, np.real(r)
+    r = _real(r, 1e-10, "transverse curvature", SingularSystem)
+    return (xi[0], float(r[0])) if single else (xi, r)
 
 
 def fefferman_det(chart: HypersurfaceChart, p):
     """-det of the bordered complex Hessian [[rho, rho_kbar], [rho_j, rho_jkbar]]."""
     P, single = _as_batch(p, chart.m)
-    grad = chart.grad_at(P)
-    J = -np.linalg.det(_bordered(np.real(chart.rho_at(P)), np.conj(grad), grad, chart.hess_at(P)))
-    _check_imag(J, 1e-10, "bordered determinant")
-    J = np.real(J)
+    J = _fefferman_batch(np.real(chart.rho_at(P)), chart.grad_at(P), chart.hess_at(P))
     return float(J[0]) if single else J
 
 
@@ -562,9 +568,8 @@ def _ricci_batch(chart, fb):
     L = _loghess_batch(chart, fb)
     n = chart.n
     ric = (n + 1) * fb.r[:, None, None] * fb.h - L
-    R = _trace_h(fb.hinv, ric)
-    _check_imag(R, 1e-9, "scalar curvature")
-    return ric, np.real(R), L
+    R = _real(_trace_h(fb.hinv, ric), 1e-9, "scalar curvature", NotStrictlyPseudoconvex)
+    return ric, R, L
 
 
 def ricci_liluk(chart: HypersurfaceChart, p, w_index=None):
@@ -597,9 +602,8 @@ def conformal_transverse(chart: HypersurfaceChart, sigma: sym.Expr, p):
 
 def _conformal_batch(chart, sigma, fb):
     """r_hat of ``conformal_transverse`` at the points of a frame batch."""
-    sval = eval_at(sigma, fb.P)
-    _check_imag(sval, 1e-9, "sigma")
+    sval = _real(eval_at(sigma, fb.P), 1e-9, "sigma", NotRealValued)
     dsig = eval_array(sym.jets(sigma, chart.m, "h"), fb.P)
     xi_sigma = np.einsum("kj,kj->k", fb.xi, dsig)
     dens = dbar_b_norm2(fb, dsig)
-    return np.exp(-np.real(sval)) * (fb.r + 2.0 * np.real(xi_sigma) - dens)
+    return np.exp(-sval) * (fb.r + 2.0 * np.real(xi_sigma) - dens)

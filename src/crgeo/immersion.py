@@ -26,13 +26,14 @@ from .errors import NotPluriharmonic, NotStrictlyPseudoconvex, RankDeficientNorm
 from .hypersurface import (
     FrameData,
     HypersurfaceChart,
-    _check_imag,
     _connection_batch,
     _frame_batch,
     _frame_conj_w_derivs,
     _frame_w_derivs,
     _loghess_batch,
     _one_point,
+    _real,
+    _trace_h,
     eval_array,
 )
 
@@ -228,32 +229,30 @@ def torsion_from_II(sff: SecondFundamentalForm) -> np.ndarray:
 def gauss_curvature(sff: SecondFundamentalForm, frame: FrameData) -> CurvatureData:
     """Curvature tensor from the flat-ambient Gauss identity:
     R_{ab~cd~} = |H|^2 (h_{ab~} h_{cd~} + h_{ad~} h_{cb~}) - holo.holo~."""
-    h, hinv = frame.levi, frame.levi_inv
-    n = h.shape[0]
-    hh = np.einsum("ab,cd->abcd", h, h) + np.einsum("ad,cb->abcd", h, h)
-    riem = sff.Hnorm2 * hh - np.einsum("acx,bdx->abcd", sff.holo, np.conj(sff.holo))
-    ric = np.einsum("abcd,dc->ab", riem, hinv)
-    scalarR = np.einsum("ab,ba->", ric, hinv)
-    _check_imag(scalarR, 1e-8 * max(1.0, abs(scalarR)), "scalar curvature", NotStrictlyPseudoconvex)
-    scalarR = float(scalarR.real)
-    cm = _chern_moser_norm2(riem, ric, scalarR, h, hinv) if n >= 2 else 0.0
-    return CurvatureData(riem=riem, ric=ric, scalarR=scalarR, cm_norm2=cm)
+    riem, ric, R, cm = _gauss_curvature_batch(
+        sff.holo[None], np.array([sff.Hnorm2]), frame.levi[None], frame.levi_inv[None]
+    )
+    return CurvatureData(riem=riem[0], ric=ric[0], scalarR=float(R[0]), cm_norm2=float(cm[0]))
 
 
-def _chern_moser_norm2(riem, ric, R, h, hinv):
-    n = h.shape[0]
-    mix = (
-        np.einsum("ab,cd->abcd", ric, h)
-        + np.einsum("cb,ad->abcd", ric, h)
-        + np.einsum("ad,cb->abcd", ric, h)
-        + np.einsum("cd,ab->abcd", ric, h)
-    )
-    hh = np.einsum("ab,cd->abcd", h, h) + np.einsum("ad,cb->abcd", h, h)
-    S = riem - mix / (n + 2) + R * hh / ((n + 1) * (n + 2))
-    val = np.einsum(
-        "abcd,pqrs,pa,bq,rc,ds->", S, np.conj(S), hinv, hinv, hinv, hinv
-    )
-    return float(np.real(val))
+def _gauss_curvature_batch(holo, Hnorm2, h, hinv):
+    """Stacked (riem, ric, scalarR, cm_norm2) of the Gauss identity: ric is the traced form
+    (n+1)|H|^2 h - G, and cm_norm2 the squared norm of riem's Chern-Moser (trace-free) part,
+    which vanishes on spherical CR manifolds and is 0 for n = 1."""
+    K, n = h.shape[:2]
+    hh = np.einsum("kab,kcd->kabcd", h, h)
+    hh = hh + np.swapaxes(hh, 2, 4)  # h_{ab~} h_{cd~} + h_{ad~} h_{cb~}
+    riem = Hnorm2[:, None, None, None, None] * hh - np.einsum("kacx,kbdx->kabcd", holo, np.conj(holo))
+    ric = (n + 1) * Hnorm2[:, None, None] * h - _gauss_form(holo, hinv)
+    R = _real(_trace_h(hinv, ric), 1e-8, "scalar curvature", NotStrictlyPseudoconvex)
+    if n < 2:
+        return riem, ric, R, np.zeros(K)
+    mix = np.einsum("kab,kcd->kabcd", ric, h)
+    mix = mix + mix.transpose(0, 3, 4, 1, 2)  # ric_{ab~} h_{cd~} + ric_{cd~} h_{ab~}
+    mix = mix + np.swapaxes(mix, 2, 4)  # and the same with b and d exchanged
+    S = riem - mix / (n + 2) + R[:, None, None, None, None] * hh / ((n + 1) * (n + 2))
+    cm = np.einsum("kabcd,kpqrs,kpa,kbq,krc,kds->k", S, np.conj(S), hinv, hinv, hinv, hinv)
+    return riem, ric, R, np.real(cm)
 
 
 def _gauss_form(holo, hinv):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, NoCrossing, NonTransversal, NotStarShaped
-from .hypersurface import HypersurfaceChart
+from .hypersurface import HypersurfaceChart, _bordered, _levi_form, _real
 
 ROOT_TOL = 1e-12
 TRANSVERSAL_FLOOR = 1e-10
@@ -262,15 +262,9 @@ def contact_volume_density(chart: HypersurfaceChart, P: np.ndarray, V: np.ndarra
     grad = chart.grad_at(P)
     hess = chart.hess_at(P)
     beta = 1j * np.conj(np.einsum("kj,kij->ki", grad, V))
-    A = np.einsum("kia,kab,kjb->kij", V, hess, np.conj(V))
-    M = np.zeros((P.shape[0], V.shape[1] + 1, V.shape[1] + 1), dtype=complex)
-    M[:, 0, 1:], M[:, 1:, 0] = beta, -beta
-    M[:, 1:, 1:] = 1j * (A - np.swapaxes(A, 1, 2))
-    total = math.factorial(chart.n) * _pfaffian(M)
-    imag = np.max(np.abs(total.imag)) if total.size else 0.0
-    if imag > 1e-6 * max(1.0, np.max(np.abs(total.real))):
-        raise NonTransversal(f"volume form came out non-real (imag {imag:.2e})")
-    return np.real(total)
+    A = _levi_form(V, hess)
+    M = _bordered(0.0, beta, -beta, 1j * (A - np.swapaxes(A, 1, 2)))
+    return _real(math.factorial(chart.n) * _pfaffian(M), 1e-6, "volume form", NonTransversal)
 
 
 def _grid_nodes(res: int, d: int):

@@ -408,17 +408,19 @@ def _random_coords(rng, m, k=1):
     return re_part + 1j * im_part
 
 
+def zero_test_coords(e: Expr) -> list:
+    """Coordinate arrays of the ``_N_ZERO_POINTS`` fixed zero-test points for ``e``."""
+    m = max(free_indices(e), default=0) + 1
+    pts = _random_coords(np.random.default_rng(_ZERO_TEST_SEED), m, _N_ZERO_POINTS)
+    return [pts[:, j] for j in range(m)]
+
+
 def appears_zero(e: Expr, tol: float = 1e-12) -> bool:
     """Randomized zero test after simplification: exact constant zero, or
-    |value| < tol at ``_N_ZERO_POINTS`` fixed pseudo-random points."""
+    |value| < tol at the points of ``zero_test_coords``."""
     if _is_const(e):
         return abs(e.payload) < tol
-    idx = free_indices(e)
-    m = (max(idx) + 1) if idx else 1
-    rng = np.random.default_rng(_ZERO_TEST_SEED)
-    pts = _random_coords(rng, m, _N_ZERO_POINTS)
-    vals = evaluate(e, [pts[:, j] for j in range(m)])
-    return bool(np.max(np.abs(vals)) < tol)
+    return bool(np.max(np.abs(evaluate(e, zero_test_coords(e)))) < tol)
 
 
 def is_holomorphic(e: Expr) -> bool:

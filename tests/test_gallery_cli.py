@@ -6,8 +6,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crgeo import cli
+from crgeo import cli, hypersurface
 from crgeo.cli import main, parse_params, parse_point
 from crgeo.errors import BadParams, InputError, UnknownSurface
 from crgeo.gallery import gallery, load_surface
@@ -378,3 +379,84 @@ class TestCli:
         assert rc == 3
         assert json.loads(err)["error"] == "NotOnSurface"
         assert len(calls) == 1
+
+
+# rho scaled by 100: J is of order 1e8, and its rounding left an imaginary part
+# of 2e-8, above the old absolute gate of 1e-9
+C3_TIMES_100 = "dim = 3\nrho = 100*(abs2(z1) + abs2(z2) + abs2(z3) + re(0.3*z1^2 + (0.1+0.2i)*z2*z3) - 1)\n"
+
+
+def _quadric_file(path, c, A):
+    terms = " + ".join(f"abs2(z{j + 1})" for j in range(len(A)))
+    holo = " + ".join(f"({float(a.real)!r}{float(a.imag):+.17g}i)*z{j + 1}^2" for j, a in enumerate(A))
+    path.write_text(f"dim = {len(A)}\nrho = {c!r}*({terms} + re({holo}) - 1)\n")
+    return str(path)
+
+
+def _analyze(path, point):
+    arg = ",".join(repr(float(x)) for z in point for x in (z.real, z.imag))
+    rc, out, err = run_cli(["analyze", "--surface-file", path, f"--point={arg}"])
+    assert rc == 0, err
+    return {k: np.asarray(_decoded(v)) for k, v in json.loads(out)["records"][0].items()}
+
+
+def _decoded(v):
+    return [_decoded(x) for x in v] if isinstance(v, list) else decode_number(v)
+
+
+class TestScaleCovariance:
+    """c rho (c > 0) is the same CR manifold: theta -> c theta, so J -> c^(m+1) J,
+    r -> r/c, h -> c h, scalarR -> scalarR/c, while ric and the log J Hessian stay."""
+
+    @given(
+        m=st.sampled_from([2, 3]),
+        u=st.floats(-3.0, 3.0),
+        moduli=st.lists(st.floats(0.0, 0.4), min_size=3, max_size=3),
+        angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
+        direction=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_invariants_follow_their_scaling_laws(self, tmp_path_factory, m, u, moduli, angles, direction):
+        tmp = tmp_path_factory.mktemp("quadric")
+        A = [r * np.exp(1j * t) for r, t in zip(moduli[:m], angles[:m])]
+        v = np.array(direction[:m]) + 1j * np.array(direction[3:3 + m]) + 0.1  # never the origin
+        c = 10.0 ** u
+        base = _analyze(_quadric_file(tmp / "base.txt", 1.0, A), v / np.linalg.norm(v))
+        scaled = _analyze(_quadric_file(tmp / "scaled.txt", c, A), base["point"])
+
+        def close(key, factor, floor=0.0):
+            want = factor * base[key]
+            assert np.max(np.abs(scaled[key] - want)) <= 1e-12 * max(np.max(np.abs(want)), floor), key
+
+        close("J", c ** (m + 1))
+        close("r", 1 / c)
+        close("scalarR", 1 / c)
+        close("h", c)
+        close("ric", 1.0)
+        close("loghessJ_eigs", 1.0, floor=1.0)  # L vanishes with A: compare at unit scale
+
+    def test_scaled_ambient_quadric_runs_every_command(self, tmp_path):
+        f = tmp_path / "c3.txt"
+        f.write_text(C3_TIMES_100)
+        rc, _, err = run_cli(["analyze", "--surface-file", str(f), "--point=0.3+0.3i,0.5-0.2i,0.6"])
+        assert rc == 0, err
+        rc, _, err = run_cli(["scan", "--surface-file", str(f), "--grid", "16"])
+        assert rc == 0, err
+        rc, out, err = run_cli(["check", "--surface-file", str(f), "--seed", "0"])
+        assert rc == 0, err
+        assert "ALL CHECKS PASSED" in out
+
+    def test_large_multiple_of_the_sphere_loads(self, tmp_path):
+        f = tmp_path / "s.txt"
+        f.write_text("dim = 2\nrho = 100000*(abs2(z1) + abs2(z2) - 1)\n")
+        rec = _analyze(str(f), np.array([0.6, 0.8]))
+        for key, want in [("r", 1e-5), ("J", 1e15), ("scalarR", 2e-5)]:
+            assert abs(rec[key] - want) <= 1e-12 * want, key
+
+
+def test_nonreal_J_exits_3_with_a_json_error(monkeypatch):
+    det = np.linalg.det
+    monkeypatch.setattr(hypersurface.np.linalg, "det", lambda B: det(B) * (1 + 1e-6j))
+    rc, out, err = run_cli(["analyze", "--surface", "sphere", "--point", "0.6,0.8"])
+    assert (rc, out) == (3, "")
+    assert json.loads(err)["error"] == "NonpositiveJ"

@@ -25,6 +25,7 @@ from crgeo.hypersurface import (
     _frame_levi_derivs,
     _loghess_ambient,
     _loghess_batch,
+    _real,
     conformal_transverse,
     connection_coeffs,
     eval_array,
@@ -734,3 +735,30 @@ class TestZeroJetsAndContractionOrder:
         for i in (0, 17, 49):
             for rows, one in zip(batch, fields(P[i:i + 1])):
                 assert np.max(np.abs(rows[i] - one[0])) < 1e-13
+
+
+class TestRealnessGate:
+    """``_real``: |Im x| <= tol max(1, |Re x|), the given class, the first offending index."""
+
+    @pytest.mark.parametrize("x,ok", [
+        (0.5 + 0.9e-10j, True), (0.5 + 1.1e-10j, False),  # |Re x| <= 1: the bound is tol
+        (-1.0 - 0.9e-10j, True), (-1.0 - 1.1e-10j, False),
+        (1e6 + 0.9e-4j, True), (1e6 + 1.1e-4j, False),  # above it, tol |Re x|
+        (-1e-8 + 0.9e-10j, True), (0.0 + 1.1e-10j, False),
+    ])
+    def test_bound_is_tol_at_unit_scale_and_relative_above(self, x, ok):
+        values = np.array([1.0, x, 2.0])
+        if ok:
+            assert np.array_equal(_real(values, 1e-10, "J", NonpositiveJ), values.real)
+        else:
+            with pytest.raises(NonpositiveJ, match=r"^J has imaginary residual .* at point index 1 "):
+                _real(values, 1e-10, "J", NonpositiveJ)
+
+    def test_raises_the_given_class_at_the_first_offending_index(self):
+        values = np.array([3.0, 2.0 + 1e-3j, 1.0 + 1.0j, 4.0 + 1e-3j])
+        with pytest.raises(SingularSystem, match="point index 1 "):
+            _real(values, 1e-10, "transverse curvature", SingularSystem)
+
+    def test_nan_passes_through(self):
+        values = np.array([complex(np.nan, 0.0), complex(1.0, np.nan), complex(np.nan, np.nan), 2.0])
+        assert np.array_equal(_real(values, 1e-10, "r", SingularSystem), values.real, equal_nan=True)

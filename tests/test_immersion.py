@@ -13,6 +13,7 @@ from crgeo.gallery import gallery, scan_surface
 from crgeo.hypersurface import _connection_batch, _ricci_batch, ricci_liluk
 from crgeo.immersion import (
     ImmersionSpec,
+    _gauss_curvature_batch,
     _mixed_sff_batch,
     _sff_batch,
     gauss_curvature,
@@ -243,6 +244,26 @@ class TestCurvatureBounds:
         sff = second_fundamental_form(sph.immersion, p)
         cd = gauss_curvature(sff, sff.frame)
         assert cd.cm_norm2 < 1e-20 and sff.IIcirc_norm2 < 1e-20
+
+    @pytest.mark.parametrize("name,params,cm_bound", [
+        ("sphere", {"n": 2}, 1e-25), ("whitney", {"n": 1}, 0.0), ("whitney", {"n": 2}, 1e-25),
+        ("ellipsoid", {}, None),
+    ])
+    def test_batch_rows_equal_per_point_calls(self, name, params, cm_bound):
+        surf = gallery(name, **params)
+        P = surf.random_points(20, seed=13)
+        fb, f = _sff_batch(surf.immersion, P)
+        riem, ric, R, cm = _gauss_curvature_batch(f["holo"], f["Hnorm2"], fb.h, fb.hinv)
+        for i, p in enumerate(P):
+            sff = second_fundamental_form(surf.immersion, p)
+            cd = gauss_curvature(sff, sff.frame)
+            for rows, one in [(riem, cd.riem), (ric, cd.ric), (R, cd.scalarR)]:
+                assert np.max(np.abs(rows[i] - one)) <= 1e-13 * np.max(np.abs(one))
+            assert abs(cm[i] - cd.cm_norm2) <= 1e-13 * cd.cm_norm2 + 1e-28  # rounding noise where it vanishes
+        if cm_bound is None:  # the ellipsoid is not spherical (Webster)
+            assert np.min(cm) > 1e-5
+        else:  # sphere and whitney are: the Chern-Moser tensor vanishes
+            assert np.max(cm) <= cm_bound
 
     def test_curvature_tensor_pair_symmetries(self):
         for name, params in [("ellipsoid", {"A": (0.1, 0.2, 0.3)}), ("whitney", {})]:
