@@ -23,10 +23,11 @@ package uses (gradients, Hessians, the third- and fourth-order ambient jets,
 the immersion's derivatives, Kohn-Laplacian gradients) is a ``sym.jets``
 list evaluated by it, as one ``sym.evaluate`` program per array.
 
-rho, r, J, the scalar curvature R, sigma and the contact volume form become
-real through ``_real``, which passes |Im x| <= tol max(1, |Re x|): ``tol`` at
-unit scale and relative above it, so c rho (c > 0), whose r, J and R scale by
-powers of c, passes as rho does.
+r, J, the scalar curvature R, sigma and the contact volume form become real
+through ``_real`` (|Im x| <= tol max(1, |Re x|)), and ``_on_surface`` puts P on
+{rho = 0} when |rho| <= tol max(1, |P| |rho_j|), NaN and inf failing (P lies
+about |rho| / (2 |rho_j|) from the surface): tol at unit scale and relative above
+it, so c rho (c > 0), whose r, J and R scale by powers of c, passes as rho does.
 """
 
 from __future__ import annotations
@@ -108,12 +109,14 @@ class HypersurfaceChart:
         """Pull a nearby point onto {rho = 0} by Newton along the gradient
         (at most 80 steps, stopping once |rho| < 1e-13).
 
-        Raises NotOnSurface when 80 steps leave |rho| >= ON_SURFACE_TOL, and at
-        once when such a point has a zero gradient or rho is not finite.
+        Raises NotOnSurface when 80 steps leave |Re rho| > ON_SURFACE_TOL
+        max(1, |P| |rho_j|), rho_j the last gradient evaluated (``_on_surface``),
+        and at once when such a point has a zero gradient or rho is not finite.
         """
         z = np.array(p, dtype=complex)
         batched = z.ndim == 2
         Z = z if batched else z[None, :]
+        g = np.zeros_like(Z)
         for it in range(81):  # 80 Newton steps, then a last look at rho
             val = np.real(self.rho_at(Z))
             if it == 80 or np.max(np.abs(val)) < 1e-13 or not np.all(np.isfinite(val)):
@@ -124,12 +127,7 @@ class HypersurfaceChart:
                 break  # Newton cannot move a point where rho has no gradient
             step = val / np.where(denom == 0, 1.0, denom)
             Z = Z - step[:, None] * np.conj(g)
-        offs = np.abs(val)
-        if not np.max(offs) < ON_SURFACE_TOL:  # a NaN fails too
-            i = int(np.argmax(offs))
-            raise NotOnSurface(
-                f"projection left |rho| = {offs[i]:.3e} at point index {i} (tol {ON_SURFACE_TOL:.1e})"
-            )
+        _on_surface(val, Z, g, ON_SURFACE_TOL, NotOnSurface, "projection left |rho| = {:.3e} at point index {}")
         return Z if batched else Z[0]
 
     def __repr__(self):
@@ -297,6 +295,16 @@ def _real(values, tol, what, cls):
     return re
 
 
+def _on_surface(rho, P, grad, tol, cls, msg, labels=None):
+    """Raise ``cls(msg.format(|rho|, i or labels[i]))`` at the first point i off the surface."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf * 0 scale is NaN; fmax reads it as 1
+        bound = tol * np.fmax(1.0, np.linalg.norm(P, axis=1) * np.linalg.norm(grad, axis=1))
+    bad = ~((np.abs(rho) <= bound) & np.isfinite(rho))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise cls(msg.format(abs(rho[i]), i if labels is None else labels[i]) + f" (tol {bound[i]:.1e})")
+
+
 def _transverse_batch(grad, hess):
     """Solve { rho_j xi^j = 1, rho_{j kbar} xi^j = r rho_kbar } pointwise as B^T u = e_0,
     with the corner of B zero: u = (-r, xi) is row 0 of B^-1.
@@ -335,13 +343,8 @@ def _bordered(corner, row, col, block):
 
 def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _FrameBatch:
     """Frame, Levi data, transverse field, and J for a (K, m) batch."""
-    rho = _real(chart.rho_at(P), 1e-9, "rho", NotOnSurface)
-    offs = np.abs(rho)
-    if not np.max(offs) < ON_SURFACE_TOL:  # a NaN fails too
-        i = int(np.argmax(offs))
-        raise NotOnSurface(f"|rho| = {offs[i]:.3e} at point index {i} exceeds tol {ON_SURFACE_TOL:.1e}")
-
-    grad = chart.grad_at(P)
+    rho, grad = chart.rho_at(P), chart.grad_at(P)
+    _on_surface(rho, P, grad, ON_SURFACE_TOL, NotOnSurface, "|rho| = {:.3e} at point index {} is off the surface")
     absg = np.abs(grad)
     # at the argmax w, |rho_w| = max_j |rho_j|: one gate serves both choices of w
     w = np.argmax(absg, axis=1) if w_index is None else np.full(P.shape[0], int(w_index))
@@ -352,7 +355,7 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
 
     hess = chart.hess_at(P)
     fb = _FrameBatch()
-    fb.P, fb.w, fb.grad, fb.hess, fb.rho = P, w, grad, hess, rho
+    fb.P, fb.w, fb.grad, fb.hess, fb.rho = P, w, grad, hess, rho.real
     fb.hol2 = fb.jet3 = fb.Binv = fb.dB = fb.BdBB = None
     fb.fc, fb.Zc = _frame_coeffs(grad, w)
 
@@ -377,7 +380,7 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
 
     xi, r = _transverse_batch(grad, hess)
     fb.xi, fb.r = xi, _real(r, 1e-10, "transverse curvature", SingularSystem)
-    fb.J = _fefferman_batch(rho, grad, hess)
+    fb.J = _fefferman_batch(fb.rho, grad, hess)
     return fb
 
 

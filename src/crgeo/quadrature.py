@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, NoCrossing, NonTransversal, NotStarShaped
-from .hypersurface import HypersurfaceChart, _bordered, _levi_form, _real
+from .hypersurface import HypersurfaceChart, _bordered, _levi_form, _on_surface, _real
 
 ROOT_TOL = 1e-12
 TRANSVERSAL_FLOOR = 1e-10
@@ -197,14 +197,12 @@ def _radial_batch(rc: RadialChart, U: np.ndarray, labels=None) -> np.ndarray:
     for step in range(7):  # the seventh pass only reads the residual and slope at the root
         P = t[:, None] * Z
         val = np.real(rc.chart.rho_at(P))
-        slope = 2.0 * np.real(np.einsum("kj,kj->k", rc.chart.grad_at(P), Z))
+        grad = rc.chart.grad_at(P)
+        slope = 2.0 * np.real(np.einsum("kj,kj->k", grad, Z))
         if step == 6:
             break
         t = t - val / np.where(np.abs(slope) < TRANSVERSAL_FLOOR, np.inf, slope)
-    val = np.abs(val)
-    if np.max(val) > ROOT_TOL:
-        i = int(np.argmax(val))
-        raise NoCrossing(f"radial polish stalled at |rho| = {val[i]:.2e} on ray {labels[i]}")
+    _on_surface(val, P, grad, ROOT_TOL, NoCrossing, "radial polish stalled at |rho| = {:.3e} on ray {}", labels)
     if np.min(np.abs(slope)) < TRANSVERSAL_FLOOR:
         i = int(np.argmin(np.abs(slope)))
         raise NonTransversal(f"|d rho/dt| = {abs(slope[i]):.2e} at the root of ray {labels[i]}")

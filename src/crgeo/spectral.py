@@ -128,7 +128,8 @@ def takahashi_check(spec: ImmersionSpec, sample) -> TakahashiReport:
 
     Fv = eval_array(spec.F, P)
     dF = eval_array(sym.jets(spec.F, spec.dim, "h"), P)
-    boxb = n * np.conj(np.einsum("kdj,kj->kd", dF, xi))
+    dF_xi = np.einsum("kdj,kj->kd", dF, xi)
+    boxb = n * np.conj(dF_xi)
 
     Fbar = np.conj(Fv)
     anchor = np.abs(Fbar[0]) > 1e-8
@@ -150,9 +151,7 @@ def takahashi_check(spec: ImmersionSpec, sample) -> TakahashiReport:
 
     radius = float(np.sqrt(n / lam))
     radius_resid = float(np.max(np.abs(np.linalg.norm(Fv, axis=1) - radius)))
-    reeb_resid = float(
-        np.max(np.abs(np.einsum("kdj,kj->kd", dF, xi) - (lam / n) * Fv))
-    )
+    reeb_resid = float(np.max(np.abs(dF_xi - (lam / n) * Fv)))
     return TakahashiReport(
         lam=lam,
         radius=radius,

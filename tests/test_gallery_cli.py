@@ -386,6 +386,13 @@ class TestCli:
 C3_TIMES_100 = "dim = 3\nrho = 100*(abs2(z1) + abs2(z2) + abs2(z3) + re(0.3*z1^2 + (0.1+0.2i)*z2*z3) - 1)\n"
 
 
+# one quadric per ambient dimension, its rho scaled by c
+SCALED_QUADRIC = {
+    2: "dim = 2\nrho = {c!r}*(abs2(z1) + abs2(z2) + re(0.3*z1^2 + (0.1+0.2i)*z1*z2) - 1)\n",
+    3: "dim = 3\nrho = {c!r}*(abs2(z1) + abs2(z2) + abs2(z3) + re(0.3*z1^2 + (0.1+0.2i)*z2*z3) - 1)\n",
+}
+
+
 def _quadric_file(path, c, A):
     terms = " + ".join(f"abs2(z{j + 1})" for j in range(len(A)))
     holo = " + ".join(f"({float(a.real)!r}{float(a.imag):+.17g}i)*z{j + 1}^2" for j, a in enumerate(A))
@@ -410,7 +417,7 @@ class TestScaleCovariance:
 
     @given(
         m=st.sampled_from([2, 3]),
-        u=st.floats(-3.0, 3.0),
+        u=st.floats(-3.0, 8.0),
         moduli=st.lists(st.floats(0.0, 0.4), min_size=3, max_size=3),
         angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
         direction=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
@@ -445,6 +452,40 @@ class TestScaleCovariance:
         rc, out, err = run_cli(["check", "--surface-file", str(f), "--seed", "0"])
         assert rc == 0, err
         assert "ALL CHECKS PASSED" in out
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_scaled_quadric_scan_follows_the_unit_scan(self, tmp_path, m):
+        # the radial root and the on-surface gates scale with |P| |rho_j|: every c scans
+        def scan(c):
+            f = tmp_path / f"q{c:g}.txt"
+            f.write_text(SCALED_QUADRIC[m].format(c=c))
+            rc, out, err = run_cli(["scan", "--surface-file", str(f), "--grid", "10"])
+            assert rc == 0, err
+            header, *rows = out.splitlines()
+            return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+        base = scan(1.0)
+        for c in (1e4, 1e6, 1e8):
+            scaled = scan(c)
+            for j in range(1, m + 1):
+                assert scaled[f"z{j}_re"] == base[f"z{j}_re"] and scaled[f"z{j}_im"] == base[f"z{j}_im"], c
+            for key, factor in [("J", c ** (m + 1)), ("r", 1 / c), ("scalarR", 1 / c)]:
+                want = factor * np.array(base[key], dtype=float)
+                gap = np.abs(np.array(scaled[key], dtype=float) - want)
+                assert np.max(gap) <= 1e-12 * np.max(np.abs(want)), (c, key)
+
+    def test_scaled_sphere_immersion_bounds(self, tmp_path):
+        def bound(c):
+            f = tmp_path / f"s{c:g}.txt"
+            f.write_text(f"dim = 2\nrho = {c!r}*(abs2(z1) + abs2(z2) - 1)\n"
+                         f"F = [{c ** 0.5!r}*z1, {c ** 0.5!r}*z2]\npsi = {-c!r}\n")
+            rc, out, err = run_cli(["bound", "--surface-file", str(f), "--quad", "grid:6"])
+            assert rc == 0, err
+            return {k: decode_number(v) for k, v in json.loads(out)["aggregates"].items() if k in ("volume", "mean_H2")}
+
+        base, scaled = bound(1.0), bound(1e4)
+        assert abs(scaled["volume"] - 1e8 * base["volume"]) <= 1e-10 * 1e8 * base["volume"]
+        assert abs(scaled["mean_H2"] - 1e-4 * base["mean_H2"]) <= 1e-12 * 1e-4 * base["mean_H2"]
 
     def test_large_multiple_of_the_sphere_loads(self, tmp_path):
         f = tmp_path / "s.txt"

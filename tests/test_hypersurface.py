@@ -1,6 +1,7 @@
 """Chart geometry: frames, transverse field, determinants, curvature."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from crgeo import symbolic as sym
 from crgeo.checks import _fd_suite, fd_frame_levi_derivs, fd_wirtinger, hypersurface_suite
 from crgeo.errors import (
     DegenerateFrame,
+    NoCrossing,
     NonpositiveJ,
     NotOnSurface,
     NotStrictlyPseudoconvex,
@@ -25,6 +27,7 @@ from crgeo.hypersurface import (
     _frame_levi_derivs,
     _loghess_ambient,
     _loghess_batch,
+    _on_surface,
     _real,
     conformal_transverse,
     connection_coeffs,
@@ -762,3 +765,45 @@ class TestRealnessGate:
     def test_nan_passes_through(self):
         values = np.array([complex(np.nan, 0.0), complex(1.0, np.nan), complex(np.nan, np.nan), 2.0])
         assert np.array_equal(_real(values, 1e-10, "r", SingularSystem), values.real, equal_nan=True)
+
+
+OFF = "off: |rho| = {:.3e} at point index {}"
+
+
+class TestOnSurfaceRule:
+    """``_on_surface``: |rho| <= tol max(1, |P| |rho_j|), the given class, the
+    first offending index or ray label; NaN and inf fail."""
+
+    @pytest.mark.parametrize("scale", [0.0, 0.25, 1.0, 3.0, 1e6, 1e12])
+    def test_bound_is_tol_up_to_unit_scale_and_grows_above(self, scale):
+        # |P| = 2 and |grad| = scale / 2, split over two coordinates
+        P = np.array([[2.0, 0.0], [1.2, 1.6j], [0.0, -2.0]])
+        grad = np.array([[0.0, 0.5j], [0.3, -0.4], [0.5, 0.0]]) * scale
+        bound = 1e-10 * max(1.0, scale)
+        _on_surface(np.array([0.0, 0.99 * bound, -0.99j * bound]), P, grad, 1e-10, NotOnSurface, OFF)
+        with pytest.raises(NotOnSurface, match=r"^off: \|rho\| = .* at point index 1 \(tol "):
+            _on_surface(np.array([0.0, 1.01 * bound, 0.0]), P, grad, 1e-10, NotOnSurface, OFF)
+
+    def test_raises_the_given_class_at_the_first_offender_or_its_ray_label(self):
+        P = np.ones((4, 2), dtype=complex)
+        grad = np.zeros((4, 2))
+        rho = np.array([0.0, 1e-3, 0.0, 1.0])
+        with pytest.raises(NoCrossing, match=r"^stalled at \|rho\| = 1.000e-03 on ray 701 \(tol 1.0e-12\)$"):
+            _on_surface(rho, P, grad, 1e-12, NoCrossing, "stalled at |rho| = {:.3e} on ray {}", np.array([700, 701, 702, 703]))
+        with pytest.raises(NotOnSurface, match=r"^left \|rho\| = 1.000e-03 at point index 1 \(tol 1.0e-12\)$"):
+            _on_surface(rho, P, grad, 1e-12, NotOnSurface, "left |rho| = {:.3e} at point index {}")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("x", [0.5, 1e300])
+    def test_nan_and_inf_fail(self, bad, x):
+        # |P| |grad| is 0.5 at x = 0.5; at 1e300 the bound overflows to inf, and inf must still fail
+        P, grad = np.full((2, 2), x), np.full((2, 2), x)
+        with pytest.raises(NotOnSurface, match="at point index 1 "):
+            _on_surface(np.array([0.0, bad]), P, grad, 1e-10, NotOnSurface, OFF)
+
+    def test_far_point_gate_emits_no_runtime_warning(self):
+        # rho overflows to inf before any gradient is taken: the scale is inf * 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NotOnSurface, match=r"^projection left \|rho\| = inf at point index 0 \(tol 1.0e-10\)$"):
+                sphere_chart().project(np.array([1e200, 0.0]))
