@@ -75,7 +75,6 @@ class HypersurfaceChart:
         self.m = int(dim)
         self.n = self.m - 1
         self.name = name
-        self._jets = {}
 
     # ---- numeric evaluation ----------------------------------------------
 
@@ -83,11 +82,8 @@ class HypersurfaceChart:
         return eval_at(self.rho, P)
 
     def jets(self, pattern):
-        """``sym.jets(self.rho, self.m, pattern)``, built once per chart."""
-        out = self._jets.get(pattern)
-        if out is None:
-            out = self._jets[pattern] = sym.jets(self.rho, self.m, pattern)
-        return out
+        """``sym.jets(self.rho, self.m, pattern)``, built once per process."""
+        return sym.jets(self.rho, self.m, pattern)
 
     def grad_at(self, P):
         """(..., m) array of rho_j."""

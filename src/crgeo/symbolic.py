@@ -6,6 +6,12 @@ derivatives d/dz^j and d/dzbar^j.  Trees are immutable after construction and
 all operations here are pure, so expressions can be shared freely across
 threads and cached aggressively.
 
+Nodes are interned: each factory returns the one node of its (op, children,
+payload), held in a module-level table for the life of the process, so equal
+trees built apart are one object.  A derivative, a conjugate or a compiled
+program cached on a node is therefore shared by every surface of the same
+structure, however often it is rebuilt.
+
 Normal forms kept by the constructors:
   * conj(...) is distributed down to variables and constants at build time,
     so no conj node ever appears in a stored tree;
@@ -17,7 +23,7 @@ order so that commuting derivatives are one tree.  ``evaluate`` runs one or
 more expressions as a flat post-order program over their union DAG: shared
 nodes run once, conjugate partners are mirrored by ``np.conj``, and each
 intermediate is dropped after its last reader.  The program is kept on the
-first root, keyed by the tuple of roots, so it lives as long as the tree.
+first root, keyed by the tuple of roots, and compiled once per process.
 
 Distributing conj through log assumes the log argument stays off the negative
 real axis; every expression in scope takes log of positive real quantities
@@ -25,6 +31,8 @@ real axis; every expression in scope takes log of positive real quantities
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,17 +49,20 @@ _LOG = "log"
 
 
 class Expr:
-    """Immutable expression-tree node. Build through the module factories."""
+    """Immutable, interned expression-tree node. Build through the module
+    factories: equal trees are one node, which lives for the process and
+    carries its derivatives, jets, conjugate and programs for every later build."""
 
-    __slots__ = ("op", "args", "payload", "_dcache", "_conj", "_indices", "_progs")
+    __slots__ = ("op", "args", "payload", "_dcache", "_conj", "_indices", "_jets", "_progs")
 
     def __init__(self, op, args=(), payload=None):
         self.op = op
         self.args = args
         self.payload = payload
-        self._dcache = {}
+        self._dcache = None
         self._conj = None
         self._indices = None
+        self._jets = None
         self._progs = None
 
     # arithmetic sugar; accepted scalars are wrapped into constants
@@ -101,14 +112,29 @@ def _is_const(e, value=None):
     return value is None or e.payload == value
 
 
+_NODES = {}  # (op, children, payload key) -> its one node, held for the process
+
+
+def _node(op, args=(), payload=None, key=None):
+    """The interned node of ``(op, args, payload)``; ``key`` replaces the
+    payload in the table key where ``==`` is too coarse."""
+    k = (op, args, payload if key is None else key)
+    e = _NODES.get(k)
+    if e is None:
+        e = _NODES[k] = Expr(op, args, payload)
+    return e
+
+
 def const(c) -> Expr:
-    return Expr(_CONST, payload=complex(c))
+    c = complex(c)
+    # 0.0 == -0.0, so the signs join the key; a NaN never equals itself and misses
+    return _node(_CONST, payload=c, key=(c, math.copysign(1.0, c.real), math.copysign(1.0, c.imag)))
 
 
 def var(index: int, conjugated: bool = False) -> Expr:
     if index < 0:
         raise ValueError("variable index must be nonnegative")
-    return Expr(_VAR, payload=(index, bool(conjugated)))
+    return _node(_VAR, payload=(index, bool(conjugated)))
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -118,7 +144,7 @@ def add(a: Expr, b: Expr) -> Expr:
         return b
     if _is_const(b, 0j):
         return a
-    return Expr(_ADD, (a, b))
+    return _node(_ADD, (a, b))
 
 
 def neg(a: Expr) -> Expr:
@@ -126,7 +152,7 @@ def neg(a: Expr) -> Expr:
         return const(-a.payload)
     if a.op == _NEG:
         return a.args[0]
-    return Expr(_NEG, (a,))
+    return _node(_NEG, (a,))
 
 
 def mul(a: Expr, b: Expr) -> Expr:
@@ -138,7 +164,7 @@ def mul(a: Expr, b: Expr) -> Expr:
         return b
     if _is_const(b, 1 + 0j):
         return a
-    return Expr(_MUL, (a, b))
+    return _node(_MUL, (a, b))
 
 
 def recip(a: Expr) -> Expr:
@@ -148,7 +174,7 @@ def recip(a: Expr) -> Expr:
         return const(1.0 / a.payload)
     if a.op == _RECIP:
         return a.args[0]
-    return Expr(_RECIP, (a,))
+    return _node(_RECIP, (a,))
 
 
 def intpow(a: Expr, k: int) -> Expr:
@@ -163,7 +189,7 @@ def intpow(a: Expr, k: int) -> Expr:
         return const(a.payload**k)
     if a.op == _POW:
         return intpow(a.args[0], a.payload * k)
-    return Expr(_POW, (a,), payload=k)
+    return _node(_POW, (a,), k)
 
 
 def log(a: Expr) -> Expr:
@@ -171,7 +197,7 @@ def log(a: Expr) -> Expr:
         if a.payload == 0:
             raise DomainError("log of the zero constant", a)
         return const(np.log(a.payload))
-    return Expr(_LOG, (a,))
+    return _node(_LOG, (a,))
 
 
 def conj(e: Expr) -> Expr:
@@ -208,23 +234,30 @@ def abs2(e: Expr) -> Expr:
     return mul(e, conj(e))
 
 
+_NO_INDICES = frozenset()
+
+
 def free_indices(e: Expr) -> frozenset:
     """Set of coordinate indices occurring in the tree (barred or not)."""
     if e._indices is not None:
         return e._indices
     if e.op == _CONST:
-        s = frozenset()
+        s = _NO_INDICES
     elif e.op == _VAR:
         s = frozenset((e.payload[0],))
-    else:
-        s = frozenset().union(*(free_indices(a) for a in e.args))
+    else:  # reuse a child's set when it already holds every index
+        sets = [free_indices(a) for a in e.args]
+        s = max(sets, key=len)
+        if not all(t <= s for t in sets):
+            s = s.union(*sets)
     e._indices = s
     return s
 
 
 def differentiate(e: Expr, j: int, conjugated: bool = False) -> Expr:
     """Wirtinger derivative d e / dz^j (or d/dzbar^j when conjugated)."""
-    key = (j, conjugated)
+    e._dcache = e._dcache or {}
+    key = 2 * j + bool(conjugated)  # an int key: no tuple is kept per derivative
     cached = e._dcache.get(key)
     if cached is not None:
         return cached
@@ -262,25 +295,29 @@ def differentiate(e: Expr, j: int, conjugated: bool = False) -> Expr:
 
 
 def jets(e, m: int, pattern: str):
-    """Nested list of the Wirtinger derivatives of ``e``, or of each expression
-    in a list ``e``, with one index in ``range(m)`` per letter of ``pattern``:
+    """Nested tuple of the Wirtinger derivatives of ``e`` (a list of them for
+    a list ``e``), with one index in ``range(m)`` per letter of ``pattern``:
     ``h`` is d/dz and ``b`` is d/dzbar, so entry ``[j][k]`` of ``"hb"`` is
     d_j d_kbar e.  Each entry takes its steps sorted by (conjugated, index):
-    permuted multi-indices give the same tree.
+    permuted multi-indices give the same tree.  The array of one expression
+    is built once per ``(m, pattern)`` and kept on it, for every caller.
     """
     if not isinstance(e, Expr):
         return [jets(x, m, pattern) for x in e]
+    e._jets = e._jets or {}
+    if (m, pattern) not in e._jets:
 
-    def entry(steps):
-        if len(steps) < len(pattern):
-            c = pattern[len(steps)] == "b"
-            return [entry(steps + ((c, j),)) for j in range(m)]
-        out = e
-        for c, j in sorted(steps):
-            out = differentiate(out, j, c)
-        return out
+        def entry(steps):
+            if len(steps) < len(pattern):
+                c = pattern[len(steps)] == "b"
+                return tuple(entry(steps + ((c, j),)) for j in range(m))
+            out = e
+            for c, j in sorted(steps):
+                out = differentiate(out, j, c)
+            return out
 
-    return entry(())
+        e._jets[m, pattern] = entry(())
+    return e._jets[m, pattern]
 
 
 def constants(exprs):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crgeo import cli, hypersurface
+from crgeo import cli, hypersurface, symbolic as sym
 from crgeo.cli import main, parse_params, parse_point
 from crgeo.errors import BadParams, InputError, UnknownSurface
 from crgeo.gallery import gallery, load_surface
@@ -67,8 +67,6 @@ class TestGallery:
         assert surf.immersion is not None
         bad = dict(fields)
         bad["psi"] = None
-        from crgeo import symbolic as sym
-
         bad["psi"] = sym.const(-2)
         with pytest.raises(BadParams):
             load_surface(bad)
@@ -487,12 +485,43 @@ class TestScaleCovariance:
         assert abs(scaled["volume"] - 1e8 * base["volume"]) <= 1e-10 * 1e8 * base["volume"]
         assert abs(scaled["mean_H2"] - 1e-4 * base["mean_H2"]) <= 1e-12 * 1e-4 * base["mean_H2"]
 
+    def test_large_multiple_of_the_sphere_immersion_loads(self, tmp_path):
+        # rho - |F|^2 - psi is held to 1e-9 max(1, |rho|): at c = 1e8 its rounding
+        # alone failed the old absolute 1e-9, and a wrong F still fails
+        for f2, want in [("1e4", 0), ("1.0001e4", 2)]:
+            f = tmp_path / f"s{f2}.txt"
+            f.write_text(f"dim = 2\nrho = 1e8*(abs2(z1) + abs2(z2) - 1)\nF = [1e4*z1, {f2}*z2]\npsi = -1e8\n")
+            for argv in (["analyze", "--surface-file", str(f), "--point=0.6,0.8"],
+                         ["bound", "--surface-file", str(f), "--quad", "grid:4"]):
+                rc, _, err = run_cli(argv)
+                assert rc == want, err
+                assert not rc or json.loads(err)["error"] == "BadParams"
+
     def test_large_multiple_of_the_sphere_loads(self, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("dim = 2\nrho = 100000*(abs2(z1) + abs2(z2) - 1)\n")
         rec = _analyze(str(f), np.array([0.6, 0.8]))
         for key, want in [("r", 1e-5), ("J", 1e15), ("scalarR", 2e-5)]:
             assert abs(rec[key] - want) <= 1e-12 * want, key
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--surface", "whitney", "--params", "n=1", "--point", "1,0"],
+    ["analyze", "--surface-file", "c3x100.txt", "--point=0.3+0.3i,0.5-0.2i,0.6"],
+])
+def test_a_repeated_analyze_compiles_nothing(argv, tmp_path, monkeypatch):
+    # nodes are interned for the process, so the rebuilt surface finds every
+    # derivative and program of the first build
+    (tmp_path / "c3x100.txt").write_text(C3_TIMES_100)
+    argv = [str(tmp_path / a) if a == "c3x100.txt" else a for a in argv]
+    first = run_cli(argv)
+    assert first[0] == 0, first[2]
+
+    def no_compile(roots):
+        raise AssertionError("a program was compiled")
+
+    monkeypatch.setattr(sym, "_compile", no_compile)
+    assert run_cli(argv) == first
 
 
 def test_nonreal_J_exits_3_with_a_json_error(monkeypatch):

@@ -1,5 +1,6 @@
 """Wirtinger engine: derivative rules, evaluation semantics, zero tests."""
 
+import collections
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from crgeo import symbolic as sym
 from crgeo.checks import fd_wirtinger, random_exprs, symcore_suite
+from crgeo.dsl import parse_expr
 from crgeo.errors import DomainError
 from crgeo.gallery import gallery
 from crgeo.hypersurface import eval_array, eval_at
@@ -140,10 +142,21 @@ class TestProgram:
         exprs = random_exprs(np.random.default_rng(seed), 3, count=10)
         entry_peak = max(sym._compile([e])[2] for e in exprs)
         code, outs, nregs = sym._compile(exprs)
-        # the finished entries' values are held; beyond them, the union needs
-        # no more registers than one entry alone
-        assert nregs - (len(exprs) - 1) <= entry_peak
+        # interned entries share nodes (variables, constants), and a node read
+        # by several entries stays held until its last reader
+        counts = collections.Counter(i for e in exprs for i in tree_ids(e))
+        shared = sum(1 for n in counts.values() if n > 1)
+        # the finished entries' values and the shared nodes are held; beyond
+        # them, the union needs no more registers than one entry alone
+        assert nregs - (len(exprs) - 1) <= entry_peak + shared
         assert nregs < len(code)
+
+    def test_union_of_disjoint_entries_keeps_the_unshared_bound(self):
+        # entries over disjoint variables and constants share no node
+        exprs = [sym.log(sym.abs2(sym.var(j) * sym.var(j + 3) + (j + 0.5))) for j in range(3)]
+        assert not set.intersection(*(tree_ids(e) for e in exprs))
+        entry_peak = max(sym._compile([e])[2] for e in exprs)
+        assert sym._compile(exprs)[2] - (len(exprs) - 1) <= entry_peak
 
 
 # the order in which each jet array's entries used to take their steps:
@@ -166,6 +179,16 @@ def chain(e, steps):
     for j, c in steps:
         e = sym.differentiate(e, j, c)
     return e
+
+
+def tree_ids(e, seen=None):
+    """The ids of every node of the tree ``e``."""
+    seen = set() if seen is None else seen
+    if id(e) not in seen:
+        seen.add(id(e))
+        for a in e.args:
+            tree_ids(a, seen)
+    return seen
 
 
 def flat(nested):
@@ -192,8 +215,12 @@ class TestJets:
             assert hh[j][a] is hh[a][j]
             assert hbh[j][k][a] is hbh[a][k][j]
             assert j4[j][k][a][c] is j4[a][c][j][k] is j4[a][k][j][c] is j4[j][c][a][k]
-        # 81 fourth jets: 6 unbarred pairs x 6 barred pairs
-        assert len({id(e) for e in flat(j4)}) == 36
+        # 81 fourth jets: 6 unbarred pairs x 6 barred pairs, one tree each
+        pairs = {(tuple(sorted((j, a))), tuple(sorted((k, c))), id(j4[j][k][a][c]))
+                 for j, k, a, c in itertools.product(range(3), repeat=4)}
+        assert len(pairs) == 36
+        # and interned: pairs with equal trees share one node (4 here)
+        assert len({id(e) for e in flat(j4)}) == len({sym.to_text(e) for e in flat(j4)}) == 4
 
     @pytest.mark.parametrize("name,params", JET_SURFACES)
     def test_first_and_mixed_jets_are_the_ordered_nodes(self, name, params):
@@ -226,7 +253,10 @@ class TestProgramCache:
         return calls
 
     def test_once_per_distinct_root_tuple(self, compiles):
-        e0, e1 = random_exprs(np.random.default_rng(5), 2, count=2)
+        # nodes live for the process: a constant no other test builds keeps
+        # these trees uncompiled until now
+        e0, e1 = (e + 7.25e-3j for e in random_exprs(np.random.default_rng(5), 2, count=2))
+        assert e0._progs is None and e1._progs is None
         coords = [np.array([0.5 + 0.1j, 0.9]), np.array([0.7, 1.1 - 0.3j])]
         for _ in range(3):
             sym.evaluate([e0, e1], coords)
@@ -236,13 +266,45 @@ class TestProgramCache:
         assert compiles == [(e0, e1), (e0,), (e1, e0)]
 
     def test_radial_batch_compiles_its_gradient_list_once(self, compiles):
-        surf = gallery("whitney", n=1)
+        # nodes live for the process: coefficients no other test builds keep
+        # this surface's rho and gradient uncompiled until now
+        surf = gallery("ellipsoid", A=(0.1375, 0.2625))
         compiles.clear()  # building the surface ran its zero tests
+        grad = tuple(sym.jets(surf.chart.rho, 2, "h"))
+        assert surf.chart.rho._progs is None and grad[0]._progs is None
         rng = np.random.default_rng(0)
         U = rng.standard_normal((16, 4))
         _radial_batch(RadialChart(surf.chart), U / np.linalg.norm(U, axis=1, keepdims=True))
-        grad = tuple(sym.jets(surf.chart.rho, 2, "h"))
         assert compiles == [(surf.chart.rho,), grad]
+
+
+class TestInterning:
+    """Every factory returns the one node of its (op, children, payload)."""
+
+    def test_equal_trees_built_apart_are_one_node(self):
+        def build():
+            z, w = sym.var(0), sym.var(1, conjugated=True)
+            return sym.log(sym.add(sym.const(2), sym.mul(sym.neg(z), sym.recip(sym.intpow(w, 3)))))
+
+        a, b = build(), build()
+        assert a is b
+        assert sym.conj(a) is sym.conj(b) and sym.differentiate(a, 1, True) is sym.differentiate(b, 1, True)
+
+    def test_parsing_the_same_text_twice_gives_one_node(self):
+        text = "abs2(z1) + re(0.3*z1^2 + (0.1+0.2i)*z1*z2) - log(1 + abs2(z2))"
+        assert parse_expr(text) is parse_expr(text)
+
+    def test_rebuilt_gallery_surface_is_the_same_tree(self):
+        a, b = gallery("whitney", n=2), gallery("whitney", n=2)
+        assert a is not b and a.chart.rho is b.chart.rho
+        assert all(f is g for f, g in zip(a.immersion.F, b.immersion.F))
+
+    def test_signed_zero_constants_stay_apart(self):
+        for zero, signed in [(0.0, -0.0), (0j, complex(0, -0.0))]:
+            assert sym.const(zero) is sym.const(zero) and sym.const(signed) is sym.const(signed)
+            assert sym.const(zero) is not sym.const(signed)
+            np.testing.assert_array_equal(bits(sym.const(signed).payload), bits(complex(signed)))
+        assert sym.const(-0.0) is not sym.const(complex(0, -0.0))
 
 
 class TestHolomorphy:
