@@ -7,6 +7,9 @@ transverse field and curvature, bordered-Hessian determinant, Tanaka-Webster
 connection coefficients, Ricci data, second fundamental form with mean
 curvature and torsion, umbilicity tests, Kohn-Laplacian values on
 pluriharmonic restrictions, and quadrature-based eigenvalue bounds.
+
+Everything is computed on (K, m) batches of points; ``curvature_batch`` gives
+the per-point geometry of a surface, and a single point is a one-row batch.
 """
 
 from .dsl import parse_expr, parse_surface_file
@@ -34,29 +37,9 @@ from .errors import (
     UnwritableFile,
     ZeroEnergy,
 )
-from .gallery import SurfaceSpec, gallery, load_surface, scan_surface
-from .hypersurface import (
-    ConnectionData,
-    FrameData,
-    HypersurfaceChart,
-    conformal_transverse,
-    connection_coeffs,
-    fefferman_det,
-    frame_at,
-    loghess_J,
-    ricci_liluk,
-    transverse_solve,
-)
-from .immersion import (
-    CurvatureData,
-    ImmersionSpec,
-    SecondFundamentalForm,
-    UmbilicityReport,
-    gauss_curvature,
-    second_fundamental_form,
-    torsion_from_II,
-    umbilicity_report,
-)
+from .gallery import SurfaceSpec, curvature_batch, gallery, load_surface, scan_surface
+from .hypersurface import HypersurfaceChart, fefferman_det, transverse_solve
+from .immersion import ImmersionSpec
 from .quadrature import (
     QuadratureRule,
     RadialChart,
@@ -65,15 +48,12 @@ from .quadrature import (
     parse_quad_flag,
     product_grid,
     quasi_monte_carlo,
-    radial_solve,
 )
 from .report import TOOL_VERSION as __version__, Report, scan_csv
 from .spectral import (
     EigenBoundReport,
     PluriharmonicFunction,
     TakahashiReport,
-    boxb_pluriharmonic,
-    dbarb_energy_density,
     reilly_bound,
     takahashi_check,
     tension_bound,

@@ -26,7 +26,7 @@ from . import dsl
 from . import symbolic as sym
 from .checks import run_suites
 from .errors import BadParams, CrgeoError, GeometryError, InputError, UnreadableFile, UnwritableFile
-from .gallery import GALLERY_DOC, SurfaceSpec, _curvature_batch, gallery, load_surface, scan_surface
+from .gallery import GALLERY_DOC, SurfaceSpec, curvature_batch, gallery, load_surface, scan_surface
 from .hypersurface import _frame_batch  # noqa: F401 -- perfbench's tracer test reads this binding
 from .immersion import _gauss_form, _levi_norm2
 from .quadrature import parse_quad_flag
@@ -136,7 +136,7 @@ def cmd_analyze(args):
     surface = _load_surface(args)
     p = surface.chart.project(parse_point(args.point, surface.dim))
 
-    fb, f, ric, R, L = _curvature_batch(surface, p[None, :])
+    fb, f, ric, R, L = curvature_batch(surface, p[None, :])
     record = {
         "point": p,
         "h": fb.h[0],

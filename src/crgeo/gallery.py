@@ -298,11 +298,14 @@ def load_surface(fields: dict, name="custom") -> SurfaceSpec:
 # ---- batched surface scan ----------------------------------------------------
 
 
-def _curvature_batch(surface: SurfaceSpec, P):
-    """Geometry of ``analyze`` and ``scan`` at points P: the SFF batch when the
-    surface carries an immersion, else the frame batch alone, then the Ricci data.
+def curvature_batch(surface: SurfaceSpec, P):
+    """Geometry of ``analyze`` and ``scan`` at a (K, m) batch of on-surface points P:
+    the SFF batch when the surface carries an immersion, else the frame batch
+    alone, then the Ricci data.  A single point p is the batch ``p[None, :]``.
 
-    Returns (fb, f, ric, R, L); ``f`` is the SFF field dict, or None.
+    Returns (fb, f, ric, R, L): the frame batch (``fb.h``, ``fb.r``, ``fb.J``, ...),
+    the SFF field dict of ``immersion._sff_batch`` or None, the Ricci form, the
+    scalar curvature and the frame Hessian of log J, each stacked over the K points.
     """
     if surface.immersion is not None:
         fb, f = _sff_batch(surface.immersion, P)
@@ -319,7 +322,7 @@ def scan_surface(surface: SurfaceSpec, budget: int, umbilic_tolerance=UMBILIC_TO
     immersion.
     """
     P, spacing = surface.scan_grid(budget)
-    fb, f, _, R, L = _curvature_batch(surface, P)
+    fb, f, _, R, L = curvature_batch(surface, P)
     out = {"points": P, "spacing": spacing}
     if f is not None:
         out["II0norm2"] = f["II0"]

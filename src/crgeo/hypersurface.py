@@ -13,10 +13,10 @@ Internals are vectorized: the private ``*_batch`` helpers accept (K, m) arrays
 of points and return stacked arrays.  Each point carries its own distinguished
 coordinate w, and every helper takes batches that mix them: only the w-column
 of the frame varies, so frame derivatives follow by the chain rule from
-w-free ambient jets.  The public functions are the K=1 wrappers with the
-per-point error contracts; those that return one point's result refuse a
-batch of several points.  Charts are immutable after construction and
-all computations are pure, so points may be partitioned across workers freely.
+w-free ambient jets.  A single point is a one-row batch: there is no
+per-point API, and row k of any result depends on point k alone.  Charts are
+immutable after construction and all computations are pure, so points may be
+partitioned across workers freely.
 
 ``eval_array`` is the one batched evaluation path: every array of jets the
 package uses (gradients, Hessians, the third- and fourth-order ambient jets,
@@ -33,7 +33,6 @@ it, so c rho (c > 0), whose r, J and R scale by powers of c, passes as rho does.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,54 +170,15 @@ def eval_array(exprs, P):
     return out.reshape(P.shape[:-1] + grid.shape)
 
 
-def _as_batch(p, m):
-    P = np.asarray(p, dtype=complex)
-    if P.ndim == 1:
-        return P[None, :], True
-    if P.ndim == 2 and P.shape[1] == m:
-        return P, False
-    raise ValueError(f"expected point shape (m,) or (K, m) with m={m}, got {P.shape}")
-
-
-def _one_point(p, m):
-    """(1, m) batch of a K=1 wrapper's point; a batch of several points is refused."""
-    P, _ = _as_batch(p, m)
-    if P.shape[0] != 1:
-        raise ValueError(f"expected one point, got a batch of {P.shape[0]}")
+def _batch(P, m):
+    """(K, m) complex array of points; any other shape is a ValueError."""
+    P = np.asarray(P, dtype=complex)
+    if P.ndim != 2 or P.shape[1] != m:
+        raise ValueError(f"expected points of shape (K, {m}), got {P.shape}")
     return P
 
 
 # ---- frame ------------------------------------------------------------------
-
-
-@dataclass
-class FrameData:
-    """Numeric per-point frame package.
-
-    ``Zcoeffs[a, j]`` are the coordinate components of Z_alpha, ``levi`` is
-    h_{alpha betabar} (Hermitian positive definite), ``xi`` the transverse
-    (1,0)-field, ``r`` its curvature, ``J`` the bordered-Hessian determinant.
-    ``reeb`` holds W = i*xi; the Reeb field is W + conj(W).
-    """
-
-    point: np.ndarray
-    w_index: int
-    frame_coords: tuple
-    Zcoeffs: np.ndarray
-    levi: np.ndarray
-    levi_inv: np.ndarray
-    levi_eigs: np.ndarray
-    xi: np.ndarray
-    r: float
-    J: float
-    reeb: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.reeb = 1j * self.xi
-
-    @property
-    def n(self):
-        return self.Zcoeffs.shape[0]
 
 
 def _frame_coeffs(grad, w):
@@ -264,20 +224,6 @@ class _FrameBatch:
     def at_w(self, A):
         """A[k, ..., w_k]: each point's distinguished entry of the last axis."""
         return A[np.arange(self.w.size), ..., self.w]
-
-    def frame_data(self, i) -> FrameData:
-        return FrameData(
-            point=self.P[i],
-            w_index=int(self.w[i]),
-            frame_coords=tuple(int(j) for j in self.fc[i]),
-            Zcoeffs=self.Zc[i],
-            levi=self.h[i],
-            levi_inv=self.hinv[i],
-            levi_eigs=self.heigs[i],
-            xi=self.xi[i],
-            r=float(self.r[i]),
-            J=float(self.J[i]),
-        )
 
 
 def _real(values, tol, what, cls):
@@ -385,29 +331,26 @@ def _fefferman_batch(rho, grad, hess):
     return _real(-np.linalg.det(_bordered(rho, np.conj(grad), grad, hess)), 1e-10, "J", NonpositiveJ)
 
 
-def frame_at(chart: HypersurfaceChart, p, w_index=None) -> FrameData:
-    """Moving frame and derived scalars at one on-surface point."""
-    return _frame_batch(chart, _one_point(p, chart.m), w_index=w_index).frame_data(0)
-
-
-def transverse_solve(chart: HypersurfaceChart, p):
-    """Transverse (1,0)-field xi and curvature r at a point: solves the
-    (m+1)x(m+1) system { rho_j xi^j = 1 ; rho_{j kbar} xi^j = r rho_kbar },
-    whose solution (-r, xi) is row 0 of the inverse bordered matrix B^-1."""
-    P, single = _as_batch(p, chart.m)
+def transverse_solve(chart: HypersurfaceChart, P):
+    """Transverse (1,0)-field xi (K, m) and curvature r (K,) at a (K, m) batch:
+    solves the (m+1)x(m+1) system { rho_j xi^j = 1 ; rho_{j kbar} xi^j = r rho_kbar },
+    whose solution (-r, xi) is row 0 of the inverse bordered matrix B^-1.
+    Needs no frame, so it serves as an oracle route."""
+    P = _batch(P, chart.m)
     xi, r = _transverse_batch(chart.grad_at(P), chart.hess_at(P))
-    r = _real(r, 1e-10, "transverse curvature", SingularSystem)
-    return (xi[0], float(r[0])) if single else (xi, r)
+    return xi, _real(r, 1e-10, "transverse curvature", SingularSystem)
 
 
-def fefferman_det(chart: HypersurfaceChart, p):
-    """-det of the bordered complex Hessian [[rho, rho_kbar], [rho_j, rho_jkbar]]."""
-    P, single = _as_batch(p, chart.m)
-    J = _fefferman_batch(np.real(chart.rho_at(P)), chart.grad_at(P), chart.hess_at(P))
-    return float(J[0]) if single else J
+def fefferman_det(chart: HypersurfaceChart, P):
+    """(K,) -det of the bordered complex Hessian [[rho, rho_kbar], [rho_j, rho_jkbar]]
+    at a (K, m) batch, on or off the surface."""
+    P = _batch(P, chart.m)
+    return _fefferman_batch(np.real(chart.rho_at(P)), chart.grad_at(P), chart.hess_at(P))
 
 
 def _loghess_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
+    """(K, n, n) restriction of the complex Hessian of log J to the frame:
+    L_{alpha betabar} = Z_alpha^j conj(Z_beta^k) (log J)_{j kbar}."""
     Jval = fb.J
     if np.min(Jval) <= 0:
         i = int(np.argmin(Jval))
@@ -435,31 +378,13 @@ def _loghess_ambient(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
     return first - np.einsum("kjrq,kcrq->kjc", fb.BdBB, np.conj(fb.dB))
 
 
-def loghess_J(chart: HypersurfaceChart, p) -> np.ndarray:
-    """Restriction of the complex Hessian of log J to the frame:
-    L_{alpha betabar} = Z_alpha^j conj(Z_beta^k) (log J)_{j kbar}."""
-    return _loghess_batch(chart, _frame_batch(chart, _one_point(p, chart.m)))[0]
-
-
 # ---- connection --------------------------------------------------------------
 
 
-@dataclass
-class ConnectionData:
-    """Tanaka-Webster connection coefficients in the chart frame.
-
-    ``omega[beta, alpha, slot]`` evaluates the form omega_beta^alpha on the
-    frame field indexed by slot: slots 0..n-1 are Z_gamma, n..2n-1 are
-    Z_gammabar, slot 2n is the Reeb field.
-    """
-
-    point: np.ndarray
-    w_index: int
-    omega: np.ndarray
-
-
 def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
-    """(K, n, n, 2n+1) connection coefficients, every slot filled.
+    """(K, n, n, 2n+1) connection coefficients, every slot filled: ``omega[k, beta,
+    alpha, slot]`` evaluates omega_beta^alpha on a frame field, slots 0..n-1 being
+    Z_gamma, n..2n-1 Z_gammabar and 2n the Reeb field W + conj(W), W = i xi.
 
     The Reeb slot omega_beta^alpha(T) = -i Z_beta xi^alpha differentiates row 0
     of B^-1.  B keeps its rho corner: that row differs from the zero-corner
@@ -548,13 +473,6 @@ def _frame_levi_derivs(chart, fb):
     return Zgh
 
 
-def connection_coeffs(chart: HypersurfaceChart, frame: FrameData) -> ConnectionData:
-    """Connection coefficients at the frame's base point."""
-    fb = _frame_batch(chart, frame.point[None, :], w_index=frame.w_index)
-    omega = _connection_batch(chart, fb)
-    return ConnectionData(point=frame.point, w_index=frame.w_index, omega=omega[0])
-
-
 # ---- curvature and conformal change ------------------------------------------
 
 
@@ -571,14 +489,6 @@ def _ricci_batch(chart, fb):
     return ric, R, L
 
 
-def ricci_liluk(chart: HypersurfaceChart, p, w_index=None):
-    """Ricci form restricted to the frame and its scalar trace:
-    Ric = (n+1) r h - L with L the restricted Hessian of log J."""
-    fb = _frame_batch(chart, _one_point(p, chart.m), w_index=w_index)
-    ric, R, _ = _ricci_batch(chart, fb)
-    return ric[0], float(R[0])
-
-
 def dbar_b_norm2(fb: _FrameBatch, dfull: np.ndarray) -> np.ndarray:
     """|dbar_b f|^2 from the full ambient (1,0)-gradient of a real function.
 
@@ -590,17 +500,10 @@ def dbar_b_norm2(fb: _FrameBatch, dfull: np.ndarray) -> np.ndarray:
     return np.real(val)
 
 
-def conformal_transverse(chart: HypersurfaceChart, sigma: sym.Expr, p):
-    """Transverse curvature of the rescaled defining function e^sigma rho,
-    evaluated from chart data alone:
-    r_hat = e^{-sigma} (r + 2 Re(xi sigma) - |dbar_b sigma|^2)."""
-    P, single = _as_batch(p, chart.m)
-    rhat = _conformal_batch(chart, sigma, _frame_batch(chart, P))
-    return float(rhat[0]) if single else rhat
-
-
 def _conformal_batch(chart, sigma, fb):
-    """r_hat of ``conformal_transverse`` at the points of a frame batch."""
+    """(K,) transverse curvature of the rescaled defining function e^sigma rho at
+    the points of a frame batch, from chart data alone:
+    r_hat = e^{-sigma} (r + 2 Re(xi sigma) - |dbar_b sigma|^2)."""
     sval = _real(eval_at(sigma, fb.P), 1e-9, "sigma", NotRealValued)
     dsig = eval_array(sym.jets(sigma, chart.m, "h"), fb.P)
     xi_sigma = np.einsum("kj,kj->k", fb.xi, dsig)

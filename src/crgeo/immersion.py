@@ -12,26 +12,21 @@ compare the extrinsic data against the log-determinant Hessian of the chart.
 Like the chart module, the private ``*_batch`` helpers are vectorized over
 (K, m) point arrays whose points may each pick their own distinguished
 coordinate: the frame derivatives of F come by the chain rule from the ambient
-jets d_l F^d and d_j d_l F^d.  Public functions are per-point wrappers.
+jets d_l F^d and d_j d_l F^d.  A single point is a one-row batch.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import symbolic as sym
 from .errors import NotPluriharmonic, NotStrictlyPseudoconvex, RankDeficientNormalBasis
 from .hypersurface import (
-    FrameData,
     HypersurfaceChart,
     _connection_batch,
     _frame_batch,
     _frame_conj_w_derivs,
     _frame_w_derivs,
-    _loghess_batch,
-    _one_point,
     _real,
     _trace_h,
     eval_array,
@@ -73,50 +68,6 @@ class ImmersionSpec:
         return f"ImmersionSpec(N={self.N}, dim={self.dim}, {self.name or 'custom'})"
 
 
-@dataclass
-class SecondFundamentalForm:
-    """Per-point extrinsic package in an orthonormal basis of the normal space.
-
-    ``normal_basis`` rows come from the complete QR in ``_normal_basis``;
-    ``holo`` and ``H_normal`` are components in that basis, while the norms
-    and the torsion do not depend on it.
-    ``holo[alpha, gamma, a]`` are the holomorphic components, ``H`` the
-    ambient (1,0)-mean curvature vector with squared length ``Hnorm2``,
-    ``torsion`` the pseudohermitian torsion matrix, ``IIcirc_norm2`` the
-    Levi-raised squared norm of the traceless part.  ``residuals`` carries
-    the normality/symmetry diagnostics of the computation.
-    """
-
-    point: np.ndarray
-    frame: FrameData
-    normal_basis: np.ndarray
-    holo: np.ndarray
-    H: np.ndarray
-    H_normal: np.ndarray
-    Hnorm2: float
-    torsion: np.ndarray
-    IIcirc_norm2: float
-    residuals: dict = field(default_factory=dict)
-
-
-@dataclass
-class CurvatureData:
-    """Intrinsic curvature from the flat-ambient Gauss identity."""
-
-    riem: np.ndarray
-    ric: np.ndarray
-    scalarR: float
-    cm_norm2: float
-
-
-@dataclass
-class UmbilicityReport:
-    II0norm2: float
-    logJ_form: np.ndarray
-    logJ_trace_residual: float
-    is_umbilic: bool
-
-
 def _normal_basis(E):
     """Orthonormal basis (K, N - n, N) of the Hermitian complement of span{E_alpha}.
 
@@ -142,6 +93,9 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     directly, since that basis is orthogonal to span{E_beta}.  ``torsion_ambient`` is
     the torsion by the basis-free pairing -i <V, H>, which the checks compare with
     ``torsion``; V itself is not kept, so scans do not hold a (K, n, n, N) array.
+    ``H`` is the ambient (1,0)-mean curvature vector, ``Hnorm2`` its squared length,
+    ``Ha`` its components in the normal basis ``qbasis``, ``torsion`` the pseudohermitian
+    torsion -i holo . conj(Ha), and ``II0`` the Levi-raised squared norm of ``holo``.
 
     Returns (frame_batch, dict of stacked arrays keyed by name).
     """
@@ -199,44 +153,9 @@ def _levi_norm2(T, hinv):
     return np.real(np.einsum("kpqx,krsx,krp,ksq->k", T, np.conj(T), hinv, hinv))
 
 
-def second_fundamental_form(spec: ImmersionSpec, p, w_index=None) -> SecondFundamentalForm:
-    """Second fundamental form, mean curvature, and torsion at one point."""
-    P = _one_point(p, spec.dim)
-    fb, f = _sff_batch(spec, P, w_index=w_index)
-    return SecondFundamentalForm(
-        point=P[0],
-        frame=fb.frame_data(0),
-        normal_basis=f["qbasis"][0],
-        holo=f["holo"][0],
-        H=f["H"][0],
-        H_normal=f["Ha"][0],
-        Hnorm2=float(f["Hnorm2"][0]),
-        torsion=f["torsion"][0],
-        IIcirc_norm2=float(f["II0"][0]),
-        residuals={
-            "normality": float(f["normality"][0]),
-            "symmetry": float(f["symmetry"][0]),
-            "H_tangential": float(f["H_tangential"][0]),
-        },
-    )
-
-
-def torsion_from_II(sff: SecondFundamentalForm) -> np.ndarray:
-    """Torsion matrix -i sum_a holo^a_{alpha beta} conj(H^a)."""
-    return -1j * np.einsum("abx,x->ab", sff.holo, np.conj(sff.H_normal))
-
-
-def gauss_curvature(sff: SecondFundamentalForm, frame: FrameData) -> CurvatureData:
-    """Curvature tensor from the flat-ambient Gauss identity:
-    R_{ab~cd~} = |H|^2 (h_{ab~} h_{cd~} + h_{ad~} h_{cb~}) - holo.holo~."""
-    riem, ric, R, cm = _gauss_curvature_batch(
-        sff.holo[None], np.array([sff.Hnorm2]), frame.levi[None], frame.levi_inv[None]
-    )
-    return CurvatureData(riem=riem[0], ric=ric[0], scalarR=float(R[0]), cm_norm2=float(cm[0]))
-
-
 def _gauss_curvature_batch(holo, Hnorm2, h, hinv):
-    """Stacked (riem, ric, scalarR, cm_norm2) of the Gauss identity: ric is the traced form
+    """Stacked (riem, ric, scalarR, cm_norm2) of the flat-ambient Gauss identity
+    R_{ab~cd~} = |H|^2 (h_{ab~} h_{cd~} + h_{ad~} h_{cb~}) - holo.holo~: ric is the traced form
     (n+1)|H|^2 h - G, and cm_norm2 the squared norm of riem's Chern-Moser (trace-free) part,
     which vanishes on spherical CR manifolds and is 0 for n = 1."""
     K, n = h.shape[:2]
@@ -259,25 +178,6 @@ def _gauss_form(holo, hinv):
     """(1,1)-form side of the traced Gauss identity:
     G_{gamma sigma~} = h^{alpha beta~} holo_{alpha gamma} holo~_{beta sigma}."""
     return np.einsum("kpgx,kqsx,kqp->kgs", holo, np.conj(holo), hinv)
-
-
-def umbilicity_report(spec: ImmersionSpec, p) -> UmbilicityReport:
-    """Evaluate both sides of the traced Gauss identity independently.
-
-    The left side is the restricted Hessian of log J computed from the chart
-    alone; the right side is assembled from the second fundamental form.
-    """
-    fb, f = _sff_batch(spec, _one_point(p, spec.dim))
-    L = _loghess_batch(spec.chart, fb)
-    G = _gauss_form(f["holo"], fb.hinv)
-    residual = float(np.max(np.abs(L - G)))
-    ii0 = float(f["II0"][0])
-    return UmbilicityReport(
-        II0norm2=ii0,
-        logJ_form=L[0],
-        logJ_trace_residual=residual,
-        is_umbilic=bool(ii0 < UMBILIC_TOLERANCE),
-    )
 
 
 def _mixed_sff_batch(fb, f):

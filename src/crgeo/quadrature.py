@@ -212,21 +212,6 @@ def _radial_batch(rc: RadialChart, U: np.ndarray, labels=None) -> np.ndarray:
     return t
 
 
-def radial_solve(rc: RadialChart, omega) -> float:
-    """First positive root of rho along the ray through direction omega.
-
-    ``omega`` is a unit vector in R^{2m} (or a complex m-vector)."""
-    u = np.asarray(omega)
-    if np.iscomplexobj(u):
-        uu = np.empty(2 * u.shape[0])
-        uu[0::2], uu[1::2] = u.real, u.imag
-        u = uu
-    nrm = np.linalg.norm(u)
-    if abs(nrm - 1.0) > 1e-9:
-        raise BadParams(f"direction must be normalized, |omega| = {nrm}")
-    return float(_radial_batch(rc, u[None, :])[0])
-
-
 def radial_points(rc: RadialChart, U: np.ndarray, labels=None) -> np.ndarray:
     """On-surface points for a batch of unit directions."""
     t = _radial_batch(rc, U, labels)

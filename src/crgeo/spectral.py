@@ -22,7 +22,7 @@ import numpy as np
 
 from . import symbolic as sym
 from .errors import NotEigenmap, NotPluriharmonic, ZeroEnergy
-from .hypersurface import HypersurfaceChart, _as_batch, _frame_batch, dbar_b_norm2, eval_array, transverse_solve
+from .hypersurface import HypersurfaceChart, _frame_batch, dbar_b_norm2, eval_array, transverse_solve
 from .immersion import ImmersionSpec
 from .quadrature import QuadratureRule, RadialChart, integrate
 
@@ -88,32 +88,19 @@ def _xi_batch(chart, P):
 
 
 def _boxb_batch(chart, f: PluriharmonicFunction, P, xi):
+    """(K,) Kohn Laplacian of f~|_M at points P by the transverse-field formula, xi their transverse field."""
     f.ensure_valid()
     dbar = eval_array(sym.jets(f.ftilde, chart.m, "b"), P)
     return chart.n * np.einsum("kj,kj->k", np.conj(xi), dbar)
 
 
-def boxb_pluriharmonic(chart: HypersurfaceChart, f: PluriharmonicFunction, p):
-    """Kohn Laplacian of f~|_M via the transverse-field formula."""
-    P, single = _as_batch(p, chart.m)
-    xi, _ = _xi_batch(chart, P)
-    vals = _boxb_batch(chart, f, P, xi)
-    return complex(vals[0]) if single else vals
-
-
 def _energy_density_batch(chart, f: PluriharmonicFunction, fb):
+    """(K,) |dbar_b f|^2 at the points of a frame batch: nonnegative, zero exactly where f is CR."""
     return dbar_b_norm2(fb, np.conj(eval_array(sym.jets(f.ftilde, chart.m, "b"), fb.P)))
 
 
-def dbarb_energy_density(chart: HypersurfaceChart, f: PluriharmonicFunction, p):
-    """|dbar_b f|^2 at p: nonnegative, zero exactly where f is CR."""
-    P, single = _as_batch(p, chart.m)
-    vals = _energy_density_batch(chart, f, _frame_batch(chart, P))
-    return float(vals[0]) if single else vals
-
-
 def takahashi_check(spec: ImmersionSpec, sample) -> TakahashiReport:
-    """Fit a common eigenvalue in box_b conj(F^d) = lambda conj(F^d).
+    """Fit a common eigenvalue in box_b conj(F^d) = lambda conj(F^d) on a (K, m) sample.
 
     The eigenvalue is fitted at the first sample point and verified at the
     rest; on success the induced sphere radius sqrt(n/lambda) is checked
@@ -121,8 +108,6 @@ def takahashi_check(spec: ImmersionSpec, sample) -> TakahashiReport:
     sphere's own (lambda/n) F, which is the Reeb-matching condition.
     """
     P = np.asarray(sample, dtype=complex)
-    if P.ndim == 1:
-        P = P[None, :]
     chart, n = spec.chart, spec.n
     xi, _ = _xi_batch(chart, P)
 

@@ -32,7 +32,7 @@ real axis; every expression in scope takes log of positive real quantities
 
 from __future__ import annotations
 
-import math
+import struct
 
 import numpy as np
 
@@ -127,8 +127,8 @@ def _node(op, args=(), payload=None, key=None):
 
 def const(c) -> Expr:
     c = complex(c)
-    # 0.0 == -0.0, so the signs join the key; a NaN never equals itself and misses
-    return _node(_CONST, payload=c, key=(c, math.copysign(1.0, c.real), math.copysign(1.0, c.imag)))
+    # keyed on the bits: ==, for which 0.0 == -0.0 and a NaN never equals itself, is too coarse and too fine
+    return _node(_CONST, payload=c, key=struct.pack("<2d", c.real, c.imag))
 
 
 def var(index: int, conjugated: bool = False) -> Expr:

@@ -16,18 +16,17 @@ from crgeo.cli import main as cli_main
 from crgeo.gallery import gallery, scan_surface
 from crgeo.hypersurface import (
     HypersurfaceChart,
+    _conformal_batch,
     _frame_batch,
     _loghess_ambient,
-    conformal_transverse,
     fefferman_det,
-    ricci_liluk,
     transverse_solve,
 )
-from crgeo.immersion import ImmersionSpec, gauss_curvature, second_fundamental_form
+from crgeo.immersion import ImmersionSpec, _sff_batch
 from crgeo.quadrature import RadialChart, integrate, product_grid
 from crgeo.spectral import (
-    boxb_pluriharmonic,
-    dbarb_energy_density,
+    _boxb_batch,
+    _energy_density_batch,
     reilly_bound,
     takahashi_check,
     tension_bound,
@@ -47,7 +46,6 @@ def test_criterion_1_sphere_baseline():
         surf = gallery("sphere", r=1.0, n=n)
         P = surf.random_points(100, seed=100 + n)
         from crgeo.hypersurface import _ricci_batch
-        from crgeo.immersion import _sff_batch
 
         fb, f = _sff_batch(surf.immersion, P)
         _, R, _ = _ricci_batch(surf.chart, fb)
@@ -67,8 +65,9 @@ def test_criterion_2_beltrami_equality_case():
     surf = gallery("sphere", r=1.0, n=1)
     P = surf.random_points(100, seed=21)
     worst = 0.0
+    xi, _ = transverse_solve(surf.chart, P)
     for j, f in enumerate(surf.plurifamily):
-        vals = boxb_pluriharmonic(surf.chart, f, P)
+        vals = _boxb_batch(surf.chart, f, P, xi)
         worst = max(worst, float(np.max(np.abs(vals - np.conj(P[:, j])))))
     assert worst < 1e-10, f"pointwise eigenfunction residual {worst:.3e}"
 
@@ -86,12 +85,13 @@ def test_criterion_3_reinhardt_identities():
         surf = gallery("reinhardt", n=n)
         P = surf.random_points(100, seed=30 + n)
         total = np.zeros(P.shape[0])
+        fb = _frame_batch(surf.chart, P)
         for j, f in enumerate(surf.plurifamily):
             Lj = np.log(np.abs(P[:, j]) ** 2)
-            dens = dbarb_energy_density(surf.chart, f, P)
+            dens = _energy_density_batch(surf.chart, f, fb)
             worst = max(worst, float(np.max(np.abs(dens - (0.5 - 0.5 * Lj**2)))))
             total += dens
-            bx = boxb_pluriharmonic(surf.chart, f, P)
+            bx = _boxb_batch(surf.chart, f, P, fb.xi)
             worst = max(worst, float(np.max(np.abs(bx - (n / 2) * Lj))))
         worst = max(worst, float(np.max(np.abs(total - n / 2))))
         rep = tension_bound(surf.chart, surf.plurifamily, sample_points=P)
@@ -108,10 +108,10 @@ def test_criterion_4_whitney_example():
     worst = 0.0
     for eta in np.linspace(0.05, np.pi / 2, 25):
         p = np.array([np.cos(eta) * np.exp(0.3j), np.sin(eta) * np.exp(-0.4j)])
-        sff = second_fundamental_form(surf.immersion, p)
+        _, f = _sff_batch(surf.immersion, p[None, :])
         w2 = np.sin(eta) ** 2
         pred = 2 * (n + 1) * (1 - w2) / (1 + w2) ** 2 / (1 + w2)
-        worst = max(worst, abs(sff.IIcirc_norm2 - pred))
+        worst = max(worst, abs(f["II0"][0] - pred))
     assert worst < 1e-7, f"traceless profile residual {worst:.3e}"
 
     # umbilic scan flags exactly the |w| = 1 circle
@@ -128,8 +128,8 @@ def test_criterion_4_whitney_example():
     base = gallery("sphere", r=1.0, n=1)
     sigma = surf.sigma
     P = base.random_points(40, seed=44)
-    lhs = conformal_transverse(base.chart, sigma, P)
-    rhs = np.array([transverse_solve(surf.chart, P[k])[1] for k in range(P.shape[0])])
+    lhs = _conformal_batch(base.chart, sigma, _frame_batch(base.chart, P))
+    rhs = transverse_solve(surf.chart, P)[1]
     conf = float(np.max(np.abs(lhs - rhs)))
     assert conf < 1e-8, f"conformal two-route residual {conf:.3e}"
     _report(4, f"profile {worst:.2e}, {flagged.shape[0]} umbilics on circle, conformal {conf:.2e}")
@@ -164,7 +164,7 @@ def test_criterion_5_ellipsoid_umbilicity():
         for p in surfA.random_points(10, seed=55):
             P = p[None, :]
             lh = _loghess_ambient(ch, _frame_batch(ch, P))[0]
-            J = fefferman_det(ch, p)
+            J = fefferman_det(ch, P)[0]
             grad = ch.grad_at(P)[0]
             closed = np.diag(Avec**2) * np.sum(np.abs(grad) ** 2) - np.einsum(
                 "j,k->jk", Avec * np.conj(grad), Avec * grad

@@ -44,10 +44,10 @@ class TestGallery:
     def test_whitney_shape(self):
         surf = gallery("whitney")
         assert surf.immersion.N == 3 and surf.n == 1
-        from crgeo.immersion import second_fundamental_form
+        from crgeo.gallery import curvature_batch
 
-        sff = second_fundamental_form(surf.immersion, np.array([1.0, 0.0], dtype=complex))
-        assert abs(sff.IIcirc_norm2 - 4.0) < 1e-12
+        _, f, _, _, _ = curvature_batch(surf, np.array([[1.0, 0.0]], dtype=complex))
+        assert abs(f["II0"][0] - 4.0) < 1e-12
 
     def test_unknown_name(self):
         with pytest.raises(UnknownSurface):

@@ -17,11 +17,12 @@ from crgeo.errors import (
     NotStrictlyPseudoconvex,
     SingularSystem,
 )
-from crgeo.gallery import _curvature_batch, gallery
+from crgeo.gallery import curvature_batch, gallery
 from crgeo.hypersurface import (
     HypersurfaceChart,
     _ambient_derivs,
     _bordered,
+    _conformal_batch,
     _connection_batch,
     _frame_batch,
     _frame_levi_derivs,
@@ -29,16 +30,13 @@ from crgeo.hypersurface import (
     _loghess_batch,
     _on_surface,
     _real,
-    conformal_transverse,
-    connection_coeffs,
+    _ricci_batch,
     eval_array,
     eval_at,
     fefferman_det,
-    frame_at,
-    loghess_J,
-    ricci_liluk,
     transverse_solve,
 )
+from crgeo.spectral import PluriharmonicFunction, _boxb_batch, _energy_density_batch
 
 
 def sphere_chart(m=2, radius=1.0):
@@ -54,16 +52,20 @@ def ellipsoid_chart(A):
     return HypersurfaceChart(rho, m)
 
 
-def fd_levi(chart, frame):
-    """Independent Levi oracle: restrict the finite-difference Hessian."""
+def frame_of(chart, p, w_index=None):
+    """Frame batch of the single point p: a one-row batch."""
+    return _frame_batch(chart, np.asarray(p, dtype=complex)[None, :], w_index=w_index)
+
+
+def fd_levi(chart, fb):
+    """Independent Levi oracle at a one-row frame batch: restrict the finite-difference Hessian."""
     m = chart.m
     hess = np.empty((m, m), dtype=complex)
-    P = frame.point[None, :]
     for j in range(m):
         g = lambda Q: fd_wirtinger(lambda R: np.real(chart.rho_at(R)), Q, j)[0]
         for k in range(m):
-            hess[j, k] = fd_wirtinger(g, P, k)[1][0]
-    return frame.Zcoeffs @ hess @ frame.Zcoeffs.conj().T
+            hess[j, k] = fd_wirtinger(g, fb.P, k)[1][0]
+    return fb.Zc[0] @ hess @ fb.Zc[0].conj().T
 
 
 def permutation_det(M):
@@ -132,46 +134,44 @@ class TestEvalArray:
 class TestFrame:
     def test_sphere_pole(self):
         ch = sphere_chart()
-        fr = frame_at(ch, np.array([0, 1], dtype=complex))
-        assert abs(fr.levi[0, 0] - 1) < 1e-14
-        assert abs(fr.r - 1) < 1e-14
-        assert abs(fr.J - 1) < 1e-14
+        fb = frame_of(ch, [0, 1])
+        assert abs(fb.h[0, 0, 0] - 1) < 1e-14
+        assert abs(fb.r[0] - 1) < 1e-14
+        assert abs(fb.J[0] - 1) < 1e-14
 
     def test_sphere_diagonal_point(self):
         ch = sphere_chart()
         p = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        fr = frame_at(ch, p)
-        assert abs(fr.levi[0, 0] - 2) < 1e-12
+        fb = frame_of(ch, p)
+        assert abs(fb.h[0, 0, 0] - 2) < 1e-12
         # frame annihilates the gradient
-        assert abs(fr.Zcoeffs @ ch.grad_at(p[None, :])[0]) < 1e-12
+        assert abs(fb.Zc[0] @ ch.grad_at(p[None, :])[0]) < 1e-12
         # and the value matches the finite-difference Levi oracle
-        assert abs(fd_levi(ch, fr)[0, 0] - 2) < 1e-6
+        assert abs(fd_levi(ch, fb)[0, 0] - 2) < 1e-6
 
     def test_ellipsoid_levi_vs_fd_oracle(self):
         ch = ellipsoid_chart((0.1, 0.2, 0.3))
         rng = np.random.default_rng(1)
         for _ in range(3):
             p = ch.project(rng.normal(size=3) + 1j * rng.normal(size=3))
-            fr = frame_at(ch, p)
-            oracle = fd_levi(ch, fr)
-            assert np.max(np.abs(fr.levi - oracle)) < 1e-6
-            eigs = np.linalg.eigvalsh(fr.levi)
+            fb = frame_of(ch, p)
+            oracle = fd_levi(ch, fb)
+            assert np.max(np.abs(fb.h[0] - oracle)) < 1e-6
+            eigs = np.linalg.eigvalsh(fb.h[0])
             assert np.min(eigs) > 0
 
     def test_reeb_field_pairs_to_one(self):
         ch = ellipsoid_chart((0.1, 0.2, 0.3))
         p = ch.project(np.array([0.5 + 0.1j, 0.4 - 0.7j, 0.3 + 0.2j]))
-        fr = frame_at(ch, p)
+        fb = frame_of(ch, p)
         grad = ch.grad_at(p[None, :])[0]
-        theta_T = np.conj(np.sum(grad * fr.xi))
+        theta_T = np.conj(np.sum(grad * fb.xi[0]))
         assert abs(theta_T - 1) < 1e-12
-        # reeb holds W = i xi with T = W + conj(W)
-        assert np.max(np.abs(fr.reeb - 1j * fr.xi)) < 1e-15
 
     def test_off_surface_rejected(self):
         ch = sphere_chart()
         with pytest.raises(NotOnSurface):
-            frame_at(ch, np.array([0, 1.26], dtype=complex))
+            frame_of(ch, [0, 1.26])
 
     def test_unconverged_projection_rejected(self):
         # the gradient vanishes at the origin, so Newton cannot move
@@ -202,7 +202,7 @@ class TestFrame:
         real = ch.hess_at
         monkeypatch.setattr(ch, "hess_at", lambda Q: real(Q) + 1e-10j * np.eye(2))
         with pytest.raises(NotStrictlyPseudoconvex, match="non-Hermitian"):
-            frame_at(ch, np.array([0.6, 0.8], dtype=complex))
+            frame_of(ch, [0.6, 0.8])
 
     def test_levi_gate_scales_with_pinned_frame(self):
         # check --surface reinhardt --params n=1 --seed 4: the pinned-w frame
@@ -215,30 +215,22 @@ class TestFrame:
         base = sym.abs2(sym.var(0)) + sym.abs2(sym.var(1)) - 1
         ch = HypersurfaceChart(sym.intpow(base, 2), 2)
         with pytest.raises(DegenerateFrame):
-            frame_at(ch, np.array([0, 1], dtype=complex))
+            frame_of(ch, [0, 1])
 
     def test_indefinite_levi_rejected(self):
         rho = sym.abs2(sym.var(0)) - 0.5 * sym.abs2(sym.var(1)) - 0.25
         ch = HypersurfaceChart(rho, 2)
         p = np.array([1.0, np.sqrt(1.5)], dtype=complex)
         with pytest.raises(NotStrictlyPseudoconvex):
-            frame_at(ch, p)
+            frame_of(ch, p)
 
     def test_pinned_w_with_vanishing_rho_w_rejected(self):
         # at (1, 0) on the unit sphere rho_2 = conj(z2) = 0; the argmax frame picks w = 0
         ch = sphere_chart()
         p = np.array([1, 0], dtype=complex)
-        assert frame_at(ch, p).w_index == 0
+        assert frame_of(ch, p).w[0] == 0
         with pytest.raises(DegenerateFrame):
-            frame_at(ch, p, w_index=1)
-
-    @pytest.mark.parametrize("wrapper", [frame_at, loghess_J, ricci_liluk])
-    def test_single_point_wrappers_refuse_a_batch(self, wrapper):
-        ch = sphere_chart()
-        P = np.array([[1, 0], [0.6, 0.8]], dtype=complex)
-        with pytest.raises(ValueError):
-            wrapper(ch, P)
-        wrapper(ch, P[:1])
+            frame_of(ch, p, w_index=1)
 
 
 class TestTransverse:
@@ -246,19 +238,20 @@ class TestTransverse:
         ch = sphere_chart()
         rng = np.random.default_rng(2)
         p = ch.project(rng.normal(size=2) + 1j * rng.normal(size=2))
-        xi, r = transverse_solve(ch, p)
-        assert np.max(np.abs(xi - p)) < 1e-12
-        assert abs(r - 1) < 1e-12
+        xi, r = transverse_solve(ch, p[None, :])
+        assert np.max(np.abs(xi[0] - p)) < 1e-12
+        assert abs(r[0] - 1) < 1e-12
 
     def test_radius_two_sphere(self):
         ch = sphere_chart(radius=2.0)
-        xi, r = transverse_solve(ch, np.array([0, 2], dtype=complex))
-        assert abs(r - 0.25) < 1e-13
+        xi, r = transverse_solve(ch, np.array([[0, 2]], dtype=complex))
+        assert abs(r[0] - 0.25) < 1e-13
 
     def test_ellipsoid_against_lstsq_oracle(self):
         ch = ellipsoid_chart((0.3, 0.0, 0.0))
         p = np.array([1 / np.sqrt(1.3), 0, 0], dtype=complex)
-        xi, r = transverse_solve(ch, p)
+        xi, r = transverse_solve(ch, p[None, :])
+        xi, r = xi[0], r[0]
         grad = ch.grad_at(p[None, :])[0]
         hess = ch.hess_at(p[None, :])[0]
         m = 3
@@ -287,7 +280,15 @@ class TestTransverse:
     def test_singular_system_rejected(self):
         ch = HypersurfaceChart(sym.var(0) + sym.conj(sym.var(0)), 2)
         with pytest.raises(SingularSystem):
-            transverse_solve(ch, np.array([1j, 0.0]))
+            transverse_solve(ch, np.array([[1j, 0.0]]))
+
+    @pytest.mark.parametrize("route", [transverse_solve, fefferman_det])
+    def test_oracle_routes_take_only_a_batch(self, route):
+        ch = sphere_chart()
+        for bad in (np.array([0.6, 0.8]), np.zeros((2, 3)), np.zeros((1, 1, 2))):
+            with pytest.raises(ValueError, match=r"expected points of shape \(K, 2\)"):
+                route(ch, bad)
+        route(ch, np.array([[0.6, 0.8]]))
 
     @staticmethod
     def _near_singular_system(rng, eps, m=3):
@@ -339,12 +340,12 @@ class TestFefferman:
         ch = sphere_chart()
         rng = np.random.default_rng(3)
         p = ch.project(rng.normal(size=2) + 1j * rng.normal(size=2))
-        assert abs(fefferman_det(ch, p) - 1) < 1e-13
+        assert abs(fefferman_det(ch, p[None, :])[0] - 1) < 1e-13
 
     def test_ellipsoid_vs_permutation_oracle(self):
         ch = ellipsoid_chart((0.5, 0.0, 0.0))
         p = np.array([0, 1, 0], dtype=complex)
-        J = fefferman_det(ch, p)
+        J = fefferman_det(ch, p[None, :])[0]
         m = 3
         B = np.zeros((m + 1, m + 1), dtype=complex)
         B[0, 0] = np.real(ch.rho_at(p[None, :])[0])
@@ -357,9 +358,9 @@ class TestFefferman:
         base = sym.abs2(sym.var(0)) + sym.abs2(sym.var(1)) - 1
         ch1 = HypersurfaceChart(base, 2)
         ch2 = HypersurfaceChart(2 * base, 2)
-        p = np.array([0.6, 0.8], dtype=complex)
+        P = np.array([[0.6, 0.8]], dtype=complex)
         # m + 1 = 3 rows scale together: factor 2^3
-        assert abs(fefferman_det(ch2, p) - 8 * fefferman_det(ch1, p)) < 1e-12
+        assert abs(fefferman_det(ch2, P)[0] - 8 * fefferman_det(ch1, P)[0]) < 1e-12
 
 
 class TestLogHessian:
@@ -367,7 +368,7 @@ class TestLogHessian:
         ch = sphere_chart()
         rng = np.random.default_rng(4)
         p = ch.project(rng.normal(size=2) + 1j * rng.normal(size=2))
-        assert np.max(np.abs(loghess_J(ch, p))) < 1e-9
+        assert np.max(np.abs(_loghess_batch(ch, frame_of(ch, p))[0])) < 1e-9
 
     def test_ellipsoid_closed_form(self):
         # J^2 (log J)_{j kbar} = |drho|^2 A_j A_k delta_jk - A_j A_k rho_jbar rho_k
@@ -379,7 +380,7 @@ class TestLogHessian:
             p = ch.project(rng.normal(size=3) + 1j * rng.normal(size=3))
             P = p[None, :]
             lh = _loghess_ambient(ch, _frame_batch(ch, P))[0]
-            J = fefferman_det(ch, p)
+            J = fefferman_det(ch, P)[0]
             grad = ch.grad_at(P)[0]
             closed = np.diag(Avec**2) * np.sum(np.abs(grad) ** 2) - np.einsum(
                 "j,k->jk", Avec * np.conj(grad), Avec * grad
@@ -392,11 +393,11 @@ class TestLogHessian:
         ch = ellipsoid_chart((A1, 0.0, 0.0))
         x = 1 / np.sqrt(1 + A1)
         p = np.array([x, 0, 0], dtype=complex)
-        L = loghess_J(ch, p)
+        L = _loghess_batch(ch, frame_of(ch, p))[0]
         assert np.max(np.abs(L)) < 1e-10
         # and is positive semidefinite nearby
         q = ch.project(np.array([x, 0.3 + 0.1j, 0.2 - 0.2j]))
-        Lq = loghess_J(ch, q)
+        Lq = _loghess_batch(ch, frame_of(ch, q))[0]
         assert np.min(np.linalg.eigvalsh(Lq)) > -1e-12
 
     def test_nonpositive_J_guard(self):
@@ -412,10 +413,9 @@ class TestConnection:
         ch = sphere_chart(m=3)
         rng = np.random.default_rng(6)
         p = ch.project(rng.normal(size=3) + 1j * rng.normal(size=3))
-        fr = frame_at(ch, p)
-        cd = connection_coeffs(ch, fr)
+        omega = _connection_batch(ch, frame_of(ch, p))[0]
         n = 2
-        assert np.max(np.abs(cd.omega[:, :, :n])) < 1e-12
+        assert np.max(np.abs(omega[:, :, :n])) < 1e-12
 
     def test_metric_compatibility_on_ellipsoid(self):
         # Z_gamma h_{beta mubar} from finite differences of the numeric Levi
@@ -425,17 +425,16 @@ class TestConnection:
         worst = 0.0
         for _ in range(5):
             p = ch.project(rng.normal(size=3) + 1j * rng.normal(size=3))
-            fr = frame_at(ch, p)
-            cd = connection_coeffs(ch, fr)
-            fb = _frame_batch(ch, p[None, :], w_index=fr.w_index)
+            fb = frame_of(ch, p)
+            omega, h = _connection_batch(ch, fb)[0], fb.h[0]
             Zgh = fd_frame_levi_derivs(ch, fb)[0]
             n = 2
             for g in range(n):
                 for b in range(n):
                     for mu in range(n):
-                        rhs = sum(cd.omega[b, s, g] * fr.levi[s, mu] for s in range(n))
+                        rhs = sum(omega[b, s, g] * h[s, mu] for s in range(n))
                         rhs += sum(
-                            np.conj(cd.omega[mu, s, n + g]) * fr.levi[b, s] for s in range(n)
+                            np.conj(omega[mu, s, n + g]) * h[b, s] for s in range(n)
                         )
                         worst = max(worst, abs(Zgh[g, b, mu] - rhs))
         assert worst < 1e-8
@@ -445,10 +444,10 @@ class TestConnection:
         # field, so Z_b xi^a is the frame coefficient itself
         ch = sphere_chart()
         p = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        fr = frame_at(ch, p)
-        cd = connection_coeffs(ch, fr)
-        expected = -1j * fr.Zcoeffs[0, fr.frame_coords[0]]
-        assert abs(cd.omega[0, 0, 2] - expected) < 1e-12
+        fb = frame_of(ch, p)
+        omega = _connection_batch(ch, fb)[0]
+        expected = -1j * fb.Zc[0, 0, fb.fc[0, 0]]
+        assert abs(omega[0, 0, 2] - expected) < 1e-12
 
     @pytest.mark.parametrize("name,params", [
         ("ellipsoid", {"A": (0.1, 0.2, 0.3)}), ("whitney", {"n": 1}), ("whitney", {"n": 2})])
@@ -459,31 +458,32 @@ class TestConnection:
         ch = gallery(name, **params).chart
         n, m = ch.n, ch.m
         p = ch.project(np.array([0.4 + 0.2j, 0.5 - 0.1j, 0.6 + 0.3j])[:m])
-        fr = frame_at(ch, p)
-        cd = connection_coeffs(ch, fr)
+        fb = frame_of(ch, p)
+        omega = _connection_batch(ch, fb)[0]
+
+        def xi_at(q):
+            return transverse_solve(ch, q[None, :])[0][0]
 
         h = 1e-5
         dxi = np.zeros((m, m), dtype=complex)  # d xi^a / dz^j
         for j in range(m):
             ex = np.zeros(m, dtype=complex)
             ex[j] = h
-            dx = (transverse_solve(ch, p + ex)[0] - transverse_solve(ch, p - ex)[0]) / (2 * h)
-            dy = (transverse_solve(ch, p + 1j * ex)[0] - transverse_solve(ch, p - 1j * ex)[0]) / (2 * h)
+            dx = (xi_at(p + ex) - xi_at(p - ex)) / (2 * h)
+            dy = (xi_at(p + 1j * ex) - xi_at(p - 1j * ex)) / (2 * h)
             dxi[:, j] = 0.5 * (dx - 1j * dy)
         for b in range(n):
             for a in range(n):
-                zb_xi = sum(fr.Zcoeffs[b, j] * dxi[fr.frame_coords[a], j] for j in range(m))
-                assert abs(cd.omega[b, a, 2 * n] - (-1j) * zb_xi) < 1e-6
+                zb_xi = sum(fb.Zc[0, b, j] * dxi[fb.fc[0, a], j] for j in range(m))
+                assert abs(omega[b, a, 2 * n] - (-1j) * zb_xi) < 1e-6
 
     def test_whitney_chart_small_w_slice(self):
         wh = gallery("whitney")
         ch = wh.chart
         p = np.array([np.exp(0.4j), 0.0], dtype=complex)
-        fr = frame_at(ch, p)
-        cd = connection_coeffs(ch, fr)
-        assert np.all(np.isfinite(cd.omega))
+        fb = frame_of(ch, p)
+        assert np.all(np.isfinite(_connection_batch(ch, fb)))
         # chain-rule frame derivatives against finite differences of the Levi matrix
-        fb = _frame_batch(ch, p[None, :])
         assert np.max(np.abs(_frame_levi_derivs(ch, fb) - fd_frame_levi_derivs(ch, fb))) < 1e-6
 
     @pytest.mark.parametrize("name,params", [("ellipsoid", {"A": (0.1, 0.2, 0.3)}), ("whitney", {"n": 1})])
@@ -542,37 +542,38 @@ class TestRicci:
     def test_sphere_scalar_curvature(self):
         ch = sphere_chart()
         p = np.array([0.6, 0.8j], dtype=complex)
-        ric, R = ricci_liluk(ch, p)
-        assert abs(R - 2) < 1e-12
+        _, R, _ = _ricci_batch(ch, frame_of(ch, p))
+        assert abs(R[0] - 2) < 1e-12
 
     def test_sphere_n2_ricci_is_three_h(self):
         ch = sphere_chart(m=3)
         rng = np.random.default_rng(8)
         p = ch.project(rng.normal(size=3) + 1j * rng.normal(size=3))
-        fr = frame_at(ch, p)
-        ric, R = ricci_liluk(ch, p)
-        assert np.max(np.abs(ric - 3 * fr.levi)) < 1e-12
-        assert abs(R - 6) < 1e-12
+        fb = frame_of(ch, p)
+        ric, R, _ = _ricci_batch(ch, fb)
+        assert np.max(np.abs(ric[0] - 3 * fb.h[0])) < 1e-12
+        assert abs(R[0] - 6) < 1e-12
 
     def test_whitney_curvature_chain(self):
         # scalar curvature from the chart route matches
         # n(n+1)|H|^2 - |II0|^2 from the extrinsic route at a w = 0 point
-        from crgeo.immersion import second_fundamental_form
+        from crgeo.immersion import _sff_batch
 
         wh = gallery("whitney")
         p = np.array([np.exp(0.9j), 0.0], dtype=complex)
-        _, R = ricci_liluk(wh.chart, p)
-        sff = second_fundamental_form(wh.immersion, p)
-        assert abs(R - (2 * sff.Hnorm2 - sff.IIcirc_norm2)) < 1e-9
-        assert abs(sff.Hnorm2 - 1.0) < 1e-12
-        assert abs(sff.IIcirc_norm2 - 4.0) < 1e-12
+        _, R, _ = _ricci_batch(wh.chart, frame_of(wh.chart, p))
+        _, f = _sff_batch(wh.immersion, p[None, :])
+        Hnorm2, II0 = f["Hnorm2"][0], f["II0"][0]
+        assert abs(R[0] - (2 * Hnorm2 - II0)) < 1e-9
+        assert abs(Hnorm2 - 1.0) < 1e-12
+        assert abs(II0 - 4.0) < 1e-12
 
 
 class TestConformalChange:
     def test_constant_sigma_on_sphere(self):
         ch = sphere_chart()
         p = np.array([0.6, 0.8], dtype=complex)
-        val = conformal_transverse(ch, sym.const(0.7), p)
+        val = _conformal_batch(ch, sym.const(0.7), frame_of(ch, p))[0]
         assert abs(val - np.exp(-0.7)) < 1e-12
 
     def test_whitney_factor_on_sphere(self):
@@ -581,7 +582,7 @@ class TestConformalChange:
         rng = np.random.default_rng(9)
         for _ in range(5):
             p = ch.project(rng.normal(size=2) + 1j * rng.normal(size=2))
-            lhs = conformal_transverse(ch, sigma, p)
+            lhs = _conformal_batch(ch, sigma, frame_of(ch, p))[0]
             w2 = abs(p[1]) ** 2
             # pointwise formula for this factor on the unit sphere
             xi_sigma = w2 / (1 + w2)
@@ -597,9 +598,9 @@ class TestConformalChange:
         positive = sym.const(1) + 0.25 * sym.abs2(q)
         sigma = sym.log(positive)
         P = surf.random_points(20, seed=10)
-        lhs = conformal_transverse(ch, sigma, P)
+        lhs = _conformal_batch(ch, sigma, _frame_batch(ch, P))
         hat = HypersurfaceChart(positive * ch.rho, 3)
-        rhs = np.array([transverse_solve(hat, P[k])[1] for k in range(20)])
+        rhs = transverse_solve(hat, P)[1]
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
@@ -614,9 +615,9 @@ class TestFrameIndependence:
             for w in range(3):
                 if abs(grad[w]) < 1e-6:
                     continue
-                fr = frame_at(ch, P[k], w_index=w)
-                ric, R = ricci_liluk(ch, P[k], w_index=w)
-                vals.append((fr.r, fr.J, R))
+                fb = frame_of(ch, P[k], w_index=w)
+                _, R, _ = _ricci_batch(ch, fb)
+                vals.append((fb.r[0], fb.J[0], R[0]))
             arr = np.array(vals)
             assert np.max(np.abs(arr - arr[0])) < 1e-8
 
@@ -727,15 +728,23 @@ class TestZeroJetsAndContractionOrder:
             Zgh = _frame_levi_derivs(surf.chart, fb)
             assert np.max(np.abs(Zgh - frame_levi_derivs_adding_every_term(surf.chart, fb))) < 1e-13
 
-    @pytest.mark.parametrize("name,params", [("whitney", {"n": 2}), ("ellipsoid", {})])
+    @pytest.mark.parametrize("name,params", [("whitney", {"n": 2}), ("ellipsoid", {}), ("reinhardt", {"n": 2})])
     def test_one_point_equals_its_row_of_a_batch(self, name, params):
+        # a single point is a one-row batch, so every route must give it its batch row
         surf = gallery(name, **params)
+        ch = surf.chart
         P = surf.random_points(50, seed=3)
+        sigma = sym.log(sym.const(1) + sym.abs2(sym.var(surf.dim - 1)))
+        fs = surf.plurifamily + [PluriharmonicFunction(sym.re(sym.var(0) * sym.var(1)), "re(z1 z2)")]
 
         def fields(Q):
-            fb, f, ric, R, L = _curvature_batch(surf, Q)
-            return (fb.BdBB, _frame_levi_derivs(surf.chart, fb), _loghess_ambient(surf.chart, fb),
-                    f["holo"], f["II0"], ric, R, L)
+            fb, f, ric, R, L = curvature_batch(surf, Q)
+            assert (f is None) == (surf.immersion is None)
+            out = [fb.BdBB, _frame_levi_derivs(ch, fb), _loghess_ambient(ch, fb), ric, R, L,
+                   _connection_batch(ch, fb), _conformal_batch(ch, sigma, fb),
+                   *transverse_solve(ch, Q), fefferman_det(ch, Q)]
+            out += [_boxb_batch(ch, g, Q, fb.xi) for g in fs] + [_energy_density_batch(ch, g, fb) for g in fs]
+            return out if f is None else out + [f["holo"], f["II0"]]
 
         batch = fields(P)
         for i in (0, 17, 49):

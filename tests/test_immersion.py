@@ -1,7 +1,5 @@
 """Second fundamental form, curvature via the Gauss identity, umbilicity."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,17 +8,25 @@ from crgeo import symbolic as sym
 from crgeo.checks import immersion_suite
 from crgeo.errors import GeometryError, NotPluriharmonic, RankDeficientNormalBasis
 from crgeo.gallery import gallery, scan_surface
-from crgeo.hypersurface import _connection_batch, _ricci_batch, ricci_liluk
+from crgeo.hypersurface import _connection_batch, _frame_batch, _loghess_batch, _ricci_batch
 from crgeo.immersion import (
+    UMBILIC_TOLERANCE,
     ImmersionSpec,
     _gauss_curvature_batch,
+    _gauss_form,
     _mixed_sff_batch,
     _sff_batch,
-    gauss_curvature,
-    second_fundamental_form,
-    torsion_from_II,
-    umbilicity_report,
 )
+
+
+def sff_of(spec, p, w_index=None):
+    """(fb, f) of ``_sff_batch`` at the single point p: a one-row batch."""
+    return _sff_batch(spec, np.asarray(p, dtype=complex)[None, :], w_index=w_index)
+
+
+def gauss_of(fb, f):
+    """(riem, ric, scalarR, cm_norm2) of the Gauss identity at the batch's points."""
+    return _gauss_curvature_batch(f["holo"], f["Hnorm2"], fb.h, fb.hinv)
 
 
 class TestConstruction:
@@ -52,17 +58,17 @@ class TestConstruction:
         p = np.array([0.9, -0.9322], dtype=complex)
         p = spec.chart.project(p)
         with pytest.raises(RankDeficientNormalBasis):
-            second_fundamental_form(spec, p)
+            sff_of(spec, p)
 
 
 class TestSphere:
     def test_form_vanishes_identically(self):
         surf = gallery("sphere", r=1.0, n=1)
         for p in surf.random_points(10, seed=1):
-            sff = second_fundamental_form(surf.immersion, p)
-            assert np.max(np.abs(sff.holo)) < 1e-13
-            assert np.max(np.abs(sff.torsion)) < 1e-13
-            assert abs(sff.Hnorm2 - 1) < 1e-12
+            _, f = sff_of(surf.immersion, p)
+            assert np.max(np.abs(f["holo"])) < 1e-13
+            assert np.max(np.abs(f["torsion"])) < 1e-13
+            assert abs(f["Hnorm2"][0] - 1) < 1e-12
 
     def test_mixed_part_is_levi_times_conj_mean_curvature(self):
         surf = gallery("sphere", r=1.0, n=2)
@@ -78,102 +84,96 @@ class TestSphere:
     def test_gauss_tensor_is_metric_pattern(self):
         surf = gallery("sphere", r=1.0, n=2)
         p = surf.random_points(1, seed=3)[0]
-        sff = second_fundamental_form(surf.immersion, p)
-        cd = gauss_curvature(sff, sff.frame)
-        h = sff.frame.levi
+        fb, f = sff_of(surf.immersion, p)
+        riem, _, R, cm = gauss_of(fb, f)
+        h = fb.h[0]
         pattern = np.einsum("ab,cd->abcd", h, h) + np.einsum("ad,cb->abcd", h, h)
-        assert np.max(np.abs(cd.riem - pattern)) < 1e-12
-        assert abs(cd.scalarR - 6) < 1e-11
-        assert cd.cm_norm2 < 1e-22
+        assert np.max(np.abs(riem[0] - pattern)) < 1e-12
+        assert abs(R[0] - 6) < 1e-11
+        assert cm[0] < 1e-22
 
     def test_nonreal_scalar_curvature_rejected(self):
         surf = gallery("sphere", r=1.0, n=2)
-        sff = second_fundamental_form(surf.immersion, surf.random_points(1, seed=3)[0])
-        hinv = sff.frame.levi_inv.copy()
-        hinv[0, 1] += 0.5j  # no longer Hermitian
-        bad = dataclasses.replace(sff.frame, levi_inv=hinv)
+        fb, f = _sff_batch(surf.immersion, surf.random_points(1, seed=3))
+        hinv = fb.hinv.copy()
+        hinv[0, 0, 1] += 0.5j  # no longer Hermitian
         with pytest.raises(GeometryError, match="scalar curvature"):
-            gauss_curvature(sff, bad)
+            _gauss_curvature_batch(f["holo"], f["Hnorm2"], fb.h, hinv)
 
 
 class TestWhitney:
     def test_traceless_norm_at_equator(self):
         surf = gallery("whitney")
         p = np.array([np.exp(0.3j), 0], dtype=complex)
-        sff = second_fundamental_form(surf.immersion, p)
-        assert abs(sff.IIcirc_norm2 - 4.0) < 1e-12
+        _, f = sff_of(surf.immersion, p)
+        assert abs(f["II0"][0] - 4.0) < 1e-12
 
     def test_traceless_norm_profile(self):
         # |II0|^2 = 2(n+1)(1 - |w|^2) / (1 + |w|^2)^3 along the sphere
         surf = gallery("whitney")
         for eta in np.linspace(0.1, 1.5, 7):
             p = np.array([np.cos(eta) * np.exp(0.2j), np.sin(eta) * np.exp(-0.6j)])
-            sff = second_fundamental_form(surf.immersion, p)
+            _, f = sff_of(surf.immersion, p)
             w2 = np.sin(eta) ** 2
             pred = 4 * (1 - w2) / (1 + w2) ** 3
-            assert abs(sff.IIcirc_norm2 - pred) < 1e-10
+            assert abs(f["II0"][0] - pred) < 1e-10
 
     def test_umbilic_circle(self):
         surf = gallery("whitney")
         for t in (0.0, 1.1, 2.7):
-            rep = umbilicity_report(surf.immersion, np.array([0, np.exp(1j * t)]))
-            assert rep.is_umbilic
-            assert rep.II0norm2 < 1e-20
-        rep = umbilicity_report(surf.immersion, np.array([0.6, 0.8], dtype=complex))
-        assert not rep.is_umbilic
+            _, f = sff_of(surf.immersion, [0, np.exp(1j * t)])
+            assert f["II0"][0] < UMBILIC_TOLERANCE
+            assert f["II0"][0] < 1e-20
+        _, f = sff_of(surf.immersion, [0.6, 0.8])
+        assert not f["II0"][0] < UMBILIC_TOLERANCE
 
     def test_two_route_identity(self):
+        # the chart's log J Hessian against the Gauss form of the second fundamental form
         surf = gallery("whitney")
         for p in surf.random_points(10, seed=4):
-            rep = umbilicity_report(surf.immersion, p)
-            assert rep.logJ_trace_residual < 1e-9
-
-    @pytest.mark.parametrize("wrapper", [second_fundamental_form, umbilicity_report])
-    def test_single_point_wrappers_refuse_a_batch(self, wrapper):
-        spec = gallery("whitney").immersion
-        P = np.array([[0, 1], [0.6, 0.8]], dtype=complex)
-        with pytest.raises(ValueError):
-            wrapper(spec, P)
-        wrapper(spec, P[:1])
+            fb, f = sff_of(surf.immersion, p)
+            residual = np.max(np.abs(_loghess_batch(surf.chart, fb) - _gauss_form(f["holo"], fb.hinv)))
+            assert residual < 1e-9
 
 
 class TestTorsion:
     def test_sphere_torsion_vanishes(self):
         surf = gallery("sphere", r=1.0, n=2)
         p = surf.random_points(1, seed=5)[0]
-        sff = second_fundamental_form(surf.immersion, p)
-        assert np.max(np.abs(torsion_from_II(sff))) < 1e-13
+        _, f = sff_of(surf.immersion, p)
+        assert np.max(np.abs(f["torsion"])) < 1e-13
 
     def test_whitney_torsion_profile(self):
         surf = gallery("whitney")
         # on the w = 0 slice the form's only nonzero component is orthogonal
         # to the mean curvature, so the torsion pairing vanishes there
-        sff0 = second_fundamental_form(surf.immersion, np.array([np.exp(0.3j), 0]))
-        assert np.max(np.abs(sff0.torsion)) < 1e-13
+        _, f0 = sff_of(surf.immersion, [np.exp(0.3j), 0])
+        assert np.max(np.abs(f0["torsion"])) < 1e-13
         # while at generic points it does not
         p = np.array([np.cos(0.7) * np.exp(0.2j), np.sin(0.7) * np.exp(-0.6j)])
-        sff = second_fundamental_form(surf.immersion, p)
-        assert np.max(np.abs(sff.torsion)) > 0.1
-        assert np.max(np.abs(sff.torsion - sff.torsion.T)) < 1e-12
+        A = sff_of(surf.immersion, p)[1]["torsion"][0]
+        assert np.max(np.abs(A)) > 0.1
+        assert np.max(np.abs(A - A.T)) < 1e-12
 
     def test_ellipsoid_torsion_symmetric_and_frame_stable(self):
         surf = gallery("ellipsoid", A=(0.2, 0.3, 0.0))
         P = surf.random_points(6, seed=6)
         for p in P:
-            sff = second_fundamental_form(surf.immersion, p)
-            A = torsion_from_II(sff)
+            _, f = sff_of(surf.immersion, p)
+            # -i holo . conj(H) in the normal basis, by its own contraction
+            A = -1j * np.einsum("abx,x->ab", f["holo"][0], np.conj(f["Ha"][0]))
             assert np.max(np.abs(A - A.T)) < 1e-9
-            assert np.max(np.abs(A - sff.torsion)) < 1e-13
+            assert np.max(np.abs(A - f["torsion"][0])) < 1e-13
             # h-raised squared norm is stable under re-selecting w
             norms = []
             grad = surf.chart.grad_at(p[None, :])[0]
             for w in range(3):
                 if abs(grad[w]) < 1e-6:
                     continue
-                s2 = second_fundamental_form(surf.immersion, p, w_index=w)
-                hinv = s2.frame.levi_inv
+                fb2, f2 = sff_of(surf.immersion, p, w_index=w)
+                T, hinv = f2["torsion"][0], fb2.hinv[0]
                 norms.append(np.real(np.einsum(
-                    "ab,pq,pa,qb->", s2.torsion, np.conj(s2.torsion), hinv, hinv)))
+                    "ab,pq,pa,qb->", T, np.conj(T), hinv, hinv)))
             assert np.max(np.abs(np.array(norms) - norms[0])) < 1e-8
 
 
@@ -219,31 +219,31 @@ class TestCurvatureBounds:
             surf = gallery(name, **params)
             n = surf.n
             for p in surf.random_points(10, seed=7):
-                sff = second_fundamental_form(surf.immersion, p)
-                cd = gauss_curvature(sff, sff.frame)
-                assert abs(cd.scalarR - (n * (n + 1) * sff.Hnorm2 - sff.IIcirc_norm2)) < 1e-10
+                fb, f = sff_of(surf.immersion, p)
+                _, _, R, _ = gauss_of(fb, f)
+                assert abs(R[0] - (n * (n + 1) * f["Hnorm2"][0] - f["II0"][0])) < 1e-10
 
     def test_ricci_dominated_by_mean_curvature(self):
         surf = gallery("ellipsoid", A=(0.1, 0.2, 0.3))
         n = surf.n
         for p in surf.random_points(10, seed=8):
-            sff = second_fundamental_form(surf.immersion, p)
-            cd = gauss_curvature(sff, sff.frame)
-            gap = (n + 1) * sff.Hnorm2 * sff.frame.levi - cd.ric
+            fb, f = sff_of(surf.immersion, p)
+            _, ric, _, _ = gauss_of(fb, f)
+            gap = (n + 1) * f["Hnorm2"][0] * fb.h[0] - ric[0]
             assert np.min(np.linalg.eigvalsh(gap)) > -1e-9
 
     def test_chern_moser_norm_tracks_traceless_form(self):
         # codimension is low here, so both vanish together
         surf = gallery("ellipsoid", A=(0.1, 0.2, 0.3))
         for p in surf.random_points(6, seed=9):
-            sff = second_fundamental_form(surf.immersion, p)
-            cd = gauss_curvature(sff, sff.frame)
-            assert (cd.cm_norm2 > 1e-10) == (sff.IIcirc_norm2 > 1e-10)
+            fb, f = sff_of(surf.immersion, p)
+            cm = gauss_of(fb, f)[3][0]
+            assert (cm > 1e-10) == (f["II0"][0] > 1e-10)
         sph = gallery("sphere", r=1.0, n=2)
         p = sph.random_points(1, seed=10)[0]
-        sff = second_fundamental_form(sph.immersion, p)
-        cd = gauss_curvature(sff, sff.frame)
-        assert cd.cm_norm2 < 1e-20 and sff.IIcirc_norm2 < 1e-20
+        fb, f = sff_of(sph.immersion, p)
+        cm = gauss_of(fb, f)[3][0]
+        assert cm < 1e-20 and f["II0"][0] < 1e-20
 
     @pytest.mark.parametrize("name,params,cm_bound", [
         ("sphere", {"n": 2}, 1e-25), ("whitney", {"n": 1}, 0.0), ("whitney", {"n": 2}, 1e-25),
@@ -255,11 +255,10 @@ class TestCurvatureBounds:
         fb, f = _sff_batch(surf.immersion, P)
         riem, ric, R, cm = _gauss_curvature_batch(f["holo"], f["Hnorm2"], fb.h, fb.hinv)
         for i, p in enumerate(P):
-            sff = second_fundamental_form(surf.immersion, p)
-            cd = gauss_curvature(sff, sff.frame)
-            for rows, one in [(riem, cd.riem), (ric, cd.ric), (R, cd.scalarR)]:
+            riem1, ric1, R1, cm1 = (v[0] for v in gauss_of(*sff_of(surf.immersion, p)))
+            for rows, one in [(riem, riem1), (ric, ric1), (R, R1)]:
                 assert np.max(np.abs(rows[i] - one)) <= 1e-13 * np.max(np.abs(one))
-            assert abs(cm[i] - cd.cm_norm2) <= 1e-13 * cd.cm_norm2 + 1e-28  # rounding noise where it vanishes
+            assert abs(cm[i] - cm1) <= 1e-13 * cm1 + 1e-28  # rounding noise where it vanishes
         if cm_bound is None:  # the ellipsoid is not spherical (Webster)
             assert np.min(cm) > 1e-5
         else:  # sphere and whitney are: the Chern-Moser tensor vanishes
@@ -269,8 +268,7 @@ class TestCurvatureBounds:
         for name, params in [("ellipsoid", {"A": (0.1, 0.2, 0.3)}), ("whitney", {})]:
             surf = gallery(name, **params)
             for p in surf.random_points(5, seed=12):
-                sff = second_fundamental_form(surf.immersion, p)
-                R = gauss_curvature(sff, sff.frame).riem
+                R = gauss_of(*sff_of(surf.immersion, p))[0][0]
                 # R_{a b~ c d~} = conj(R_{b a~ d c~}) and symmetry in (a, c)
                 assert np.max(np.abs(R - np.conj(np.transpose(R, (1, 0, 3, 2))))) < 1e-9
                 assert np.max(np.abs(R - np.transpose(R, (2, 1, 0, 3)))) < 1e-9
@@ -278,10 +276,9 @@ class TestCurvatureBounds:
     def test_trace_identity_with_chart_route(self):
         surf = gallery("whitney")
         for p in surf.random_points(6, seed=11):
-            sff = second_fundamental_form(surf.immersion, p)
-            cd = gauss_curvature(sff, sff.frame)
-            _, R_chart = ricci_liluk(surf.chart, p)
-            assert abs(cd.scalarR - R_chart) < 1e-9
+            R = gauss_of(*sff_of(surf.immersion, p))[2][0]
+            _, R_chart, _ = _ricci_batch(surf.chart, _frame_batch(surf.chart, p[None, :]))
+            assert abs(R - R_chart[0]) < 1e-9
 
 
 class TestEllipsoidUmbilicity:

@@ -10,14 +10,25 @@ from crgeo.errors import NotEigenmap, NotPluriharmonic, SingularSystem, ZeroEner
 from crgeo.gallery import gallery
 from crgeo.immersion import ImmersionSpec
 from crgeo.quadrature import monte_carlo, product_grid
+from crgeo.hypersurface import _frame_batch, transverse_solve
 from crgeo.spectral import (
     PluriharmonicFunction,
-    boxb_pluriharmonic,
-    dbarb_energy_density,
+    _boxb_batch,
+    _energy_density_batch,
     reilly_bound,
     takahashi_check,
     tension_bound,
 )
+
+
+def boxb(chart, f, P):
+    """(K,) box_b f at a (K, m) batch, the transverse field solved for the same points."""
+    return _boxb_batch(chart, f, P, transverse_solve(chart, P)[0])
+
+
+def energy_density(chart, f, P):
+    """(K,) |dbar_b f|^2 at a (K, m) batch."""
+    return _energy_density_batch(chart, f, _frame_batch(chart, P))
 
 
 class TestKohnLaplacian:
@@ -25,7 +36,7 @@ class TestKohnLaplacian:
         surf = gallery("sphere", r=1.0, n=1)
         P = surf.random_points(25, seed=1)
         for j, f in enumerate(surf.plurifamily):
-            vals = boxb_pluriharmonic(surf.chart, f, P)
+            vals = boxb(surf.chart, f, P)
             assert np.max(np.abs(vals - np.conj(P[:, j]))) < 1e-12
 
     def test_reinhardt_log_moduli(self):
@@ -33,27 +44,27 @@ class TestKohnLaplacian:
             surf = gallery("reinhardt", n=n)
             P = surf.random_points(25, seed=2)
             for j, f in enumerate(surf.plurifamily):
-                vals = boxb_pluriharmonic(surf.chart, f, P)
+                vals = boxb(surf.chart, f, P)
                 Lj = np.log(np.abs(P[:, j]) ** 2)
                 assert np.max(np.abs(vals - (n / 2) * Lj)) < 1e-12
 
     def test_constant_annihilated(self):
         surf = gallery("sphere", r=1.0, n=1)
         f = PluriharmonicFunction(sym.const(3.7), "const")
-        p = surf.random_points(1, seed=3)[0]
-        assert boxb_pluriharmonic(surf.chart, f, p) == 0
+        P = surf.random_points(1, seed=3)
+        assert boxb(surf.chart, f, P)[0] == 0
 
     def test_cr_function_annihilated_exactly(self):
         surf = gallery("sphere", r=1.0, n=1)
         f = PluriharmonicFunction(sym.var(0) * sym.var(1), "holomorphic")
-        p = surf.random_points(1, seed=4)[0]
-        assert boxb_pluriharmonic(surf.chart, f, p) == 0
+        P = surf.random_points(1, seed=4)
+        assert boxb(surf.chart, f, P)[0] == 0
 
     def test_nonpluriharmonic_rejected(self):
         surf = gallery("sphere", r=1.0, n=1)
         f = PluriharmonicFunction(sym.abs2(sym.var(0)), "bad")
         with pytest.raises(NotPluriharmonic):
-            boxb_pluriharmonic(surf.chart, f, surf.random_points(1, seed=5)[0])
+            boxb(surf.chart, f, surf.random_points(1, seed=5))
 
     def test_linearity(self):
         surf = gallery("ellipsoid", A=(0.1, 0.2, 0.3))
@@ -62,8 +73,8 @@ class TestKohnLaplacian:
         g = PluriharmonicFunction(sym.re(sym.intpow(sym.var(2), 2)), "g")
         a, b = 1.3 - 0.2j, -0.7 + 2.1j
         combo = PluriharmonicFunction(a * f.ftilde + b * g.ftilde, "combo")
-        lhs = boxb_pluriharmonic(surf.chart, combo, P)
-        rhs = a * boxb_pluriharmonic(surf.chart, f, P) + b * boxb_pluriharmonic(surf.chart, g, P)
+        lhs = boxb(surf.chart, combo, P)
+        rhs = a * boxb(surf.chart, f, P) + b * boxb(surf.chart, g, P)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -72,7 +83,7 @@ class TestEnergyDensity:
         surf = gallery("reinhardt", n=1)
         P = surf.random_points(25, seed=7)
         for j, f in enumerate(surf.plurifamily):
-            dens = dbarb_energy_density(surf.chart, f, P)
+            dens = energy_density(surf.chart, f, P)
             Lj = np.log(np.abs(P[:, j]) ** 2)
             assert np.max(np.abs(dens - (0.5 - 0.5 * Lj**2))) < 1e-12
 
@@ -80,21 +91,21 @@ class TestEnergyDensity:
         for n in (1, 2):
             surf = gallery("reinhardt", n=n)
             P = surf.random_points(25, seed=8)
-            total = sum(dbarb_energy_density(surf.chart, f, P) for f in surf.plurifamily)
+            total = sum(energy_density(surf.chart, f, P) for f in surf.plurifamily)
             assert np.max(np.abs(total - n / 2)) < 1e-12
 
     def test_sphere_conjugate_sum_is_n(self):
         for n in (1, 2):
             surf = gallery("sphere", r=1.0, n=n)
             P = surf.random_points(25, seed=9)
-            total = sum(dbarb_energy_density(surf.chart, f, P) for f in surf.plurifamily)
+            total = sum(energy_density(surf.chart, f, P) for f in surf.plurifamily)
             assert np.max(np.abs(total - n)) < 1e-12
 
     def test_cr_function_has_zero_density(self):
         surf = gallery("sphere", r=1.0, n=1)
         f = PluriharmonicFunction(sym.var(0), "cr")
-        p = surf.random_points(1, seed=10)[0]
-        assert abs(dbarb_energy_density(surf.chart, f, p)) < 1e-15
+        P = surf.random_points(1, seed=10)
+        assert abs(energy_density(surf.chart, f, P)[0]) < 1e-15
 
 
 class TestTakahashi:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from crgeo import symbolic as sym
 from crgeo.checks import fd_wirtinger, random_exprs, symcore_suite
+from crgeo.cli import main as cli_main
 from crgeo.dsl import parse_expr
 from crgeo.errors import DomainError
 from crgeo.gallery import gallery
@@ -305,6 +306,23 @@ class TestInterning:
             assert sym.const(zero) is not sym.const(signed)
             np.testing.assert_array_equal(bits(sym.const(signed).payload), bits(complex(signed)))
         assert sym.const(-0.0) is not sym.const(complex(0, -0.0))
+
+    def test_nan_constants_intern_to_one_node(self):
+        nan = float("nan")
+        assert sym.const(nan) is sym.const(nan)
+        assert sym.const(complex(1.0, nan)) is sym.const(complex(1.0, nan))
+        assert sym.const(nan) is not sym.const(complex(1.0, nan))
+
+    def test_repeated_request_with_a_nan_constant_adds_no_node(self, tmp_path, capsys):
+        # 1e400 - 1e400 folds to a NaN constant; the request fails as not real-valued
+        path = tmp_path / "nan.surf"
+        path.write_text("dim = 2\nrho = abs2(z1) + abs2(z2) - 1 + (1e400 - 1e400)*re(z1)\n")
+        argv = ["analyze", "--surface-file", str(path), "--point", "0,1"]
+        assert cli_main(argv) == 2
+        before = len(sym._NODES)
+        assert cli_main(argv) == 2
+        assert len(sym._NODES) == before
+        assert '"NotRealValued"' in capsys.readouterr().err
 
 
 class TestHolomorphy:
