@@ -32,8 +32,6 @@ it, so c rho (c > 0), whose r, J and R scale by powers of c, passes as rho does.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import symbolic as sym
@@ -92,17 +90,19 @@ class HypersurfaceChart:
         """(..., m, m) array of rho_{j kbar}."""
         return eval_array(self.jets("hb"), P)
 
-    @functools.cached_property
+    @property
     def third_jets_vanish(self):
         """True when every third jet d_j d_l d_cbar rho is the constant 0, as on
-        every quadric.  ``sym.jets`` builds each fourth jet d_j d_kbar rho_{l cbar}
-        from such a third jet, so then every fourth jet is the constant 0 too."""
-        vals = sym.constants(np.array(self.jets("hbh"), dtype=object).ravel())
+        every quadric, read from the jet array's layout.  ``sym.jets`` builds each
+        fourth jet d_j d_kbar rho_{l cbar} from such a third jet, so then every
+        fourth jet is the constant 0 too."""
+        vals = self.jets("hbh").values
         return vals is not None and not any(vals)
 
     def project(self, p):
         """Pull a nearby point onto {rho = 0} by Newton along the gradient
-        (at most 80 steps, stopping once |rho| < 1e-13).
+        (at most 80 steps, stopping once |rho| < 1e-13 max(1, |P| |rho_j|), so c rho
+        stops where rho does).
 
         Raises NotOnSurface when 80 steps leave |Re rho| > ON_SURFACE_TOL
         max(1, |P| |rho_j|), rho_j the last gradient evaluated (``_on_surface``),
@@ -114,7 +114,10 @@ class HypersurfaceChart:
         g = np.zeros_like(Z)
         for it in range(81):  # 80 Newton steps, then a last look at rho
             val = np.real(self.rho_at(Z))
-            if it == 80 or np.max(np.abs(val)) < 1e-13 or not np.all(np.isfinite(val)):
+            absval = np.abs(val)
+            # the scale is at least 1: its norms are needed only once some |rho| >= 1e-13
+            stop = np.max(absval) < 1e-13 or np.all(absval < 1e-13 * _surface_scale(Z, g))
+            if it == 80 or stop or not np.all(np.isfinite(val)):
                 break
             g = self.grad_at(Z)
             denom = 2.0 * np.sum(np.abs(g) ** 2, axis=1)
@@ -132,9 +135,14 @@ class HypersurfaceChart:
 
 def _require_real(e, what):
     """Reject ``e`` unless |Im e| < 1e-12 max(1, |e|) at the points of ``sym.appears_zero``."""
-    imag, val = sym.evaluate([sym.im(e), e], sym.zero_test_coords(e))  # e is a subtree of im(e)
-    if not np.all(np.abs(imag) < 1e-12 * np.maximum(1.0, np.abs(val))):
+    if not _is_real(e):
         raise NotRealValued(f"{what} must be real-valued")
+
+
+@sym.remember_pass
+def _is_real(e):
+    imag, val = sym._evaluate([sym.im(e), e], sym.zero_test_coords(e))  # e is a subtree of im(e)
+    return bool(np.all(np.abs(imag) < 1e-12 * np.maximum(1.0, np.abs(val))))
 
 
 def eval_at(e, P):
@@ -153,21 +161,21 @@ def eval_array(exprs, P):
     index per nesting level: entry ``[..., i, j]`` is ``eval_at(exprs[i][j], P)``.
     The whole array is one ``sym.evaluate`` call, so a subexpression shared
     between entries runs once; an array of constant nodes is filled from
-    their values, with no program compiled or run.
+    their values, with no program compiled or run.  A ``sym.jets`` array
+    brings its layout; any other nesting is laid out on each call.
     """
     if isinstance(exprs, sym.Expr):
         return eval_at(exprs, P)
+    if not isinstance(exprs, sym.JetArray):
+        exprs = sym.JetArray(exprs)
     P = np.asarray(P, dtype=complex)
-    grid = np.array(exprs, dtype=object)
-    flat = list(grid.flat)
-    out = np.empty(P.shape[:-1] + (grid.size,), dtype=complex)
-    vals = sym.constants(flat)
-    if vals is not None:
-        out[...] = vals
+    out = np.empty(P.shape[:-1] + (len(exprs.flat),), dtype=complex)
+    if exprs.values is not None:
+        out[...] = exprs.values
     else:
-        for i, v in enumerate(sym.evaluate(flat, [P[..., j] for j in range(P.shape[-1])])):
+        for i, v in enumerate(sym.evaluate(exprs.flat, [P[..., j] for j in range(P.shape[-1])])):
             out[..., i] = v
-    return out.reshape(P.shape[:-1] + grid.shape)
+    return out.reshape(P.shape[:-1] + exprs.shape)
 
 
 def _batch(P, m):
@@ -208,11 +216,12 @@ class _FrameBatch:
 
     ``hol2`` and ``jet3`` hold the ambient jets rho_{lj} and d_j rho_{l cbar},
     and ``Binv``, ``dB`` and ``BdBB`` hold B^-1, d_j B and B^-1 d_j B B^-1, once
-    ``_ambient_derivs`` has built them.
+    ``_ambient_derivs`` has built them; ``dZw`` holds Z_alpha Z_gamma^w once
+    ``_frame_w_derivs`` has.
     """
 
     __slots__ = ("P", "w", "fc", "Zc", "h", "hinv", "heigs", "xi", "r", "J", "grad", "hess", "rho",
-                 "hol2", "jet3", "Binv", "dB", "BdBB")
+                 "hol2", "jet3", "Binv", "dB", "BdBB", "dZw")
 
     def subset(self, mask):
         out = _FrameBatch()
@@ -237,10 +246,15 @@ def _real(values, tol, what, cls):
     return re
 
 
+def _surface_scale(P, grad):
+    """(K,) max(1, |P| |rho_j|), the factor of the on-surface rule."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf * 0 scale is NaN; fmax reads it as 1
+        return np.fmax(1.0, np.linalg.norm(P, axis=1) * np.linalg.norm(grad, axis=1))
+
+
 def _on_surface(rho, P, grad, tol, cls, msg, labels=None):
     """Raise ``cls(msg.format(|rho|, i or labels[i]))`` at the first point i off the surface."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf * 0 scale is NaN; fmax reads it as 1
-        bound = tol * np.fmax(1.0, np.linalg.norm(P, axis=1) * np.linalg.norm(grad, axis=1))
+    bound = tol * _surface_scale(P, grad)
     bad = ~((np.abs(rho) <= bound) & np.isfinite(rho))
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -298,7 +312,7 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
     hess = chart.hess_at(P)
     fb = _FrameBatch()
     fb.P, fb.w, fb.grad, fb.hess, fb.rho = P, w, grad, hess, rho.real
-    fb.hol2 = fb.jet3 = fb.Binv = fb.dB = fb.BdBB = None
+    fb.hol2 = fb.jet3 = fb.Binv = fb.dB = fb.BdBB = fb.dZw = None
     fb.fc, fb.Zc = _frame_coeffs(grad, w)
 
     # rounding in Zc H Zc^* scales with |Zc|^2 |H|: 1e-10 at unit scale
@@ -432,14 +446,17 @@ def _ambient_derivs(chart, fb):
 
 
 def _frame_w_derivs(chart, fb):
-    """(K, alpha, gamma) array of Z_alpha Z_gamma^w = -(Zc rho_{lj} Zc^T)/rho_w.
+    """(K, alpha, gamma) array of Z_alpha Z_gamma^w = -(Zc rho_{lj} Zc^T)/rho_w,
+    formed once per batch (``fb.dZw``): the SFF and the connection both read it.
 
     Only the w-column of the frame coefficients varies; by the chain rule
     d_j Z_gamma^w = -Z_gamma^l rho_{lj} / rho_w.
     """
-    hol2, _ = _ambient_derivs(chart, fb)
-    S = np.einsum("kaj,klj,kgl->kag", fb.Zc, hol2, fb.Zc)
-    return -S / fb.at_w(fb.grad)[:, None, None]
+    if fb.dZw is None:
+        hol2, _ = _ambient_derivs(chart, fb)
+        S = np.einsum("kaj,klj,kgl->kag", fb.Zc, hol2, fb.Zc)
+        fb.dZw = -S / fb.at_w(fb.grad)[:, None, None]
+    return fb.dZw
 
 
 def _frame_conj_w_derivs(fb):

@@ -21,25 +21,64 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def encode_value(v):
-    """Normalize a python/numpy value into the report's JSON form."""
-    if v is None or isinstance(v, (bool, str, int)):
-        return v
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _key(k):
+    """A dict key as ``json`` writes it: a str as itself, None, a bool, an int
+    or a float as the JSON text of the value."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _write(v, nl, out):
+    """Append to ``out`` the report text of ``v``, as ``json.dumps(indent=2)``
+    lays it out at the nesting whose newline-and-indent is ``nl``: floats as
+    17-digit strings, complex numbers as {"re", "im"} pairs of them, numpy
+    scalars as their Python values and arrays as nested lists.  Numbers come
+    first, being most of a report; bool is tested before its base class int."""
     if isinstance(v, (float, np.floating)):
-        return _fmt(v)
-    if isinstance(v, (complex, np.complexfloating)):
-        return {"re": _fmt(v.real), "im": _fmt(v.imag)}
-    if isinstance(v, np.ndarray):
-        return [encode_value(x) for x in v.tolist()] if v.ndim else encode_value(v.item())
-    if isinstance(v, dict):
-        return {k: encode_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [encode_value(x) for x in v]
-    raise TypeError(f"cannot serialize {type(v)!r}")
+        out.append(f'"{_fmt(v)}"')
+    elif isinstance(v, (complex, np.complexfloating)):
+        inner = nl + "  "
+        out.append(f'{{{inner}"re": "{_fmt(v.real)}",{inner}"im": "{_fmt(v.imag)}"{nl}}}')
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner, sep = nl + "  ", "{"
+        for k, x in v.items():
+            out.append(f"{sep}{inner}{_quote(_key(k))}: ")
+            _write(x, inner, out)
+            sep = ","
+        out.append(nl + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner, sep = nl + "  ", "["
+        for x in v:
+            out.append(sep + inner)
+            _write(x, inner, out)
+            sep = ","
+        out.append(nl + "]")
+    elif isinstance(v, np.ndarray):
+        _write(v.tolist() if v.ndim else v.item(), nl, out)
+    elif isinstance(v, str):
+        out.append(_quote(v))
+    elif v is None:
+        out.append("null")
+    elif v is True or v is False or isinstance(v, np.bool_):
+        out.append("true" if v else "false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, np.integer):
+        out.append(int.__repr__(int(v)))
+    else:
+        raise TypeError(f"cannot serialize {type(v)!r}")
 
 
 def decode_number(v):
@@ -60,18 +99,14 @@ class Report:
     schema_version: str = SCHEMA_VERSION
     tool_version: str = TOOL_VERSION
 
-    def to_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "surface": encode_value(self.surface),
-            "command": self.command,
-            "records": encode_value(self.records),
-            "aggregates": encode_value(self.aggregates),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The report's bytes, written in one pass (``_write``)."""
+        out = []
+        _write({"schema_version": self.schema_version, "tool_version": self.tool_version,
+                "surface": self.surface, "command": self.command,
+                "records": self.records, "aggregates": self.aggregates}, "\n", out)
+        out.append("\n")
+        return "".join(out)
 
     @staticmethod
     def from_json(text: str) -> "Report":

@@ -37,15 +37,11 @@ class PluriharmonicFunction:
     def __init__(self, ftilde: sym.Expr, label: str = ""):
         self.ftilde = ftilde
         self.label = label
-        self._checked = False
 
     def ensure_valid(self):
-        if not self._checked:
-            if not sym.is_pluriharmonic(self.ftilde):
-                raise NotPluriharmonic(
-                    f"{self.label or 'function'} has a nonvanishing mixed second derivative"
-                )
-            self._checked = True
+        # sym.is_pluriharmonic keeps a pass for the process: a repeat costs a set lookup
+        if not sym.is_pluriharmonic(self.ftilde):
+            raise NotPluriharmonic(f"{self.label or 'function'} has a nonvanishing mixed second derivative")
 
     def __repr__(self):
         return f"PluriharmonicFunction({self.label or sym.to_text(self.ftilde)})"

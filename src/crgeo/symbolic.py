@@ -8,8 +8,9 @@ threads and cached aggressively.
 
 Nodes are interned: each factory returns the one node of its (op, children,
 payload), held in a module-level table for the life of the process, so equal
-trees built apart are one object.  A derivative, a conjugate or a compiled
-program cached on a node is therefore shared by every surface of the same
+trees built apart are one object.  A derivative, a conjugate, a jet array or
+a compiled program cached on a node, and a zero test it passed
+(``remember_pass``), are therefore shared by every surface of the same
 structure, however often it is rebuilt.
 
 Normal forms kept by the constructors:
@@ -19,7 +20,8 @@ Normal forms kept by the constructors:
   * 0/1 absorption and constant folding are applied locally.
 
 ``jets`` builds every derivative array, taking each entry's steps in sorted
-order so that commuting derivatives are one tree.  ``evaluate`` runs one or
+order so that commuting derivatives are one tree, and keeps it as a
+``JetArray`` that carries its evaluation layout.  ``evaluate`` runs one or
 more expressions as a flat post-order program over their union DAG: shared
 nodes run once, conjugate partners are mirrored by ``np.conj``, and each
 intermediate is dropped after its last reader.  The program is kept on the
@@ -32,6 +34,7 @@ real axis; every expression in scope takes log of positive real quantities
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -294,30 +297,53 @@ def differentiate(e: Expr, j: int, conjugated: bool = False) -> Expr:
     return out
 
 
+class JetArray(tuple):
+    """A nested tuple of expressions with its evaluation layout, built once:
+    ``shape`` of the nesting, the row-major ``flat`` tuple of its entries, and
+    ``values``, their payloads when every entry is a constant node (else None)."""
+
+    def __new__(cls, nested):
+        self = super().__new__(cls, nested)
+        grid = np.array(self, dtype=object)
+        self.shape, self.flat = grid.shape, tuple(grid.flat)
+        self.values = constants(self.flat)
+        return self
+
+
 def jets(e, m: int, pattern: str):
-    """Nested tuple of the Wirtinger derivatives of ``e`` (a list of them for
-    a list ``e``), with one index in ``range(m)`` per letter of ``pattern``:
-    ``h`` is d/dz and ``b`` is d/dzbar, so entry ``[j][k]`` of ``"hb"`` is
-    d_j d_kbar e.  Each entry takes its steps sorted by (conjugated, index):
-    permuted multi-indices give the same tree.  The array of one expression
-    is built once per ``(m, pattern)`` and kept on it, for every caller.
+    """``JetArray`` of the Wirtinger derivatives of ``e`` (of each expression of
+    a list ``e``, one array per expression along the first index), with one
+    index in ``range(m)`` per letter of ``pattern``: ``h`` is d/dz and ``b`` is
+    d/dzbar, so entry ``[j][k]`` of ``"hb"`` is d_j d_kbar e.  Each entry takes
+    its steps sorted by (conjugated, index): permuted multi-indices give the
+    same tree.  The array is built once per process and kept on ``e``, or on a
+    list's first expression keyed by the list, for every caller.
     """
-    if not isinstance(e, Expr):
-        return [jets(x, m, pattern) for x in e]
-    e._jets = e._jets or {}
-    if (m, pattern) not in e._jets:
+    single = isinstance(e, Expr)
+    if single:
+        home, key = e, (m, pattern)
+    else:
+        e = tuple(e)
+        home, key = e[0], (e, m, pattern)
+    home._jets = home._jets or {}
+    out = home._jets.get(key)
+    if out is None:
+        if single:
 
-        def entry(steps):
-            if len(steps) < len(pattern):
-                c = pattern[len(steps)] == "b"
-                return tuple(entry(steps + ((c, j),)) for j in range(m))
-            out = e
-            for c, j in sorted(steps):
-                out = differentiate(out, j, c)
-            return out
+            def entry(steps):
+                if len(steps) < len(pattern):
+                    c = pattern[len(steps)] == "b"
+                    return tuple(entry(steps + ((c, j),)) for j in range(m))
+                out = e
+                for c, j in sorted(steps):
+                    out = differentiate(out, j, c)
+                return out
 
-        e._jets[m, pattern] = entry(())
-    return e._jets[m, pattern]
+            out = JetArray(entry(())) if pattern else e
+        else:
+            out = JetArray(jets(x, m, pattern) for x in e)
+        home._jets[key] = out
+    return out
 
 
 def constants(exprs):
@@ -338,6 +364,14 @@ def evaluate(exprs, coords):
     expressions run as one ``_compile`` program, kept on the first root and
     keyed by the tuple of roots.
     """
+    return _evaluate(exprs, coords)
+
+
+def _evaluate(exprs, coords):
+    """``evaluate`` without its public entry.  The zero tests call this one:
+    ``remember_pass`` skips a structure's repeat, so routing them through
+    ``evaluate`` would make a request's count of evaluations depend on what
+    the process loaded before."""
     roots = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
     progs = roots[0]._progs = roots[0]._progs or {}
     if roots not in progs:
@@ -445,11 +479,36 @@ def _random_coords(rng, m, k=1):
     return re_part + 1j * im_part
 
 
-def zero_test_coords(e: Expr) -> list:
-    """Coordinate arrays of the ``_N_ZERO_POINTS`` fixed zero-test points for ``e``."""
-    m = max(free_indices(e), default=0) + 1
+@functools.cache
+def _zero_test_points(m):
     pts = _random_coords(np.random.default_rng(_ZERO_TEST_SEED), m, _N_ZERO_POINTS)
-    return [pts[:, j] for j in range(m)]
+    pts.flags.writeable = False  # shared by every caller for the process
+    return tuple(pts[:, j] for j in range(m))
+
+
+def zero_test_coords(e: Expr) -> tuple:
+    """Coordinate arrays of the ``_N_ZERO_POINTS`` fixed zero-test points for
+    ``e``: read-only, and built once per dimension."""
+    return _zero_test_points(max(free_indices(e), default=0) + 1)
+
+
+def remember_pass(test):
+    """``test``, a pure predicate of interned nodes (and hashable plain values),
+    with each True answer kept for the process, as ``_NODES`` keeps the nodes:
+    a structure seen before is not evaluated again.  A False answer or an error
+    is never kept, so a bad input fails at every load."""
+    passed = set()
+
+    @functools.wraps(test)
+    def checked(*args):
+        if args in passed:
+            return True
+        ok = test(*args)
+        if ok:
+            passed.add(args)
+        return ok
+
+    return checked
 
 
 def appears_zero(e: Expr, tol: float = 1e-12) -> bool:
@@ -457,14 +516,16 @@ def appears_zero(e: Expr, tol: float = 1e-12) -> bool:
     |value| < tol at the points of ``zero_test_coords``."""
     if _is_const(e):
         return abs(e.payload) < tol
-    return bool(np.max(np.abs(evaluate(e, zero_test_coords(e)))) < tol)
+    return bool(np.max(np.abs(_evaluate(e, zero_test_coords(e)))) < tol)
 
 
+@remember_pass
 def is_holomorphic(e: Expr) -> bool:
     """True iff every dzbar^j-derivative of e vanishes identically."""
     return all(appears_zero(differentiate(e, j, conjugated=True)) for j in free_indices(e))
 
 
+@remember_pass
 def is_pluriharmonic(e: Expr) -> bool:
     """True iff all mixed second Wirtinger derivatives of e vanish."""
     idx = free_indices(e)

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -15,6 +18,8 @@ from crgeo.gallery import gallery, load_surface
 from crgeo.hypersurface import HypersurfaceChart
 from crgeo.dsl import parse_surface_file
 from crgeo.report import Report, decode_number, scan_csv
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(argv):
@@ -530,3 +535,103 @@ def test_nonreal_J_exits_3_with_a_json_error(monkeypatch):
     rc, out, err = run_cli(["analyze", "--surface", "sphere", "--point", "0.6,0.8"])
     assert (rc, out) == (3, "")
     assert json.loads(err)["error"] == "NonpositiveJ"
+
+
+# the CI smoke commands and their surface files (.github/workflows/tier1.yml); the
+# dimension-3 `check` runs (whitney n=2, c3x100) are left out, at about 8 s per run
+SMOKE_FILES = {
+    "c3x100.txt": C3_TIMES_100,
+    "q2x1e6.txt": "dim = 2\nrho = 1e6*(abs2(z1) + abs2(z2) + re(0.3*z1^2 + (0.1+0.2i)*z1*z2) - 1)\n",
+    "s2x1e4.txt": "dim = 2\nrho = 1e4*(abs2(z1) + abs2(z2) - 1)\nF = [100*z1, 100*z2]\npsi = -1e4\n",
+    "s2x1e8.txt": "dim = 2\nrho = 1e8*(abs2(z1) + abs2(z2) - 1)\nF = [1e4*z1, 1e4*z2]\npsi = -1e8\n",
+}
+SMOKE_COMMANDS = [
+    "gallery-list",
+    "analyze --surface sphere --point 1,0",
+    "scan --surface sphere --grid 3",
+    "bound --surface sphere --quad grid:4",
+    "bound --surface reinhardt --params n=1 --quad grid:8",
+    "scan --surface whitney --grid 5 --out scan.csv --meta-out scan.json",
+    "check --surface whitney --seed 0",
+    "analyze --surface-file c3x100.txt --point=0.3+0.3i,0.5-0.2i,0.6",
+    "scan --surface-file c3x100.txt --grid 8",
+    "analyze --surface-file q2x1e6.txt --point=0.6,0.7",
+    "scan --surface-file q2x1e6.txt --grid 8",
+    "bound --surface-file s2x1e4.txt --quad grid:4",
+    "analyze --surface-file s2x1e8.txt --point=0.6,0.8",
+    "bound --surface-file s2x1e8.txt --quad grid:4",
+]
+# runs each command twice in one fresh process and prints the ones whose second run differs
+WARM_EQUALS_COLD = """
+import io, json, os, sys
+from contextlib import redirect_stdout
+from crgeo.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    files = {}
+    for flag in ("--out", "--meta-out"):
+        if flag in argv:
+            with open(argv[argv.index(flag) + 1], encoding="utf-8", newline="") as fh:
+                files[flag] = fh.read()
+    return code, out.getvalue(), files
+
+differ = []
+for line in json.loads(sys.argv[1]):
+    cold, warm = run(line.split()), run(line.split())
+    if cold != warm or cold[0] != 0:
+        differ.append([line, cold[0], warm[0]])
+print(json.dumps(differ))
+"""
+
+
+def test_smoke_commands_repeat_their_bytes_in_one_process(tmp_path):
+    # per-structure caches (jets, layouts, programs, passed load checks) are
+    # filled by the first run: the second must write the same bytes
+    for name, text in SMOKE_FILES.items():
+        (tmp_path / name).write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", WARM_EQUALS_COLD, json.dumps(SMOKE_COMMANDS)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_a_second_build_runs_no_zero_test(tmp_path, monkeypatch):
+    # a passed load check (realness of rho and sigma, holomorphic F, pluriharmonic
+    # psi and family, rho = |F|^2 + psi) is kept on the interned nodes
+    (tmp_path / "s.txt").write_text("dim = 2\nrho = 4*(abs2(z1) + abs2(z2) - 1)\nF = [2*z1, 2*z2]\npsi = -4\n"
+                                    "sigma = log(1 + abs2(z2))\n")
+
+    def builds():
+        surfaces = [gallery("whitney", n=2), gallery("reinhardt", n=2), gallery("ellipsoid", A=(0.3, -0.2)),
+                    load_surface(parse_surface_file((tmp_path / "s.txt").read_text()))]
+        for s in surfaces:
+            for f in s.plurifamily:
+                f.ensure_valid()
+        return surfaces
+
+    builds()
+
+    def forbidden(*args):
+        raise AssertionError("evaluated again")
+
+    monkeypatch.setattr(sym, "zero_test_coords", forbidden)
+    monkeypatch.setattr(sym, "_compile", forbidden)
+    builds()
+
+
+@pytest.mark.parametrize("text,code,error", [
+    ("dim = 2\nrho = abs2(z1) + abs2(z2) - 1 + i*re(z1)\n", 2, "NotRealValued"),
+    ("dim = 2\nrho = 1e8*(abs2(z1) + abs2(z2) - 1)\nF = [1e4*z1, 1.0001e4*z2]\npsi = -1e8\n", 2, "BadParams"),
+    ("dim = 2\nrho = abs2(z1) + abs2(z2) - 1\nF = [conj(z1), z2]\npsi = -1\n", 3, "NotPluriharmonic"),
+])
+def test_a_failed_load_check_fails_every_load(tmp_path, text, code, error):
+    # a failure is never remembered
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    for _ in range(2):
+        rc, out, err = run_cli(["analyze", "--surface-file", str(f), "--point=0.6,0.8"])
+        assert (rc, out, json.loads(err)["error"]) == (code, "", error)

@@ -196,6 +196,20 @@ class TestFrame:
         # one rho per Newton step, plus the one that stops the loop
         assert calls["rho"] == calls["grad"] + 1
 
+    @pytest.mark.parametrize("c,calls", [(1.0, 1), (1e6, 2), (1e9, 2)])
+    def test_projection_stop_scales_with_rho(self, monkeypatch, c, calls):
+        # the Newton stop is 1e-13 max(1, |P| |rho_j|): c rho stops where rho does,
+        # where an absolute 1e-13 ran all 80 steps (81 rho evaluations) at c = 1e6
+        z1, z2 = sym.var(0), sym.var(1)
+        rho = c * (sym.abs2(z1) + sym.abs2(z2) + sym.re(0.3 * z1 * z1 + (0.1 + 0.2j) * z1 * z2) - 1)
+        ch = HypersurfaceChart(rho, 2)
+        seen = []
+        rho_at = ch.rho_at
+        monkeypatch.setattr(ch, "rho_at", lambda P: seen.append(len(P)) or rho_at(P))
+        p = ch.project(np.array([0.6, 0.7], dtype=complex))
+        assert len(seen) == calls
+        assert np.max(np.abs(p - [0.6, 0.7])) < 1e-15
+
     def test_levi_gate_rejects_rounding_excess_at_unit_scale(self, monkeypatch):
         # max|Zc| = max|rho''| = 1 here, so the bound is 1e-10 and the gap 3.1e-10
         ch = sphere_chart()
