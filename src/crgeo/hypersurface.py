@@ -115,9 +115,10 @@ class HypersurfaceChart:
         for it in range(81):  # 80 Newton steps, then a last look at rho
             val = np.real(self.rho_at(Z))
             absval = np.abs(val)
-            # the scale is at least 1: its norms are needed only once some |rho| >= 1e-13
-            stop = np.max(absval) < 1e-13 or np.all(absval < 1e-13 * _surface_scale(Z, g))
-            if it == 80 or stop or not np.all(np.isfinite(val)):
+            # the scale max(1, |P| |rho_j|) is 1 until a gradient is held, and at least 1:
+            # its norms are needed only after a step, once some |rho| >= 1e-13
+            stop = absval.max() < 1e-13 or (it > 0 and (absval < 1e-13 * _surface_scale(Z, g)).all())
+            if it == 80 or stop or not np.isfinite(val).all():
                 break
             g = self.grad_at(Z)
             denom = 2.0 * np.sum(np.abs(g) ** 2, axis=1)
