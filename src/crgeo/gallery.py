@@ -244,7 +244,10 @@ def _build_custom(fields: dict, name="custom"):
     imm = None
     if "F" in fields:
         imm = ImmersionSpec(fields["F"], dim=m, psi=fields.get("psi"), name=name)
-        if not _matches(rho, imm.chart.rho):
+        # relative to |rho|, as in _require_real, so c rho with sqrt(c) F and c psi loads
+        gap = sym.add(rho, sym.neg(imm.chart.rho))
+        dev, val = sym.evaluate([gap, rho], sym.zero_test_coords(gap))
+        if not np.all(np.abs(dev) < 1e-9 * np.maximum(1.0, np.abs(val))):
             raise BadParams("rho does not match |F|^2 + psi for the given F and psi")
         chart = imm.chart
     else:
@@ -256,15 +259,6 @@ def _build_custom(fields: dict, name="custom"):
         immersion=imm,
         sigma=sigma,
     )
-
-
-@sym.remember_pass
-def _matches(rho, immersed):
-    """|rho - immersed| < 1e-9 max(1, |rho|) at the zero-test points: relative to
-    |rho|, as in ``_require_real``, so c rho with sqrt(c) F and c psi loads."""
-    gap = sym.add(rho, sym.neg(immersed))
-    dev, val = sym._evaluate([gap, rho], sym.zero_test_coords(gap))
-    return bool(np.all(np.abs(dev) < 1e-9 * np.maximum(1.0, np.abs(val))))
 
 
 _BUILDERS = {

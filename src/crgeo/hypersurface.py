@@ -114,10 +114,7 @@ class HypersurfaceChart:
         g = np.zeros_like(Z)
         for it in range(81):  # 80 Newton steps, then a last look at rho
             val = np.real(self.rho_at(Z))
-            absval = np.abs(val)
-            # the scale max(1, |P| |rho_j|) is 1 until a gradient is held, and at least 1:
-            # its norms are needed only after a step, once some |rho| >= 1e-13
-            stop = absval.max() < 1e-13 or (it > 0 and (absval < 1e-13 * _surface_scale(Z, g)).all())
+            stop = (np.abs(val) < 1e-13 * _surface_scale(Z, g)).all()
             if it == 80 or stop or not np.isfinite(val).all():
                 break
             g = self.grad_at(Z)
@@ -136,14 +133,9 @@ class HypersurfaceChart:
 
 def _require_real(e, what):
     """Reject ``e`` unless |Im e| < 1e-12 max(1, |e|) at the points of ``sym.appears_zero``."""
-    if not _is_real(e):
+    imag, val = sym.evaluate([sym.im(e), e], sym.zero_test_coords(e))  # e is a subtree of im(e)
+    if not np.all(np.abs(imag) < 1e-12 * np.maximum(1.0, np.abs(val))):
         raise NotRealValued(f"{what} must be real-valued")
-
-
-@sym.remember_pass
-def _is_real(e):
-    imag, val = sym._evaluate([sym.im(e), e], sym.zero_test_coords(e))  # e is a subtree of im(e)
-    return bool(np.all(np.abs(imag) < 1e-12 * np.maximum(1.0, np.abs(val))))
 
 
 def eval_at(e, P):

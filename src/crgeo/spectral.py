@@ -37,11 +37,15 @@ class PluriharmonicFunction:
     def __init__(self, ftilde: sym.Expr, label: str = ""):
         self.ftilde = ftilde
         self.label = label
+        self._checked = False
 
     def ensure_valid(self):
-        # sym.is_pluriharmonic keeps a pass for the process: a repeat costs a set lookup
-        if not sym.is_pluriharmonic(self.ftilde):
-            raise NotPluriharmonic(f"{self.label or 'function'} has a nonvanishing mixed second derivative")
+        if not self._checked:
+            if not sym.is_pluriharmonic(self.ftilde):
+                raise NotPluriharmonic(
+                    f"{self.label or 'function'} has a nonvanishing mixed second derivative"
+                )
+            self._checked = True
 
     def __repr__(self):
         return f"PluriharmonicFunction({self.label or sym.to_text(self.ftilde)})"

@@ -9,9 +9,8 @@ threads and cached aggressively.
 Nodes are interned: each factory returns the one node of its (op, children,
 payload), held in a module-level table for the life of the process, so equal
 trees built apart are one object.  A derivative, a conjugate, a jet array or
-a compiled program cached on a node, and a zero test it passed
-(``remember_pass``), are therefore shared by every surface of the same
-structure, however often it is rebuilt.
+a compiled program cached on a node is therefore shared by every surface of
+the same structure, however often it is rebuilt.
 
 Normal forms kept by the constructors:
   * conj(...) is distributed down to variables and constants at build time,
@@ -364,14 +363,6 @@ def evaluate(exprs, coords):
     expressions run as one ``_compile`` program, kept on the first root and
     keyed by the tuple of roots.
     """
-    return _evaluate(exprs, coords)
-
-
-def _evaluate(exprs, coords):
-    """``evaluate`` without its public entry.  The zero tests call this one:
-    ``remember_pass`` skips a structure's repeat, so routing them through
-    ``evaluate`` would make a request's count of evaluations depend on what
-    the process loaded before."""
     roots = (exprs,) if isinstance(exprs, Expr) else tuple(exprs)
     progs = roots[0]._progs = roots[0]._progs or {}
     if roots not in progs:
@@ -492,40 +483,19 @@ def zero_test_coords(e: Expr) -> tuple:
     return _zero_test_points(max(free_indices(e), default=0) + 1)
 
 
-def remember_pass(test):
-    """``test``, a pure predicate of interned nodes (and hashable plain values),
-    with each True answer kept for the process, as ``_NODES`` keeps the nodes:
-    a structure seen before is not evaluated again.  A False answer or an error
-    is never kept, so a bad input fails at every load."""
-    passed = set()
-
-    @functools.wraps(test)
-    def checked(*args):
-        if args in passed:
-            return True
-        ok = test(*args)
-        if ok:
-            passed.add(args)
-        return ok
-
-    return checked
-
-
 def appears_zero(e: Expr, tol: float = 1e-12) -> bool:
     """Randomized zero test after simplification: exact constant zero, or
     |value| < tol at the points of ``zero_test_coords``."""
     if _is_const(e):
         return abs(e.payload) < tol
-    return bool(np.max(np.abs(_evaluate(e, zero_test_coords(e)))) < tol)
+    return bool(np.max(np.abs(evaluate(e, zero_test_coords(e)))) < tol)
 
 
-@remember_pass
 def is_holomorphic(e: Expr) -> bool:
     """True iff every dzbar^j-derivative of e vanishes identically."""
     return all(appears_zero(differentiate(e, j, conjugated=True)) for j in free_indices(e))
 
 
-@remember_pass
 def is_pluriharmonic(e: Expr) -> bool:
     """True iff all mixed second Wirtinger derivatives of e vanish."""
     idx = free_indices(e)

@@ -588,7 +588,7 @@ print(json.dumps(differ))
 
 
 def test_smoke_commands_repeat_their_bytes_in_one_process(tmp_path):
-    # per-structure caches (jets, layouts, programs, passed load checks) are
+    # per-structure caches (jets, layouts, programs, zero-test points) are
     # filled by the first run: the second must write the same bytes
     for name, text in SMOKE_FILES.items():
         (tmp_path / name).write_text(text)
@@ -599,9 +599,10 @@ def test_smoke_commands_repeat_their_bytes_in_one_process(tmp_path):
     assert json.loads(proc.stdout) == []
 
 
-def test_a_second_build_runs_no_zero_test(tmp_path, monkeypatch):
-    # a passed load check (realness of rho and sigma, holomorphic F, pluriharmonic
-    # psi and family, rho = |F|^2 + psi) is kept on the interned nodes
+def test_a_second_build_makes_no_zero_test_points_and_compiles_no_program(tmp_path, monkeypatch):
+    # the load checks (realness of rho and sigma, holomorphic F, pluriharmonic psi
+    # and family, rho = |F|^2 + psi) run again, on points built once per dimension
+    # and programs kept on the interned nodes
     (tmp_path / "s.txt").write_text("dim = 2\nrho = 4*(abs2(z1) + abs2(z2) - 1)\nF = [2*z1, 2*z2]\npsi = -4\n"
                                     "sigma = log(1 + abs2(z2))\n")
 
@@ -616,9 +617,9 @@ def test_a_second_build_runs_no_zero_test(tmp_path, monkeypatch):
     builds()
 
     def forbidden(*args):
-        raise AssertionError("evaluated again")
+        raise AssertionError("built again")
 
-    monkeypatch.setattr(sym, "zero_test_coords", forbidden)
+    monkeypatch.setattr(sym, "_random_coords", forbidden)
     monkeypatch.setattr(sym, "_compile", forbidden)
     builds()
 
@@ -629,7 +630,7 @@ def test_a_second_build_runs_no_zero_test(tmp_path, monkeypatch):
     ("dim = 2\nrho = abs2(z1) + abs2(z2) - 1\nF = [conj(z1), z2]\npsi = -1\n", 3, "NotPluriharmonic"),
 ])
 def test_a_failed_load_check_fails_every_load(tmp_path, text, code, error):
-    # a failure is never remembered
+    # a second load of the same structure, its programs cached, still runs the check
     f = tmp_path / "bad.txt"
     f.write_text(text)
     for _ in range(2):
