@@ -90,12 +90,13 @@ def parse_point(text, dim):
     else:
         point = []
         for p in parts:
-            e = dsl.parse_expr(p)
-            if sym.free_indices(e):
+            # the constructors fold an expression without variables into one constant node
+            value = sym.constants([dsl.parse_expr(p)])
+            if value is None:
                 raise InputError(f"point component {p!r} is not a constant")
-            point.append(complex(sym.evaluate(e, [])))
+            point.append(value[0])
         point = np.array(point)
-    if not np.all(np.isfinite(point)):
+    if not np.isfinite(point).all():
         raise InputError(f"point {text!r} has a non-finite coordinate")
     return point
 
@@ -153,7 +154,7 @@ def cmd_analyze(args):
             "H": f["H"][0],
             "torsion_norm2": float(_levi_norm2(f["torsion"], fb.hinv)[0]),
             "gauss_residuals": {
-                "traced_two_route": float(np.max(np.abs(L - G))),
+                "traced_two_route": float(np.abs(L - G).max()),
                 "normality": float(f["normality"][0]),
                 "symmetry": float(f["symmetry"][0]),
                 "mean_curvature_vs_r": float(abs(f["Hnorm2"][0] - fb.r[0])),

@@ -37,6 +37,11 @@ class NotRealValued(InputError, ValueError):
     """The defining expression (rho, or |F|^2 + psi) or the conformal exponent sigma is not real-valued."""
 
 
+class NotPluriharmonic(InputError):
+    """A loaded F is not holomorphic, or a loaded psi or plurifamily function has a
+    nonvanishing mixed second derivative."""
+
+
 class DomainError(CrgeoError):
     """Numeric evaluation hit a singular subexpression (log 0, 1/0)."""
 
@@ -71,10 +76,6 @@ class NonpositiveJ(GeometryError):
 
 class RankDeficientNormalBasis(GeometryError):
     """Orthonormal basis of the normal space could not be completed."""
-
-
-class NotPluriharmonic(GeometryError):
-    """Ambient extension has a nonvanishing mixed second derivative."""
 
 
 class NotEigenmap(GeometryError):

@@ -247,7 +247,7 @@ def _build_custom(fields: dict, name="custom"):
         # relative to |rho|, as in _require_real, so c rho with sqrt(c) F and c psi loads
         gap = sym.add(rho, sym.neg(imm.chart.rho))
         dev, val = sym.evaluate([gap, rho], sym.zero_test_coords(gap))
-        if not np.all(np.abs(dev) < 1e-9 * np.maximum(1.0, np.abs(val))):
+        if not (np.abs(dev) < 1e-9 * np.maximum(1.0, np.abs(val))).all():
             raise BadParams("rho does not match |F|^2 + psi for the given F and psi")
         chart = imm.chart
     else:

@@ -18,10 +18,13 @@ per-point API, and row k of any result depends on point k alone.  Charts are
 immutable after construction and all computations are pure, so points may be
 partitioned across workers freely.
 
-``eval_array`` is the one batched evaluation path: every array of jets the
+``eval_arrays`` is the one batched evaluation path: every array of jets the
 package uses (gradients, Hessians, the third- and fourth-order ambient jets,
 the immersion's derivatives, Kohn-Laplacian gradients) is a ``sym.jets``
-list evaluated by it, as one ``sym.evaluate`` program per array.
+list evaluated by it, and every list of arrays a point set needs is one
+``sym.evaluate`` program over their union DAG.  A frame batch is filled at
+construction: rho and all its ambient jets up to order four (the fourth
+skipped where the third vanish) run as one program.
 
 r, J, the scalar curvature R, sigma and the contact volume form become real
 through ``_real`` (|Im x| <= tol max(1, |Re x|)), and ``_on_surface`` puts P on
@@ -113,13 +116,13 @@ class HypersurfaceChart:
         Z = z if batched else z[None, :]
         g = np.zeros_like(Z)
         for it in range(81):  # 80 Newton steps, then a last look at rho
-            val = np.real(self.rho_at(Z))
+            val = self.rho_at(Z).real
             stop = (np.abs(val) < 1e-13 * _surface_scale(Z, g)).all()
             if it == 80 or stop or not np.isfinite(val).all():
                 break
             g = self.grad_at(Z)
-            denom = 2.0 * np.sum(np.abs(g) ** 2, axis=1)
-            if np.any((denom == 0) & (np.abs(val) >= ON_SURFACE_TOL)):
+            denom = 2.0 * (np.abs(g) ** 2).sum(axis=1)
+            if ((denom == 0) & (np.abs(val) >= ON_SURFACE_TOL)).any():
                 break  # Newton cannot move a point where rho has no gradient
             step = val / np.where(denom == 0, 1.0, denom)
             Z = Z - step[:, None] * np.conj(g)
@@ -134,7 +137,7 @@ class HypersurfaceChart:
 def _require_real(e, what):
     """Reject ``e`` unless |Im e| < 1e-12 max(1, |e|) at the points of ``sym.appears_zero``."""
     imag, val = sym.evaluate([sym.im(e), e], sym.zero_test_coords(e))  # e is a subtree of im(e)
-    if not np.all(np.abs(imag) < 1e-12 * np.maximum(1.0, np.abs(val))):
+    if not (np.abs(imag) < 1e-12 * np.maximum(1.0, np.abs(val))).all():
         raise NotRealValued(f"{what} must be real-valued")
 
 
@@ -147,28 +150,53 @@ def eval_at(e, P):
 
 
 def eval_array(exprs, P):
-    """Evaluate a nested list of expressions on points (..., m).
-
-    ``exprs`` is an expression or a nested list of them with shape
-    ``shape``; the result has shape ``(..., *shape)``, with one trailing
-    index per nesting level: entry ``[..., i, j]`` is ``eval_at(exprs[i][j], P)``.
-    The whole array is one ``sym.evaluate`` call, so a subexpression shared
-    between entries runs once; an array of constant nodes is filled from
-    their values, with no program compiled or run.  A ``sym.jets`` array
-    brings its layout; any other nesting is laid out on each call.
-    """
+    """Evaluate a nested list of expressions on points (..., m): ``eval_arrays([exprs], P)[0]``,
+    or ``eval_at`` for a single expression."""
     if isinstance(exprs, sym.Expr):
         return eval_at(exprs, P)
-    if not isinstance(exprs, sym.JetArray):
-        exprs = sym.JetArray(exprs)
+    return eval_arrays([exprs], P)[0]
+
+
+def eval_arrays(arrays, P):
+    """Evaluate a list of arrays of expressions on points (..., m) as one program.
+
+    Each array is an expression (rank 0) or a nested list of them with shape
+    ``shape``, and gives an array of shape ``(..., *shape)``, with one trailing
+    index per nesting level: entry ``[..., i, j]`` is ``eval_at(exprs[i][j], P)``.
+    The entries of every array that is not all constant nodes run as one
+    ``sym.evaluate`` call, so a subexpression shared between entries or arrays
+    runs once; an all-constant array is filled from its values.  Each value is
+    copied out as it is read, so the outputs are not held twice.  A ``sym.jets``
+    array brings its layout; any other nesting is laid out on each call.
+    """
     P = np.asarray(P, dtype=complex)
-    out = np.empty(P.shape[:-1] + (len(exprs.flat),), dtype=complex)
-    if exprs.values is not None:
-        out[...] = exprs.values
-    else:
-        for i, v in enumerate(sym.evaluate(exprs.flat, [P[..., j] for j in range(P.shape[-1])])):
-            out[..., i] = v
-    return out.reshape(P.shape[:-1] + exprs.shape)
+    lead = P.shape[:-1]
+    layouts = [_layout(a) for a in arrays]
+    outs = [np.empty(lead + (len(flat),), dtype=complex) for flat, _, _ in layouts]
+    roots = []
+    for out, (flat, _, values) in zip(outs, layouts):
+        if values is None:
+            roots += flat
+        else:
+            out[...] = values
+    if roots:
+        vals = sym.evaluate(roots, [P[..., j] for j in range(P.shape[-1])])
+        vals.reverse()
+        for out, (_, _, values) in zip(outs, layouts):
+            if values is None:
+                cols = out.transpose(-1, *range(out.ndim - 1))  # cols[i] is out[..., i]
+                for i in range(len(cols)):
+                    cols[i] = vals.pop()
+    return [out.reshape(lead + shape) for out, (_, shape, _) in zip(outs, layouts)]
+
+
+def _layout(a):
+    """(flat entries, shape, constant values or None) of an array for ``eval_arrays``."""
+    if isinstance(a, sym.Expr):
+        return (a,), (), sym.constants((a,))
+    if not isinstance(a, sym.JetArray):
+        a = sym.JetArray(a)
+    return a.flat, a.shape, a.values
 
 
 def _batch(P, m):
@@ -207,14 +235,16 @@ def _levi_form(Zc, H):
 class _FrameBatch:
     """Stacked frame data over K points sharing a chart; w varies per point.
 
-    ``hol2`` and ``jet3`` hold the ambient jets rho_{lj} and d_j rho_{l cbar},
-    and ``Binv``, ``dB`` and ``BdBB`` hold B^-1, d_j B and B^-1 d_j B B^-1, once
-    ``_ambient_derivs`` has built them; ``dZw`` holds Z_alpha Z_gamma^w once
-    ``_frame_w_derivs`` has.
+    The ambient jets are filled at construction, from the one program that
+    also gives ``rho``, ``grad`` and ``hess``: ``hol2[k, l, j]`` = rho_{lj},
+    ``jet3[k, l, c, j]`` = d_j rho_{l cbar} and ``jet4[k, j, c, a, b]`` =
+    d_j d_cbar rho_{a bbar}, None where the third jets vanish.  ``Binv``, ``dB``
+    and ``BdBB`` hold B^-1, d_j B and B^-1 d_j B B^-1 once ``_ambient_derivs``
+    has built them; ``dZw`` holds Z_alpha Z_gamma^w once ``_frame_w_derivs`` has.
     """
 
     __slots__ = ("P", "w", "fc", "Zc", "h", "hinv", "heigs", "xi", "r", "J", "grad", "hess", "rho",
-                 "hol2", "jet3", "Binv", "dB", "BdBB", "dZw")
+                 "hol2", "jet3", "jet4", "Binv", "dB", "BdBB", "dZw")
 
     def subset(self, mask):
         out = _FrameBatch()
@@ -231,10 +261,10 @@ class _FrameBatch:
 def _real(values, tol, what, cls):
     """Real part of stacked scalars by the realness rule of the module docstring;
     raises ``cls`` naming the first point that breaks it.  A NaN passes."""
-    re = np.real(values)
-    bad = np.abs(np.imag(values)) > tol * np.maximum(1.0, np.abs(re))
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    re = values.real
+    bad = np.abs(values.imag) > tol * np.maximum(1.0, np.abs(re))
+    if bad.any():
+        i = int(bad.argmax())
         raise cls(f"{what} has imaginary residual {abs(values[i].imag):.3e} at point index {i} (tol {tol:.1e})")
     return re
 
@@ -242,15 +272,20 @@ def _real(values, tol, what, cls):
 def _surface_scale(P, grad):
     """(K,) max(1, |P| |rho_j|), the factor of the on-surface rule."""
     with np.errstate(over="ignore", invalid="ignore"):  # an inf * 0 scale is NaN; fmax reads it as 1
-        return np.fmax(1.0, np.linalg.norm(P, axis=1) * np.linalg.norm(grad, axis=1))
+        return np.fmax(1.0, _row_norms(P) * _row_norms(grad))
+
+
+def _row_norms(x):
+    """(K,) Euclidean row norms: the expression ``np.linalg.norm(x, axis=1)`` evaluates, without its per-call cost."""
+    return np.sqrt((x.conj() * x).real.sum(axis=1))
 
 
 def _on_surface(rho, P, grad, tol, cls, msg, labels=None):
     """Raise ``cls(msg.format(|rho|, i or labels[i]))`` at the first point i off the surface."""
     bound = tol * _surface_scale(P, grad)
     bad = ~((np.abs(rho) <= bound) & np.isfinite(rho))
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    if bad.any():
+        i = int(bad.argmax())
         raise cls(msg.format(abs(rho[i]), i if labels is None else labels[i]) + f" (tol {bound[i]:.1e})")
 
 
@@ -269,8 +304,8 @@ def _transverse_batch(grad, hess):
     low = lam.min(axis=1)
     cond = np.divide(lam.max(axis=1), low, out=np.full(K, np.inf), where=low > 0)
     bad = cond > COND_REJECT
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    if bad.any():
+        i = int(bad.argmax())
         raise SingularSystem(
             f"transverse system singular at point index {i} (cond {cond[i]:.3e})"
         )
@@ -291,37 +326,39 @@ def _bordered(corner, row, col, block):
 
 
 def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _FrameBatch:
-    """Frame, Levi data, transverse field, and J for a (K, m) batch."""
-    rho, grad = chart.rho_at(P), chart.grad_at(P)
+    """Frame, Levi data, transverse field, and J for a (K, m) batch, with the
+    ambient jets of rho up to order four, all from one ``eval_arrays`` program."""
+    patterns = ("", "h", "hb", "hh", "hbh") + (() if chart.third_jets_vanish else ("hbhb",))
+    rho, grad, hess, hol2, jet3, *jet4 = eval_arrays([chart.jets(p) for p in patterns], P)
     _on_surface(rho, P, grad, ON_SURFACE_TOL, NotOnSurface, "|rho| = {:.3e} at point index {} is off the surface")
     absg = np.abs(grad)
     # at the argmax w, |rho_w| = max_j |rho_j|: one gate serves both choices of w
-    w = np.argmax(absg, axis=1) if w_index is None else np.full(P.shape[0], int(w_index))
+    w = absg.argmax(axis=1) if w_index is None else np.full(P.shape[0], int(w_index))
     small = absg[np.arange(P.shape[0]), w] <= FRAME_THRESHOLD
-    if np.any(small):
-        i = int(np.argmax(small))
+    if small.any():
+        i = int(small.argmax())
         raise DegenerateFrame(f"|rho_w| <= {FRAME_THRESHOLD:.1e} for w = {w[i]} at point index {i}")
 
-    hess = chart.hess_at(P)
     fb = _FrameBatch()
     fb.P, fb.w, fb.grad, fb.hess, fb.rho = P, w, grad, hess, rho.real
-    fb.hol2 = fb.jet3 = fb.Binv = fb.dB = fb.BdBB = fb.dZw = None
+    fb.hol2, fb.jet3, fb.jet4 = hol2, jet3, jet4[0] if jet4 else None
+    fb.Binv = fb.dB = fb.BdBB = fb.dZw = None
     fb.fc, fb.Zc = _frame_coeffs(grad, w)
 
     # rounding in Zc H Zc^* scales with |Zc|^2 |H|: 1e-10 at unit scale
     fb.h = _levi_form(fb.Zc, hess)
-    herm_gap = np.max(np.abs(fb.h - np.conj(np.swapaxes(fb.h, 1, 2))), axis=(1, 2))
-    scale = np.max(np.abs(fb.Zc), axis=(1, 2)) ** 2 * np.max(np.abs(hess), axis=(1, 2))
+    herm_gap = np.abs(fb.h - np.conj(np.swapaxes(fb.h, 1, 2))).max(axis=(1, 2))
+    scale = np.abs(fb.Zc).max(axis=(1, 2)) ** 2 * np.abs(hess).max(axis=(1, 2))
     bound = 1e-10 * np.maximum(1.0, scale)
-    if np.any(herm_gap > bound):
-        i = int(np.argmax(herm_gap / bound))
+    if (herm_gap > bound).any():
+        i = int((herm_gap / bound).argmax())
         raise NotStrictlyPseudoconvex(
             f"Levi matrix non-Hermitian by {herm_gap[i]:.3e} at point index {i} (bound {bound[i]:.1e})"
         )
     fb.h = 0.5 * (fb.h + np.conj(np.swapaxes(fb.h, 1, 2)))
     fb.heigs = np.linalg.eigvalsh(fb.h)
-    if np.min(fb.heigs) <= PD_EIGENVALUE_FLOOR:
-        i = int(np.argmin(fb.heigs[:, 0]))
+    if fb.heigs.min() <= PD_EIGENVALUE_FLOOR:
+        i = int(fb.heigs[:, 0].argmin())
         raise NotStrictlyPseudoconvex(
             f"Levi eigenvalue {fb.heigs[i, 0]:.3e} at point index {i}"
         )
@@ -359,8 +396,8 @@ def _loghess_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
     """(K, n, n) restriction of the complex Hessian of log J to the frame:
     L_{alpha betabar} = Z_alpha^j conj(Z_beta^k) (log J)_{j kbar}."""
     Jval = fb.J
-    if np.min(Jval) <= 0:
-        i = int(np.argmin(Jval))
+    if Jval.min() <= 0:
+        i = int(Jval.argmin())
         raise NonpositiveJ(f"J = {Jval[i]:.3e} at point index {i}")
     L = _levi_form(fb.Zc, _loghess_ambient(chart, fb))
     L = 0.5 * (L + np.conj(np.swapaxes(L, 1, 2)))
@@ -369,18 +406,17 @@ def _loghess_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
 
 def _loghess_ambient(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
     """(K, j, k) ambient Hessian (log J)_{j kbar} = tr(B^-1 d_kbar d_j B) - tr(B^-1 d_kbar B B^-1 d_j B)
-    by Jacobi's formula; beyond the ambient jets it needs d_j d_kbar rho_{a cbar}.
+    by Jacobi's formula; beyond the ambient jets it needs d_j d_kbar rho_{a cbar}, ``fb.jet4``.
     The terms of the third and fourth jets are skipped when they vanish."""
     _, jet3 = _ambient_derivs(chart, fb)
     Binv = fb.Binv
     # by blocks of d_cbar d_j B = [[rho_{j cbar}, conj(jet3[b, j, c])], [jet3[a, c, j], jet4[j, c]]]
     first = Binv[:, 0, 0, None, None] * fb.hess
-    if not chart.third_jets_vanish:
-        jet4 = eval_array(chart.jets("hbhb"), fb.P)
+    if fb.jet4 is not None:
         first = (first
                  + np.einsum("kb,kbjc->kjc", Binv[:, 1:, 0], np.conj(jet3))
                  + np.einsum("ka,kacj->kjc", Binv[:, 0, 1:], jet3)
-                 + np.einsum("kba,kjcab->kjc", Binv[:, 1:, 1:], jet4))
+                 + np.einsum("kba,kjcab->kjc", Binv[:, 1:, 1:], fb.jet4))
     # B is Hermitian, so d_cbar B = (d_c B)^H and the second trace is tr((d_c B)^H B^-1 d_j B B^-1)
     return first - np.einsum("kjrq,kcrq->kjc", fb.BdBB, np.conj(fb.dB))
 
@@ -421,13 +457,10 @@ def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
 
 
 def _ambient_derivs(chart, fb):
-    """(hol2, jet3) with hol2[k, l, j] = rho_{lj} and jet3[k, l, c, j] =
-    d_j rho_{l cbar} at the batch's points, evaluated once per batch; the
-    first call also fills fb.Binv = B^-1 for B = [[rho, rho_kbar], [rho_j,
-    rho_{j kbar}]], fb.dB[k, j] = d_j B and fb.BdBB[k, j] = B^-1 d_j B B^-1 = -d_j B^-1."""
-    if fb.hol2 is None:
-        fb.hol2 = eval_array(chart.jets("hh"), fb.P)
-        fb.jet3 = eval_array(chart.jets("hbh"), fb.P)
+    """(fb.hol2, fb.jet3); the first call fills fb.Binv = B^-1 for B = [[rho,
+    rho_kbar], [rho_j, rho_{j kbar}]], fb.dB[k, j] = d_j B and fb.BdBB[k, j] =
+    B^-1 d_j B B^-1 = -d_j B^-1, once per batch."""
+    if fb.Binv is None:
         fb.Binv = np.linalg.inv(_bordered(fb.rho, np.conj(fb.grad), fb.grad, fb.hess))
         fb.dB = _bordered(fb.grad, fb.hess, np.swapaxes(fb.hol2, 1, 2), np.moveaxis(fb.jet3, 3, 1))
         # stacked matmuls in a fixed order, B^-1 d_j B first: an einsum path search

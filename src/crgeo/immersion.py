@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import symbolic as sym
-from .errors import NotPluriharmonic, NotStrictlyPseudoconvex, RankDeficientNormalBasis
+from .errors import BadParams, NotPluriharmonic, NotStrictlyPseudoconvex, RankDeficientNormalBasis
 from .hypersurface import (
     HypersurfaceChart,
     _connection_batch,
@@ -29,7 +29,7 @@ from .hypersurface import (
     _frame_w_derivs,
     _real,
     _trace_h,
-    eval_array,
+    eval_arrays,
 )
 
 IMMERSION_SV_FLOOR = 1e-8
@@ -51,7 +51,7 @@ class ImmersionSpec:
         self.psi = sym.const(-1) if psi is None else psi
         self.name = name
         if self.N < self.dim:
-            raise RankDeficientNormalBasis(
+            raise BadParams(
                 f"need at least dim={self.dim} components for an immersion, got {self.N}"
             )
         for d, comp in enumerate(self.F):
@@ -77,9 +77,9 @@ def _normal_basis(E):
     """
     n = E.shape[1]
     Q, R = np.linalg.qr(np.swapaxes(E, 1, 2), mode="complete")
-    diag = np.min(np.abs(np.diagonal(R[:, :n], axis1=1, axis2=2)), axis=1)
-    if np.min(diag) < NORMAL_BASIS_FLOOR:
-        i = int(np.argmin(diag))
+    diag = np.abs(np.diagonal(R[:, :n], axis1=1, axis2=2)).min(axis=1)
+    if diag.min() < NORMAL_BASIS_FLOOR:
+        i = int(diag.argmin())
         raise RankDeficientNormalBasis(f"pushed-frame QR has |R_jj| = {diag[i]:.3e} at point index {i}")
     return np.swapaxes(Q[:, :, n:], 1, 2)
 
@@ -103,10 +103,10 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     n = spec.n
     K = P.shape[0]
 
-    dF = eval_array(sym.jets(spec.F, spec.dim, "h"), P)
+    dF, d2F = eval_arrays([sym.jets(spec.F, spec.dim, "h"), sym.jets(spec.F, spec.dim, "hh")], P)
     sv = np.linalg.svd(dF, compute_uv=False)
-    if np.min(sv[:, -1]) <= IMMERSION_SV_FLOOR:
-        i = int(np.argmin(sv[:, -1]))
+    if sv[:, -1].min() <= IMMERSION_SV_FLOOR:
+        i = int(sv[:, -1].argmin())
         raise RankDeficientNormalBasis(
             f"dF singular value {sv[i, -1]:.3e} at point index {i}: not an immersion"
         )
@@ -115,7 +115,6 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     q = _normal_basis(E)
 
     # Z_alpha (Z_gamma F^d) = Z_alpha^j Z_gamma^l d_j d_l F^d + (Z_alpha Z_gamma^w) d_w F^d
-    d2F = eval_array(sym.jets(spec.F, spec.dim, "hh"), P)
     ZZF = np.einsum("kaj,kgl,kdlj->kagd", fb.Zc, fb.Zc, d2F)
     ZZF += _frame_w_derivs(spec.chart, fb)[..., None] * fb.at_w(dF)[:, None, None, :]
 
@@ -123,15 +122,15 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     Vraw = ZZF - np.einsum("kgba,kbd->kagd", omega[:, :, :, :n], E)
 
     t = np.einsum("kagd,kbd->kagb", Vraw, np.conj(E))
-    normality = np.max(np.abs(t).reshape(K, -1), axis=1)
+    normality = np.abs(t).reshape(K, -1).max(axis=1)
 
     holo = np.einsum("kagd,kxd->kagx", Vraw, np.conj(q))
-    symmetry = np.max(np.abs(holo - np.swapaxes(holo, 1, 2)).reshape(K, -1), axis=1)
+    symmetry = np.abs(holo - np.swapaxes(holo, 1, 2)).reshape(K, -1).max(axis=1)
     holo = 0.5 * (holo + np.swapaxes(holo, 1, 2))
 
     H = -np.einsum("kdj,kj->kd", dF, fb.xi)
     tH = np.einsum("kd,kbd->kb", H, np.conj(E))
-    H_tangential = np.max(np.abs(tH), axis=1)
+    H_tangential = np.abs(tH).max(axis=1)
     Ha = np.einsum("kd,kxd->kx", H, np.conj(q))
     Hnorm2 = np.real(np.einsum("kd,kd->k", H, np.conj(H)))
 

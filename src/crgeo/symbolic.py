@@ -453,7 +453,7 @@ def _run(program, coords):
 
 
 def _guard_nonzero(u, e):
-    bad = np.any(u == 0) if isinstance(u, np.ndarray) else u == 0
+    bad = (u == 0).any() if isinstance(u, np.ndarray) else u == 0
     if bad:
         raise DomainError(f"singular subexpression {to_text(e)}", e)
 
@@ -488,7 +488,7 @@ def appears_zero(e: Expr, tol: float = 1e-12) -> bool:
     |value| < tol at the points of ``zero_test_coords``."""
     if _is_const(e):
         return abs(e.payload) < tol
-    return bool(np.max(np.abs(evaluate(e, zero_test_coords(e)))) < tol)
+    return bool(np.abs(evaluate(e, zero_test_coords(e))).max() < tol)
 
 
 def is_holomorphic(e: Expr) -> bool:

@@ -94,6 +94,21 @@ class TestParamParsing:
         p = parse_point("0,1,0.5,-0.25", 2)
         assert np.allclose(p, [1j, 0.5 - 0.25j])
 
+    def test_complex_literal_point_compiles_nothing(self, monkeypatch):
+        # a literal folds to one constant node at parse time: its value is read, not run
+        def no_compile(roots):
+            raise AssertionError("a program was compiled")
+
+        monkeypatch.setattr(sym, "_compile", no_compile)
+        p = parse_point("0.31415926535+0.27182818284i, (1/8)-0.577215664901i, 2*0.3", 3)
+        assert p.tolist() == [0.31415926535 + 0.27182818284j, 0.125 - 0.577215664901j, 0.6]
+
+    @pytest.mark.parametrize("text,message", [("1/0, 1", "reciprocal of the zero constant"),
+                                              ("log(0), 1", "log of the zero constant")])
+    def test_singular_point_literal_exits_2(self, text, message):
+        rc, out, err = run_cli(["analyze", "--surface", "sphere", f"--point={text}"])
+        assert (rc, out, json.loads(err)) == (2, "", {"error": "DomainError", "message": message})
+
 
 class TestReport:
     def test_float_round_trip_is_exact(self):
@@ -627,7 +642,8 @@ def test_a_second_build_makes_no_zero_test_points_and_compiles_no_program(tmp_pa
 @pytest.mark.parametrize("text,code,error", [
     ("dim = 2\nrho = abs2(z1) + abs2(z2) - 1 + i*re(z1)\n", 2, "NotRealValued"),
     ("dim = 2\nrho = 1e8*(abs2(z1) + abs2(z2) - 1)\nF = [1e4*z1, 1.0001e4*z2]\npsi = -1e8\n", 2, "BadParams"),
-    ("dim = 2\nrho = abs2(z1) + abs2(z2) - 1\nF = [conj(z1), z2]\npsi = -1\n", 3, "NotPluriharmonic"),
+    ("dim = 2\nrho = abs2(z1) + abs2(z2) - 1\nF = [conj(z1), z2]\npsi = -1\n", 2, "NotPluriharmonic"),
+    ("dim = 2\nrho = abs2(z1) - 1\nF = [z1]\npsi = -1\n", 2, "BadParams"),
 ])
 def test_a_failed_load_check_fails_every_load(tmp_path, text, code, error):
     # a second load of the same structure, its programs cached, still runs the check

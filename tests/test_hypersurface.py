@@ -213,8 +213,13 @@ class TestFrame:
     def test_levi_gate_rejects_rounding_excess_at_unit_scale(self, monkeypatch):
         # max|Zc| = max|rho''| = 1 here, so the bound is 1e-10 and the gap 3.1e-10
         ch = sphere_chart()
-        real = ch.hess_at
-        monkeypatch.setattr(ch, "hess_at", lambda Q: real(Q) + 1e-10j * np.eye(2))
+        real = hypersurface.eval_arrays
+
+        def gapped(arrays, Q):
+            # the Hessian comes out of the frame batch's one evaluation
+            return [v + 1e-10j * np.eye(2) if a is ch.jets("hb") else v for a, v in zip(arrays, real(arrays, Q))]
+
+        monkeypatch.setattr(hypersurface, "eval_arrays", gapped)
         with pytest.raises(NotStrictlyPseudoconvex, match="non-Hermitian"):
             frame_of(ch, [0.6, 0.8])
 
@@ -734,10 +739,10 @@ class TestZeroJetsAndContractionOrder:
         for name, full in [("whitney", True), ("sphere", False)]:
             surf = gallery(name, n=2)
             assert surf.chart.third_jets_vanish is not full
-            fb = _frame_batch(surf.chart, surf.random_points(20, seed=1))
             del patterns[:]
-            lh = _loghess_ambient(surf.chart, fb)
+            fb = _frame_batch(surf.chart, surf.random_points(20, seed=1))
             assert ("hbhb" in patterns) is full
+            lh = _loghess_ambient(surf.chart, fb)
             assert np.max(np.abs(lh - loghess_ambient_adding_every_term(surf.chart, fb))) < 1e-13
             Zgh = _frame_levi_derivs(surf.chart, fb)
             assert np.max(np.abs(Zgh - frame_levi_derivs_adding_every_term(surf.chart, fb))) < 1e-13
@@ -764,6 +769,40 @@ class TestZeroJetsAndContractionOrder:
         for i in (0, 17, 49):
             for rows, one in zip(batch, fields(P[i:i + 1])):
                 assert np.max(np.abs(rows[i] - one[0])) < 1e-13
+
+
+class TestOneProgram:
+    """``eval_arrays`` runs every array a point set needs as one program, bit for bit as array by array."""
+
+    @pytest.mark.parametrize("name,params", [("sphere", {"n": 2}), ("ellipsoid", {}), ("whitney", {"n": 2}),
+                                             ("reinhardt", {"n": 2})])
+    @pytest.mark.parametrize("K", [1, 50])
+    def test_union_equals_each_array_bit_for_bit(self, name, params, K):
+        surf = gallery(name, **params)
+        m = surf.dim
+        arrays = [surf.chart.jets(p) for p in ("", "h", "hb", "hh", "hbh", "hbhb")]
+        arrays.append(sym.jets(sym.abs2(sym.var(0)) + sym.abs2(sym.var(1)), m, "hb"))  # all constant
+        if surf.immersion is not None:
+            arrays += [sym.jets(surf.immersion.F, m, "h"), sym.jets(surf.immersion.F, m, "hh")]
+        assert arrays[-1 if surf.immersion is None else -3].values is not None
+        P = surf.random_points(K, seed=5)
+        for a, got in zip(arrays, hypersurface.eval_arrays(arrays, P)):
+            ref = eval_array(a, P)
+            assert got.shape == ref.shape == (K,) + np.shape(np.array(a, dtype=object))
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    @pytest.mark.parametrize("name", ["whitney", "sphere"])
+    def test_frame_batch_is_one_evaluation(self, monkeypatch, name):
+        surf = gallery(name, n=2)
+        P = surf.random_points(20, seed=1)
+        calls = []
+        real = sym.evaluate
+        monkeypatch.setattr(sym, "evaluate", lambda exprs, coords: calls.append(1) or real(exprs, coords))
+        fb = _frame_batch(surf.chart, P)
+        _ricci_batch(surf.chart, fb)
+        _connection_batch(surf.chart, fb)
+        assert len(calls) == 1
+        assert (fb.jet4 is None) is surf.chart.third_jets_vanish
 
 
 class TestRealnessGate:

@@ -6,7 +6,7 @@ import pytest
 from crgeo import hypersurface, immersion
 from crgeo import symbolic as sym
 from crgeo.checks import immersion_suite
-from crgeo.errors import GeometryError, NotPluriharmonic, RankDeficientNormalBasis
+from crgeo.errors import BadParams, GeometryError, NotPluriharmonic, RankDeficientNormalBasis
 from crgeo.gallery import gallery, scan_surface
 from crgeo.hypersurface import _connection_batch, _frame_batch, _loghess_batch, _ricci_batch
 from crgeo.immersion import (
@@ -44,7 +44,8 @@ class TestConstruction:
         assert abs(spec.chart.rho_at(p[None, :])[0]) < 1e-14
 
     def test_too_few_components_rejected(self):
-        with pytest.raises(RankDeficientNormalBasis):
+        # a load-time rejection of the input, not a failure at a point
+        with pytest.raises(BadParams, match="need at least dim=2 components for an immersion, got 1"):
             ImmersionSpec([sym.var(0)], dim=2)
 
     def test_rank_deficient_map_rejected(self):
@@ -340,14 +341,14 @@ class TestBatchReuse:
         spec, chart = surf.immersion, surf.chart
         P = surf.random_points(20, seed=0)
         calls = []
-        real = hypersurface.eval_array
+        real = hypersurface.eval_arrays
 
-        def counted(exprs, P):
-            calls.append(_leaf_ids(exprs))
-            return real(exprs, P)
+        def counted(arrays, P):
+            calls.extend(_leaf_ids(exprs) for exprs in arrays)
+            return real(arrays, P)
 
         for mod in (hypersurface, immersion):
-            monkeypatch.setattr(mod, "eval_array", counted)
+            monkeypatch.setattr(mod, "eval_arrays", counted)
         fb, f = _sff_batch(spec, P)
         assert len(np.unique(fb.w)) == 2
         jets = (
