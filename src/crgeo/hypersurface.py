@@ -172,22 +172,20 @@ def eval_arrays(arrays, P):
     P = np.asarray(P, dtype=complex)
     lead = P.shape[:-1]
     layouts = [_layout(a) for a in arrays]
-    outs = [np.empty(lead + (len(flat),), dtype=complex) for flat, _, _ in layouts]
-    roots = []
-    for out, (flat, _, values) in zip(outs, layouts):
+    roots = [e for flat, _, values in layouts if values is None for e in flat]
+    vals = sym.evaluate(roots, [P[..., j] for j in range(P.shape[-1])]) if roots else []
+    vals.reverse()
+    outs = []
+    for flat, shape, values in layouts:
+        out = np.empty(lead + (len(flat),), dtype=complex)
         if values is None:
-            roots += flat
+            cols = out.transpose(-1, *range(out.ndim - 1))  # cols[i] is out[..., i]
+            for i in range(len(flat)):
+                cols[i] = vals.pop()
         else:
             out[...] = values
-    if roots:
-        vals = sym.evaluate(roots, [P[..., j] for j in range(P.shape[-1])])
-        vals.reverse()
-        for out, (_, _, values) in zip(outs, layouts):
-            if values is None:
-                cols = out.transpose(-1, *range(out.ndim - 1))  # cols[i] is out[..., i]
-                for i in range(len(cols)):
-                    cols[i] = vals.pop()
-    return [out.reshape(lead + shape) for out, (_, shape, _) in zip(outs, layouts)]
+        outs.append(out.reshape(lead + shape))
+    return outs
 
 
 def _layout(a):
