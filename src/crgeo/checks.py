@@ -31,6 +31,7 @@ from .hypersurface import (
     _frame_coeffs,
     _frame_levi_derivs,
     _levi_form,
+    _levi_rounding_scale,
     _loghess_ambient,
     _ricci_batch,
     _transverse_batch,
@@ -207,9 +208,10 @@ def hypersurface_suite(surface: SurfaceSpec, seed=0):
     out.append(CheckResult.from_residual(
         "frame.xi-defining-equations", max(np.max(res_pair), np.max(res_eig)), 1e-9))
 
+    # the Hermitian gap of Zc H Zc^* on the scale of the frame batch's own gate
     raw = _levi_form(fb.Zc, hess)
-    herm = np.max(np.abs(raw - np.conj(np.swapaxes(raw, 1, 2))))
-    out.append(CheckResult.from_residual("frame.levi-hermitian", herm, 1e-12))
+    herm = np.abs(raw - np.conj(np.swapaxes(raw, 1, 2))).max(axis=(1, 2)) / _levi_rounding_scale(fb.Zc, hess)
+    out.append(CheckResult.from_residual("frame.levi-hermitian", np.max(herm), 1e-12))
     out.append(CheckResult("frame.levi-positive", float(np.min(fb.heigs)), 1e-10,
                            bool(np.min(fb.heigs) > 1e-10)))
     out.append(CheckResult("frame.J-positive", float(np.min(fb.J)), 0.0, bool(np.min(fb.J) > 0)))
@@ -222,8 +224,7 @@ def hypersurface_suite(surface: SurfaceSpec, seed=0):
     cond = np.linalg.cond(hess)
     ok = cond < 1e8
     if np.any(ok):
-        sol = np.linalg.solve(np.swapaxes(hess[ok], 1, 2), np.conj(grad[ok])[..., None])[..., 0]
-        rcf = 1.0 / np.einsum("kj,kj->k", grad[ok], sol)
+        rcf = 1.0 / np.einsum("kj,kjl,kl->k", np.conj(grad[ok]), np.linalg.inv(hess[ok]), grad[ok])
         out.append(CheckResult.from_residual(
             "frame.r-closed-form", np.max(np.abs(rcf - fb.r[ok])), 1e-9))
 
@@ -284,7 +285,7 @@ def _conformal_tworoute(surface, rng, fb):
         if efac is None:
             continue
         hat_chart = HypersurfaceChart(sym.mul(efac, chart.rho), chart.m)
-        _, r2 = _transverse_batch(hat_chart.grad_at(fb.P), hat_chart.hess_at(fb.P))
+        r2 = -_transverse_batch(hat_chart.grad_at(fb.P), hat_chart.hess_at(fb.P))[:, 0, 0]
         worst = np.maximum(worst, np.max(np.abs(rhat - np.real(r2))))
     return worst
 
@@ -339,7 +340,7 @@ def fd_reeb_slot(chart, fb):
     finite differences of the transverse field solved at shifted points."""
 
     def xi(Q):
-        return _transverse_batch(chart.grad_at(Q), chart.hess_at(Q))[0]
+        return _transverse_batch(chart.grad_at(Q), chart.hess_at(Q))[:, 0, 1:]
 
     dxi = np.stack([fd_wirtinger(xi, fb.P, j)[0] for j in range(chart.m)], axis=-1)
     return -1j * np.einsum("kbj,kaj->kba", fb.Zc, np.take_along_axis(dxi, fb.fc[:, :, None], axis=1))

@@ -5,9 +5,10 @@ Everything is derived from one real-valued defining expression rho on C^m
 Levi matrix, the transverse (1,0)-field xi with its curvature r, Tanaka-Webster
 connection coefficients, and the Ricci data assembled from them.  One bordered
 matrix B = [[rho, rho_kbar], [rho_j, rho_{j kbar}]] carries the pointwise
-algebra: on the surface (-r, xi) is row 0 of B^-1 and J = -det B, while
-d_j B^-1 = -B^-1 d_j B B^-1, formed once per batch, gives the connection's
-Reeb slot and, by Jacobi's formula, the complex Hessian of log J.
+algebra, and J = -det B.  On the surface rho = 0, and one gated inverse B^-1
+of the zero-corner matrix, taken once per frame batch, gives the rest: (-r, xi)
+is its row 0, and d_j B^-1 = -B^-1 d_j B B^-1 gives the connection's Reeb slot
+and, by Jacobi's formula, the complex Hessian of log J.
 
 Internals are vectorized: the private ``*_batch`` helpers accept (K, m) arrays
 of points and return stacked arrays.  Each point carries its own distinguished
@@ -236,9 +237,11 @@ class _FrameBatch:
     The ambient jets are filled at construction, from the one program that
     also gives ``rho``, ``grad`` and ``hess``: ``hol2[k, l, j]`` = rho_{lj},
     ``jet3[k, l, c, j]`` = d_j rho_{l cbar} and ``jet4[k, j, c, a, b]`` =
-    d_j d_cbar rho_{a bbar}, None where the third jets vanish.  ``Binv``, ``dB``
-    and ``BdBB`` hold B^-1, d_j B and B^-1 d_j B B^-1 once ``_ambient_derivs``
-    has built them; ``dZw`` holds Z_alpha Z_gamma^w once ``_frame_w_derivs`` has.
+    d_j d_cbar rho_{a bbar}, None where the third jets vanish.  So are ``Binv``,
+    the gated B^-1 of ``_transverse_batch`` whose row 0 is (-r, xi), and
+    ``dZw[k, a, g]`` = Z_alpha Z_gamma^w.  ``dB`` and ``BdBB`` hold d_j B and
+    B^-1 d_j B B^-1 once ``_ambient_derivs`` has built them: the frame-only
+    batches of the energy densities never read them.
     """
 
     __slots__ = ("P", "w", "fc", "Zc", "h", "hinv", "heigs", "xi", "r", "J", "grad", "hess", "rho",
@@ -288,15 +291,16 @@ def _on_surface(rho, P, grad, tol, cls, msg, labels=None):
 
 
 def _transverse_batch(grad, hess):
-    """Solve { rho_j xi^j = 1, rho_{j kbar} xi^j = r rho_kbar } pointwise as B^T u = e_0,
-    with the corner of B zero: u = (-r, xi) is row 0 of B^-1.
+    """(K, m+1, m+1) B^-1 of the bordered matrix B with its corner zero, gated by
+    its condition number (SingularSystem above ``COND_REJECT``).
 
-    Returns (xi (K, m), r (K,) complex).
+    Row 0 of B^-1 is u = (-r, xi), the solution of { rho_j xi^j = 1, rho_{j kbar}
+    xi^j = r rho_kbar }, i.e. B^T u = e_0.  B^-1 is the transpose of inv(B^T),
+    whose column 0 is that solve: row 0 then keeps its accuracy where B is
+    ill-conditioned, as do the rows of B^-1 d_j B B^-1 that read it.
     """
-    K, m = grad.shape
+    K = grad.shape[0]
     Bt = np.swapaxes(_bordered(0.0, np.conj(grad), grad, hess), 1, 2)
-    e0 = np.zeros((K, m + 1), dtype=complex)
-    e0[:, 0] = 1.0
     # B is Hermitian with its zero corner, so its singular values are |eigenvalues|
     lam = np.abs(np.linalg.eigvalsh(Bt))
     low = lam.min(axis=1)
@@ -307,8 +311,13 @@ def _transverse_batch(grad, hess):
         raise SingularSystem(
             f"transverse system singular at point index {i} (cond {cond[i]:.3e})"
         )
-    u = np.linalg.solve(Bt, e0[..., None])[..., 0]
-    return u[:, 1:], -u[:, 0]
+    return np.swapaxes(np.linalg.inv(Bt), 1, 2)
+
+
+def _transverse_row(Binv):
+    """(xi (K, m), r (K,)) from row 0 = (-r, xi) of ``_transverse_batch``'s B^-1,
+    r made real by ``_real``."""
+    return Binv[:, 0, 1:], _real(-Binv[:, 0, 0], 1e-10, "transverse curvature", SingularSystem)
 
 
 def _bordered(corner, row, col, block):
@@ -332,22 +341,26 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
     absg = np.abs(grad)
     # at the argmax w, |rho_w| = max_j |rho_j|: one gate serves both choices of w
     w = absg.argmax(axis=1) if w_index is None else np.full(P.shape[0], int(w_index))
-    small = absg[np.arange(P.shape[0]), w] <= FRAME_THRESHOLD
+    # |P| max|rho_{j kbar}| scales as rho_w does under rho -> c rho and z -> lambda z
+    rho_w = absg[np.arange(P.shape[0]), w]
+    bound = FRAME_THRESHOLD * _row_norms(P) * np.abs(hess).max(axis=(1, 2))
+    small = rho_w <= bound
     if small.any():
         i = int(small.argmax())
-        raise DegenerateFrame(f"|rho_w| <= {FRAME_THRESHOLD:.1e} for w = {w[i]} at point index {i}")
+        raise DegenerateFrame(f"|rho_w| = {rho_w[i]:.3e} <= {bound[i]:.1e} for w = {w[i]} at point index {i}")
 
     fb = _FrameBatch()
     fb.P, fb.w, fb.grad, fb.hess, fb.rho = P, w, grad, hess, rho.real
     fb.hol2, fb.jet3, fb.jet4 = hol2, jet3, jet4[0] if jet4 else None
-    fb.Binv = fb.dB = fb.BdBB = fb.dZw = None
+    fb.dB = fb.BdBB = None
     fb.fc, fb.Zc = _frame_coeffs(grad, w)
+    # Z_alpha Z_gamma^w = -(Zc rho_{lj} Zc^T)/rho_w: only the w-column of the
+    # frame varies, and d_j Z_gamma^w = -Z_gamma^l rho_{lj} / rho_w
+    fb.dZw = -np.einsum("kaj,klj,kgl->kag", fb.Zc, hol2, fb.Zc) / fb.at_w(grad)[:, None, None]
 
-    # rounding in Zc H Zc^* scales with |Zc|^2 |H|: 1e-10 at unit scale
     fb.h = _levi_form(fb.Zc, hess)
     herm_gap = np.abs(fb.h - np.conj(np.swapaxes(fb.h, 1, 2))).max(axis=(1, 2))
-    scale = np.abs(fb.Zc).max(axis=(1, 2)) ** 2 * np.abs(hess).max(axis=(1, 2))
-    bound = 1e-10 * np.maximum(1.0, scale)
+    bound = 1e-10 * _levi_rounding_scale(fb.Zc, hess)
     if (herm_gap > bound).any():
         i = int((herm_gap / bound).argmax())
         raise NotStrictlyPseudoconvex(
@@ -362,10 +375,15 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
         )
     fb.hinv = np.linalg.inv(fb.h)
 
-    xi, r = _transverse_batch(grad, hess)
-    fb.xi, fb.r = xi, _real(r, 1e-10, "transverse curvature", SingularSystem)
+    fb.Binv = _transverse_batch(grad, hess)
+    fb.xi, fb.r = _transverse_row(fb.Binv)
     fb.J = _fefferman_batch(fb.rho, grad, hess)
     return fb
+
+
+def _levi_rounding_scale(Zc, hess):
+    """(K,) max(1, |Zc|^2 max|H|): rounding in the Levi form Zc H Zc^* scales with it."""
+    return np.maximum(1.0, np.abs(Zc).max(axis=(1, 2)) ** 2 * np.abs(hess).max(axis=(1, 2)))
 
 
 def _fefferman_batch(rho, grad, hess):
@@ -379,8 +397,7 @@ def transverse_solve(chart: HypersurfaceChart, P):
     whose solution (-r, xi) is row 0 of the inverse bordered matrix B^-1.
     Needs no frame, so it serves as an oracle route."""
     P = _batch(P, chart.m)
-    xi, r = _transverse_batch(chart.grad_at(P), chart.hess_at(P))
-    return xi, _real(r, 1e-10, "transverse curvature", SingularSystem)
+    return _transverse_row(_transverse_batch(chart.grad_at(P), chart.hess_at(P)))
 
 
 def fefferman_det(chart: HypersurfaceChart, P):
@@ -406,8 +423,8 @@ def _loghess_ambient(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
     """(K, j, k) ambient Hessian (log J)_{j kbar} = tr(B^-1 d_kbar d_j B) - tr(B^-1 d_kbar B B^-1 d_j B)
     by Jacobi's formula; beyond the ambient jets it needs d_j d_kbar rho_{a cbar}, ``fb.jet4``.
     The terms of the third and fourth jets are skipped when they vanish."""
-    _, jet3 = _ambient_derivs(chart, fb)
-    Binv = fb.Binv
+    _ambient_derivs(fb)
+    Binv, jet3 = fb.Binv, fb.jet3
     # by blocks of d_cbar d_j B = [[rho_{j cbar}, conj(jet3[b, j, c])], [jet3[a, c, j], jet4[j, c]]]
     first = Binv[:, 0, 0, None, None] * fb.hess
     if fb.jet4 is not None:
@@ -426,11 +443,6 @@ def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
     """(K, n, n, 2n+1) connection coefficients, every slot filled: ``omega[k, beta,
     alpha, slot]`` evaluates omega_beta^alpha on a frame field, slots 0..n-1 being
     Z_gamma, n..2n-1 Z_gammabar and 2n the Reeb field W + conj(W), W = i xi.
-
-    The Reeb slot omega_beta^alpha(T) = -i Z_beta xi^alpha differentiates row 0
-    of B^-1.  B keeps its rho corner: that row differs from the zero-corner
-    solve of ``_transverse_batch`` by a multiple of rho, which Z_beta
-    annihilates on the surface.
     """
     n = chart.n
 
@@ -448,39 +460,22 @@ def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
         # omega_beta^alpha(Z_gammabar) = xi^alpha h_{beta gammabar}
         omega[:, :, :, n + g] = fb.h[:, :, g][:, :, None] * xi_frame[:, None, :]
     # slot 2n: d_j xi = -(B^-1 d_j B B^-1)[0, 1:], so -i Z_beta xi^alpha = i Zc (B^-1 d_j B B^-1)[0, 1 + fc]
-    _ambient_derivs(chart, fb)
+    _ambient_derivs(fb)
     dxi = np.take_along_axis(fb.BdBB[:, :, 0, 1:], fb.fc[:, None, :], axis=2)
     omega[:, :, :, 2 * n] = 1j * np.einsum("kbj,kja->kba", fb.Zc, dxi)
     return omega
 
 
-def _ambient_derivs(chart, fb):
-    """(fb.hol2, fb.jet3); the first call fills fb.Binv = B^-1 for B = [[rho,
-    rho_kbar], [rho_j, rho_{j kbar}]], fb.dB[k, j] = d_j B and fb.BdBB[k, j] =
-    B^-1 d_j B B^-1 = -d_j B^-1, once per batch."""
-    if fb.Binv is None:
-        fb.Binv = np.linalg.inv(_bordered(fb.rho, np.conj(fb.grad), fb.grad, fb.hess))
+def _ambient_derivs(fb):
+    """Fill fb.dB[k, j] = d_j B and fb.BdBB[k, j] = B^-1 d_j B B^-1 = -d_j B^-1 on
+    first use, once per batch, from the ambient jets and ``fb.Binv``."""
+    if fb.dB is None:
         fb.dB = _bordered(fb.grad, fb.hess, np.swapaxes(fb.hol2, 1, 2), np.moveaxis(fb.jet3, 3, 1))
         # stacked matmuls in a fixed order, B^-1 d_j B first: an einsum path search
         # costs ten times the contraction at K=1, and this order is no slower at scan size
         K, m, q, _ = fb.dB.shape
         left = np.swapaxes(fb.dB, 2, 3).reshape(K, m * q, q) @ np.swapaxes(fb.Binv, 1, 2)  # [k, (j p), r]
         fb.BdBB = (np.swapaxes(left.reshape(K, m, q, q), 2, 3).reshape(K, m * q, q) @ fb.Binv).reshape(K, m, q, q)
-    return fb.hol2, fb.jet3
-
-
-def _frame_w_derivs(chart, fb):
-    """(K, alpha, gamma) array of Z_alpha Z_gamma^w = -(Zc rho_{lj} Zc^T)/rho_w,
-    formed once per batch (``fb.dZw``): the SFF and the connection both read it.
-
-    Only the w-column of the frame coefficients varies; by the chain rule
-    d_j Z_gamma^w = -Z_gamma^l rho_{lj} / rho_w.
-    """
-    if fb.dZw is None:
-        hol2, _ = _ambient_derivs(chart, fb)
-        S = np.einsum("kaj,klj,kgl->kag", fb.Zc, hol2, fb.Zc)
-        fb.dZw = -S / fb.at_w(fb.grad)[:, None, None]
-    return fb.dZw
 
 
 def _frame_conj_w_derivs(fb):
@@ -495,7 +490,6 @@ def _frame_levi_derivs(chart, fb):
     constant columns; the w-columns contribute (Z_gamma Z_beta^w) rho_{w mubar}
     and rho_{beta wbar} Z_gamma conj(Z_mu^w).
     """
-    _, jet3 = _ambient_derivs(chart, fb)
     Zc = fb.Zc
     K, n, m = Zc.shape
     if chart.third_jets_vanish:
@@ -503,13 +497,13 @@ def _frame_levi_derivs(chart, fb):
     else:
         # Z_gamma^j Z_beta^l jet3[l, c, j] conj(Z_mu^c) as stacked matmuls over j, then l, then c
         ZcT = np.swapaxes(Zc, 1, 2)
-        T = jet3.reshape(K, m * m, m) @ ZcT  # [k, (l c), gamma]
+        T = fb.jet3.reshape(K, m * m, m) @ ZcT  # [k, (l c), gamma]
         T = T.reshape(K, m, m, n).transpose(0, 3, 2, 1).reshape(K, n * m, m) @ ZcT  # [k, (gamma c), beta]
         T = T.reshape(K, n, m, n).transpose(0, 3, 1, 2).reshape(K, n * n, m) @ np.conj(ZcT)  # [k, (beta gamma), mu]
         Zgh = T.reshape(K, n, n, n).transpose(0, 2, 1, 3)
     # v[k, beta] = Z_beta^l rho_{l wbar}; rho'' is Hermitian, so rho_{w cbar} conj(Z_mu^c) = conj(v_mu)
     v = np.einsum("kbl,kl->kb", Zc, fb.at_w(fb.hess))
-    Zgh += _frame_w_derivs(chart, fb)[:, :, :, None] * np.conj(v)[:, None, None, :]
+    Zgh += fb.dZw[:, :, :, None] * np.conj(v)[:, None, None, :]
     Zgh += v[:, None, :, None] * _frame_conj_w_derivs(fb)[:, :, None, :]
     return Zgh
 

@@ -26,7 +26,6 @@ from .hypersurface import (
     _connection_batch,
     _frame_batch,
     _frame_conj_w_derivs,
-    _frame_w_derivs,
     _real,
     _trace_h,
     eval_arrays,
@@ -116,7 +115,7 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
 
     # Z_alpha (Z_gamma F^d) = Z_alpha^j Z_gamma^l d_j d_l F^d + (Z_alpha Z_gamma^w) d_w F^d
     ZZF = np.einsum("kaj,kgl,kdlj->kagd", fb.Zc, fb.Zc, d2F)
-    ZZF += _frame_w_derivs(spec.chart, fb)[..., None] * fb.at_w(dF)[:, None, None, :]
+    ZZF += fb.dZw[..., None] * fb.at_w(dF)[:, None, None, :]
 
     omega = _connection_batch(spec.chart, fb)
     Vraw = ZZF - np.einsum("kgba,kbd->kagd", omega[:, :, :, :n], E)

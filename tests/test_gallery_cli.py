@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crgeo import cli, hypersurface, symbolic as sym
 from crgeo.cli import main, parse_params, parse_point
@@ -435,11 +435,12 @@ class TestScaleCovariance:
 
     @given(
         m=st.sampled_from([2, 3]),
-        u=st.floats(-3.0, 8.0),
+        u=st.floats(-8.0, 8.0),
         moduli=st.lists(st.floats(0.0, 0.4), min_size=3, max_size=3),
         angles=st.lists(st.floats(0.0, 2 * np.pi), min_size=3, max_size=3),
         direction=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
     )
+    @example(m=2, u=-8.0, moduli=[0.3, 0.2, 0.1], angles=[0.0, 1.1, 2.0], direction=[0.6, 0.7, 0.0, 0.1, -0.2, 0.0])
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_invariants_follow_their_scaling_laws(self, tmp_path_factory, m, u, moduli, angles, direction):
         tmp = tmp_path_factory.mktemp("quadric")
@@ -469,6 +470,15 @@ class TestScaleCovariance:
         assert rc == 0, err
         rc, out, err = run_cli(["check", "--surface-file", str(f), "--seed", "0"])
         assert rc == 0, err
+        assert "ALL CHECKS PASSED" in out
+
+    @pytest.mark.parametrize("c", [1e4, 1e6])
+    def test_scaled_quadric_passes_every_check(self, tmp_path, c):
+        # the Levi-Hermitian residual is read on the frame gate's scale max(1, |Zc|^2 max|H|)
+        f = tmp_path / "q.txt"
+        f.write_text(SCALED_QUADRIC[2].format(c=c))
+        rc, out, err = run_cli(["check", "--surface-file", str(f), "--seed", "0"])
+        assert rc == 0, out + err
         assert "ALL CHECKS PASSED" in out
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -559,6 +569,7 @@ SMOKE_FILES = {
     "q2x1e6.txt": "dim = 2\nrho = 1e6*(abs2(z1) + abs2(z2) + re(0.3*z1^2 + (0.1+0.2i)*z1*z2) - 1)\n",
     "s2x1e4.txt": "dim = 2\nrho = 1e4*(abs2(z1) + abs2(z2) - 1)\nF = [100*z1, 100*z2]\npsi = -1e4\n",
     "s2x1e8.txt": "dim = 2\nrho = 1e8*(abs2(z1) + abs2(z2) - 1)\nF = [1e4*z1, 1e4*z2]\npsi = -1e8\n",
+    "q2x1e-8.txt": "dim = 2\nrho = 1e-8*(abs2(z1) + abs2(z2) + re(0.3*z1^2 + (0.1+0.2i)*z1*z2) - 1)\n",
 }
 SMOKE_COMMANDS = [
     "gallery-list",
@@ -572,9 +583,13 @@ SMOKE_COMMANDS = [
     "scan --surface-file c3x100.txt --grid 8",
     "analyze --surface-file q2x1e6.txt --point=0.6,0.7",
     "scan --surface-file q2x1e6.txt --grid 8",
+    "check --surface-file q2x1e6.txt --seed 0",
     "bound --surface-file s2x1e4.txt --quad grid:4",
+    "check --surface-file s2x1e4.txt --seed 0",
     "analyze --surface-file s2x1e8.txt --point=0.6,0.8",
     "bound --surface-file s2x1e8.txt --quad grid:4",
+    "analyze --surface-file q2x1e-8.txt --point=0.6,0.7",
+    "scan --surface-file q2x1e-8.txt --grid 8",
 ]
 # runs each command twice in one fresh process and prints the ones whose second run differs
 WARM_EQUALS_COLD = """

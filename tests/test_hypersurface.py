@@ -326,7 +326,8 @@ class TestTransverse:
         Bt = np.swapaxes(_bordered(0.0, np.conj(grad), grad, hess), 1, 2)
         cond = np.linalg.cond(Bt)
         assert cond[0] < 1e2 and np.all((cond[1:] > 1e10) & (cond[1:] <= hypersurface.COND_REJECT))
-        xi, r = hypersurface._transverse_batch(grad, hess)
+        Binv = hypersurface._transverse_batch(grad, hess)
+        xi, r = Binv[:, 0, 1:], -Binv[:, 0, 0]
         e0 = np.eye(4, dtype=complex)[0]
         for k in range(4):
             u = np.linalg.solve(Bt[k], e0)
@@ -352,6 +353,55 @@ class TestTransverse:
             hypersurface._transverse_batch(grad, hess)
         gated = float(str(err.value).split("cond ")[1].rstrip(")"))
         assert abs(gated / cond[1] - 1) < 1e-3  # the message keeps 4 digits
+
+
+class TestOneInverse:
+    """A frame batch inverts its bordered matrix once, in ``_transverse_batch``: xi, r,
+    the Reeb slot and the log J Hessian all read that one gated B^-1."""
+
+    SURFACES = [("sphere", {"n": 2}), ("ellipsoid", {}), ("whitney", {"n": 2}), ("reinhardt", {"n": 2})]
+
+    @pytest.mark.parametrize("name,params", SURFACES)
+    def test_curvature_batch_inverts_once_and_solves_nothing(self, monkeypatch, name, params):
+        surf = gallery(name, **params)
+        P = surf.random_points(20, seed=6)
+        calls, shapes = [], []
+        real_batch, real_inv = hypersurface._transverse_batch, np.linalg.inv
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve was called")
+
+        monkeypatch.setattr(hypersurface, "_transverse_batch", lambda g, h: calls.append(len(g)) or real_batch(g, h))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(np.shape(a)) or real_inv(a))
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        curvature_batch(surf, P)
+        assert calls == [20]
+        m = surf.dim
+        assert shapes.count((20, m + 1, m + 1)) == 1
+
+    @pytest.mark.parametrize("name,params", SURFACES)
+    def test_row_0_is_the_transverse_solve_bit_for_bit(self, name, params):
+        surf = gallery(name, **params)
+        P = surf.random_points(30, seed=7)
+        fb = curvature_batch(surf, P)[0]
+        xi, r = transverse_solve(surf.chart, P)
+        assert np.ascontiguousarray(fb.Binv[:, 0, 1:]).tobytes() == np.ascontiguousarray(xi).tobytes()
+        assert (-fb.Binv[:, 0, 0].real).tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-11])
+    def test_reeb_row_keeps_its_accuracy_near_singular(self, eps):
+        # row 0 of B^-1 d_j B B^-1 is u^T d_j B B^-1 with B^T u = e_0: two solves
+        rng = np.random.default_rng(8)
+        grad, hess = map(np.array, zip(*[TestTransverse._near_singular_system(rng, eps) for _ in range(6)]))
+        Bt = np.swapaxes(_bordered(0.0, np.conj(grad), grad, hess), 1, 2)
+        assert np.all(np.linalg.cond(Bt) <= hypersurface.COND_REJECT)
+        dB = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+        Binv = hypersurface._transverse_batch(grad, hess)
+        got = (Binv @ dB @ Binv)[:, 0]
+        e0 = np.eye(4, dtype=complex)[0]
+        for k in range(6):
+            ref = np.linalg.solve(Bt[k], dB[k].T @ np.linalg.solve(Bt[k], e0))
+            assert np.max(np.abs(got[k] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestFefferman:
@@ -547,7 +597,7 @@ class TestConnection:
 
         def second_term_flipped(chart, fb):
             # tr(B^-1 d_kbar d_j B) + tr(B^-1 d_kbar B B^-1 d_j B)
-            hol2, jet3 = _ambient_derivs(chart, fb)
+            hol2, jet3 = fb.hol2, fb.jet3
             Binv = np.linalg.inv(_bordered(fb.rho, np.conj(fb.grad), fb.grad, fb.hess))
             dB = _bordered(fb.grad, fb.hess, np.swapaxes(hol2, 1, 2), np.moveaxis(jet3, 3, 1))
             second = np.einsum("kpq,kcrq,krs,kjsp->kjc", Binv, np.conj(dB), Binv, dB)
@@ -681,7 +731,8 @@ class TestSuiteFrameBatches:
 
 def loghess_ambient_adding_every_term(chart, fb):
     """(log J)_{j kbar} with every jet term added, zero or not, by plain einsum."""
-    _, jet3 = _ambient_derivs(chart, fb)
+    _ambient_derivs(fb)
+    jet3 = fb.jet3
     jet4 = eval_array(sym.jets(chart.rho, chart.m, "hbhb"), fb.P)
     Binv = fb.Binv
     first = (Binv[:, 0, 0, None, None] * fb.hess
@@ -694,11 +745,11 @@ def loghess_ambient_adding_every_term(chart, fb):
 
 def frame_levi_derivs_adding_every_term(chart, fb):
     """Z_gamma h_{beta mubar} with the jet3 term added, zero or not, by plain einsum."""
-    _, jet3 = _ambient_derivs(chart, fb)
+    jet3 = fb.jet3
     Zc = fb.Zc
     v = np.einsum("kbl,kl->kb", Zc, fb.at_w(fb.hess))
     return (np.einsum("kgj,kbl,klcj,kmc->kgbm", Zc, Zc, jet3, np.conj(Zc))
-            + hypersurface._frame_w_derivs(chart, fb)[:, :, :, None] * np.conj(v)[:, None, None, :]
+            + fb.dZw[:, :, :, None] * np.conj(v)[:, None, None, :]
             + v[:, None, :, None] * hypersurface._frame_conj_w_derivs(fb)[:, :, None, :])
 
 

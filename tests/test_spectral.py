@@ -215,8 +215,9 @@ def test_xi_batch_rejects_complex_curvature(monkeypatch):
     real = hypersurface._transverse_batch
 
     def complex_r(grad, hess):
-        xi, r = real(grad, hess)
-        return xi, r + 1e-8j
+        Binv = real(grad, hess)
+        Binv[:, 0, 0] += 1e-8j
+        return Binv
 
     monkeypatch.setattr(hypersurface, "_transverse_batch", complex_r)
     surf = gallery("sphere", r=1.0, n=1)
