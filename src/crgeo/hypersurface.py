@@ -314,12 +314,6 @@ def _transverse_batch(grad, hess):
     return np.swapaxes(np.linalg.inv(Bt), 1, 2)
 
 
-def _transverse_row(Binv):
-    """(xi (K, m), r (K,)) from row 0 = (-r, xi) of ``_transverse_batch``'s B^-1,
-    r made real by ``_real``."""
-    return Binv[:, 0, 1:], _real(-Binv[:, 0, 0], 1e-10, "transverse curvature", SingularSystem)
-
-
 def _bordered(corner, row, col, block):
     """Stacked [[corner, row], [col, block]]: the bordered Hessian B is
     ``_bordered(rho, rho_kbar, rho_j, rho_{j kbar})``, and d_j B has the same layout."""
@@ -376,7 +370,7 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
     fb.hinv = np.linalg.inv(fb.h)
 
     fb.Binv = _transverse_batch(grad, hess)
-    fb.xi, fb.r = _transverse_row(fb.Binv)
+    fb.xi, fb.r = fb.Binv[:, 0, 1:], _real(-fb.Binv[:, 0, 0], 1e-10, "transverse curvature", SingularSystem)
     fb.J = _fefferman_batch(fb.rho, grad, hess)
     return fb
 
@@ -397,7 +391,8 @@ def transverse_solve(chart: HypersurfaceChart, P):
     whose solution (-r, xi) is row 0 of the inverse bordered matrix B^-1.
     Needs no frame, so it serves as an oracle route."""
     P = _batch(P, chart.m)
-    return _transverse_row(_transverse_batch(chart.grad_at(P), chart.hess_at(P)))
+    Binv = _transverse_batch(chart.grad_at(P), chart.hess_at(P))
+    return Binv[:, 0, 1:], _real(-Binv[:, 0, 0], 1e-10, "transverse curvature", SingularSystem)
 
 
 def fefferman_det(chart: HypersurfaceChart, P):
