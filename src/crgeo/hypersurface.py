@@ -327,8 +327,9 @@ def _bordered(corner, row, col, block):
 
 
 def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _FrameBatch:
-    """Frame, Levi data, transverse field, and J for a (K, m) batch, with the
-    ambient jets of rho up to order four, all from one ``eval_arrays`` program."""
+    """Frame, Levi data, the transverse system's B^-1 with xi and r, and J for a
+    (K, m) batch, with the ambient jets of rho up to order four, all from one
+    ``eval_arrays`` program."""
     patterns = ("", "h", "hb", "hh", "hbh") + (() if chart.third_jets_vanish else ("hbhb",))
     rho, grad, hess, hol2, jet3, *jet4 = eval_arrays([chart.jets(p) for p in patterns], P)
     _on_surface(rho, P, grad, ON_SURFACE_TOL, NotOnSurface, "|rho| = {:.3e} at point index {} is off the surface")
