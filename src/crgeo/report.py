@@ -137,9 +137,21 @@ def scan_csv(scan: dict, dim: int) -> str:
     cols += [_fmt_column(scan[name]) for name in ("r", "J", "scalarR", "min_eig_L")]
     cols.append(["true" if u else "false" for u in np.asarray(scan["is_umbilic"], dtype=bool).tolist()]
                 if has_imm else blank)
-    lines = [",".join(header)] + [",".join(row) for row in zip(*cols)]
+    lines = [",".join(header), *map(",".join, zip(*cols))]
     return "\r\n".join(lines) + "\r\n"
 
 
 def _fmt_column(values) -> list:
-    return ["%.17g" % x for x in np.asarray(values, dtype=float).tolist()]
+    """The cells of a float column, each as ``_fmt`` writes it.
+
+    A scan column repeats most of its values (the grid is a symmetric product
+    grid, and symmetric surfaces give bit-identical values at mirrored nodes),
+    so each distinct value is formatted once and the strings are spread back
+    through the inverse of ``np.unique``.  The key is the value's IEEE bits, not
+    the value: -0.0 and 0.0 stay apart, and NaNs (never equal to themselves)
+    group by payload.
+    """
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([_fmt(x) for x in distinct.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()

@@ -497,14 +497,17 @@ def is_holomorphic(e: Expr) -> bool:
 
 
 def is_pluriharmonic(e: Expr) -> bool:
-    """True iff all mixed second Wirtinger derivatives of e vanish."""
+    """True iff all mixed second Wirtinger derivatives of e vanish: each is
+    bounded by 1e-10·max(1, |e|) at every zero-test point, so a positive
+    multiple c·e is judged as e is.  e and its derivatives run as one program."""
     idx = free_indices(e)
-    for j in idx:
-        ej = differentiate(e, j, conjugated=False)
-        for k in idx:
-            if not appears_zero(differentiate(ej, k, conjugated=True), tol=1e-10):
-                return False
-    return True
+    if not idx:
+        return True
+    mixed = [differentiate(differentiate(e, j, conjugated=False), k, conjugated=True)
+             for j in idx for k in idx]
+    val, *dev = evaluate([e] + mixed, zero_test_coords(e))
+    bound = 1e-10 * np.maximum(1.0, np.abs(val))
+    return all(bool((np.abs(d) < bound).all()) for d in dev)
 
 
 def to_text(e: Expr) -> str:
