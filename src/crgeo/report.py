@@ -17,8 +17,11 @@ SCHEMA_VERSION = "1"
 TOOL_VERSION = "0.1.0"
 
 
+_FLOAT = "%.17g"  # every report float, JSON and CSV: 17 significant digits round-trip a double
+
+
 def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    return _FLOAT % x
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -142,7 +145,7 @@ def scan_csv(scan: dict, dim: int) -> str:
 
 
 def _fmt_column(values) -> list:
-    """The cells of a float column, each as ``_fmt`` writes it.
+    """The cells of a float column, each written as ``_fmt`` writes it.
 
     A scan column repeats most of its values (the grid is a symmetric product
     grid, and symmetric surfaces give bit-identical values at mirrored nodes),
@@ -153,5 +156,5 @@ def _fmt_column(values) -> list:
     """
     bits = np.asarray(values, dtype=float).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([_fmt(x) for x in distinct.view(float).tolist()], dtype=object)
+    text = np.array([_FLOAT % x for x in distinct.view(float).tolist()], dtype=object)
     return text[inverse].tolist()
