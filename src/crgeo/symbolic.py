@@ -501,10 +501,11 @@ def is_pluriharmonic(e: Expr) -> bool:
     bounded by 1e-10·max(1, |e|) at every zero-test point, so a positive
     multiple c·e is judged as e is.  e and its derivatives run as one program."""
     idx = free_indices(e)
-    if not idx:
-        return True
     mixed = [differentiate(differentiate(e, j, conjugated=False), k, conjugated=True)
              for j in idx for k in idx]
+    mixed = [d for d in mixed if not _is_const(d, 0j)]  # an exact zero needs no evaluation
+    if not mixed:
+        return True
     val, *dev = evaluate([e] + mixed, zero_test_coords(e))
     bound = 1e-10 * np.maximum(1.0, np.abs(val))
     return all(bool((np.abs(d) < bound).all()) for d in dev)
