@@ -498,8 +498,9 @@ def is_holomorphic(e: Expr) -> bool:
 
 def is_pluriharmonic(e: Expr) -> bool:
     """True iff all mixed second Wirtinger derivatives of e vanish: each is
-    bounded by 1e-10·max(1, |e|) at every zero-test point, so a positive
-    multiple c·e is judged as e is.  e and its derivatives run as one program."""
+    bounded by 1e-10·max(1, |e|) at every zero-test point, as the load check
+    of |F|^2 + psi bounds its gap, so a large multiple c·e is judged as e is.
+    e and its derivatives that are not exact zeros run as one program."""
     idx = free_indices(e)
     mixed = [differentiate(differentiate(e, j, conjugated=False), k, conjugated=True)
              for j in idx for k in idx]

@@ -337,6 +337,14 @@ class TestCli:
         assert rc == 0
         assert decode_number(json.loads(out)["records"][0]["r"]) == 1.0
 
+    def test_large_pluriharmonic_psi_loads(self, tmp_path):
+        # psi = 1e6 log|z1|^2 - 1 has mixed derivatives at the rounding of 1e6-sized values
+        f = tmp_path / "surf.txt"
+        f.write_text("dim = 2\nrho = abs2(z1) + abs2(z2) + 1e6*log(abs2(z1)) - 1\n"
+                     "F = [z1, z2]\npsi = 1e6*log(abs2(z1)) - 1\n")
+        rc, _, err = run_cli(["analyze", "--surface-file", str(f), "--point", "1,0"])
+        assert rc == 0, err
+
     def test_check_surface_file(self, tmp_path):
         f = tmp_path / "surf.txt"
         f.write_text("rho = abs2(z1) + abs2(z2) - 1\ndim = 2\nF = [z1, z2]\npsi = -1\n")

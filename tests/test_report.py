@@ -1,12 +1,12 @@
-"""Report.to_json against the two-pass reference encoder it replaced."""
+"""Report.to_json and scan_csv against the reference encoders they replaced."""
 
 import json
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from crgeo.report import Report
+from crgeo.report import Report, scan_csv
 
 
 def _fmt(x):
@@ -83,3 +83,74 @@ def test_empty_containers_and_signed_zeros():
 def test_non_str_keys_are_written_as_json_writes_them():
     rep = Report(surface={1: "a", 2.5: "b", False: "c", None: "d", float("nan"): "e"}, command="c")
     assert rep.to_json() == reference_json(rep)
+
+
+def reference_csv(scan, dim):
+    """The reference: every cell of the scan CSV formatted on its own."""
+    P = scan["points"]
+    has_imm = "II0norm2" in scan
+    header = [f"z{j + 1}_{part}" for j in range(dim) for part in ("re", "im")]
+    header += ["II0norm2", "Hnorm2", "r", "J", "scalarR", "min_eig_L", "is_umbilic"]
+    lines = [",".join(header)]
+    for i in range(P.shape[0]):
+        row = []
+        for j in range(dim):
+            row += ["%.17g" % float(P[i, j].real), "%.17g" % float(P[i, j].imag)]
+        row += ["%.17g" % float(scan[k][i]) for k in ("II0norm2", "Hnorm2")] if has_imm else ["", ""]
+        row += ["%.17g" % float(scan[k][i]) for k in ("r", "J", "scalarR", "min_eig_L")]
+        row.append(("true" if scan["is_umbilic"][i] else "false") if has_imm else "")
+        lines.append(",".join(row))
+    return "".join(line + "\r\n" for line in lines)
+
+
+# NaNs with distinct payloads (quiet, signalling, negative), both zeros (equal
+# under ==, printed apart), infinities and subnormals
+SPECIAL = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF00000DEADBEEF, 0xFFF8000000000000,
+                    0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                    0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0000000100000000], dtype=np.uint64).view(np.float64)
+CSV_FIELDS = ("II0norm2", "Hnorm2", "r", "J", "scalarR", "min_eig_L")
+
+
+def by_parts(re, im):
+    z = np.empty(np.shape(re), dtype=complex)  # not re + 1j*im, which turns inf into nan
+    z.real, z.imag = re, im
+    return z
+
+
+def make_scan(P, F, umbilic):
+    """A scan dict of the points P, whose six fields are strided .real/.imag views
+    of the columns of F; without the immersion fields when ``umbilic`` is None."""
+    scan = {"points": P}
+    for k, name in enumerate(CSV_FIELDS):
+        scan[name] = F[:, k // 2].imag if k % 2 else F[:, k // 2].real
+    if umbilic is None:
+        del scan["II0norm2"], scan["Hnorm2"]
+    else:
+        scan["is_umbilic"] = umbilic
+    return scan, P.shape[1]
+
+
+@st.composite
+def scans(draw):
+    """A scan whose columns repeat a few values, special ones among them, heavily."""
+    dim, rows = draw(st.integers(1, 3)), draw(st.integers(0, 40))
+    pool = np.array(draw(st.lists(st.sampled_from(SPECIAL.tolist()), min_size=1, max_size=5))
+                    + draw(st.lists(st.floats(), max_size=4)))
+    index = hnp.arrays(np.intp, (rows, dim + 3), elements=st.integers(0, len(pool) - 1))
+    Z = by_parts(pool[draw(index)], pool[draw(index)])
+    umbilic = draw(st.none() | hnp.arrays(np.bool_, rows))
+    return make_scan(Z[:, :dim], Z[:, dim:], umbilic)
+
+
+EDGE = np.tile(SPECIAL, 3)[:, None]
+NONE = np.zeros((0, 3), dtype=complex)
+
+
+@given(scans())
+@example(make_scan(by_parts(EDGE, EDGE[::-1]), by_parts(EDGE[:, [0, 0, 0]], EDGE[::-1, [0, 0, 0]]), EDGE[:, 0] > 0))
+@example(make_scan(NONE[:, :2], NONE, np.zeros(0, dtype=bool)))
+@example(make_scan(NONE[:, :2], NONE, None))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_scan_csv_writes_the_reference_bytes(case):
+    scan, dim = case
+    assert scan_csv(scan, dim) == reference_csv(scan, dim)

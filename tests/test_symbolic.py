@@ -341,6 +341,13 @@ class TestHolomorphy:
         assert sym.is_pluriharmonic(sym.re(sym.intpow(sym.var(0), 3)))
         assert not sym.is_pluriharmonic(sym.abs2(sym.var(0)))
 
+    @pytest.mark.parametrize("c", ["1e-8", "1e-4", "1", "1e4", "1e5", "1e6", "1e8"])
+    def test_pluriharmonic_verdict_follows_a_positive_multiple(self, c):
+        # the mixed derivatives are bounded by 1e-10 max(1, |e|): c e is judged as e is
+        assert sym.is_pluriharmonic(parse_expr(f"{c}*(log(abs2(z1)) + re(z2^2))"))
+        assert not sym.is_pluriharmonic(parse_expr(f"{c}*(abs2(z1) + re(z2^2))"))
+        assert not sym.is_pluriharmonic(parse_expr(f"{c}*log(abs2(z1) + 0.5)"))
+
 
 class TestConjugation:
     def test_conj_distributes_to_variables(self):
