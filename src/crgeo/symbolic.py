@@ -483,12 +483,12 @@ def zero_test_coords(e: Expr) -> tuple:
     return _zero_test_points(max(free_indices(e), default=0) + 1)
 
 
-def appears_zero(e: Expr, tol: float = 1e-12) -> bool:
+def appears_zero(e: Expr) -> bool:
     """Randomized zero test after simplification: exact constant zero, or
-    |value| < tol at the points of ``zero_test_coords``."""
+    |value| < 1e-12 at the points of ``zero_test_coords``."""
     if _is_const(e):
-        return abs(e.payload) < tol
-    return bool(np.abs(evaluate(e, zero_test_coords(e))).max() < tol)
+        return abs(e.payload) < 1e-12
+    return bool(np.abs(evaluate(e, zero_test_coords(e))).max() < 1e-12)
 
 
 def is_holomorphic(e: Expr) -> bool:
