@@ -245,9 +245,7 @@ def _build_custom(fields: dict, name="custom"):
     if "F" in fields:
         imm = ImmersionSpec(fields["F"], dim=m, psi=fields.get("psi"), name=name)
         # relative to |rho|, as in _require_real, so c rho with sqrt(c) F and c psi loads
-        gap = sym.add(rho, sym.neg(imm.chart.rho))
-        dev, val = sym.evaluate([gap, rho], sym.zero_test_coords(gap))
-        if not (np.abs(dev) < 1e-9 * np.maximum(1.0, np.abs(val))).all():
+        if not sym.vanishes([sym.add(rho, sym.neg(imm.chart.rho))], rho, 1e-9):
             raise BadParams("rho does not match |F|^2 + psi for the given F and psi")
         chart = imm.chart
     else:

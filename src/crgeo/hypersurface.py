@@ -136,9 +136,8 @@ class HypersurfaceChart:
 
 
 def _require_real(e, what):
-    """Reject ``e`` unless |Im e| < 1e-12 max(1, |e|) at the points of ``sym.appears_zero``."""
-    imag, val = sym.evaluate([sym.im(e), e], sym.zero_test_coords(e))  # e is a subtree of im(e)
-    if not (np.abs(imag) < 1e-12 * np.maximum(1.0, np.abs(val))).all():
+    """Reject ``e`` unless ``sym.vanishes`` finds |Im e| < 1e-12 max(1, |e|)."""
+    if not sym.vanishes([sym.im(e)], e, 1e-12):
         raise NotRealValued(f"{what} must be real-valued")
 
 

@@ -183,8 +183,8 @@ def tension_bound(
 
     With a quadrature rule, both quantities are integrated over the surface.
     Without one, the densities are certified constant on ``sample_points``
-    (max-min below 1e-9) and the bound is the ratio of the constants --
-    the route for surfaces that no radial chart covers.
+    (max - min at most CONSTANCY_TOL·(1 + mean|vals|)) and the bound is the
+    ratio of the constants -- the route for surfaces no radial chart covers.
     """
     fs = list(f_components)
     for f in fs:

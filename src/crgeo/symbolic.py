@@ -25,6 +25,9 @@ more expressions as a flat post-order program over their union DAG: shared
 nodes run once, conjugate partners are mirrored by ``np.conj``, and each
 intermediate is dropped after its last reader.  The program is kept on the
 first root, keyed by the tuple of roots, and compiled once per process.
+``vanishes`` is the one zero test behind every load-time verdict (realness,
+holomorphy, pluriharmonicity, rho = |F|^2 + psi): each bounds its deviations
+by tol·max(1, |ref|) at fixed points, so a positive multiple is judged alike.
 
 Distributing conj through log assumes the log argument stays off the negative
 real axis; every expression in scope takes log of positive real quantities
@@ -477,39 +480,34 @@ def _zero_test_points(m):
     return tuple(pts[:, j] for j in range(m))
 
 
-def zero_test_coords(e: Expr) -> tuple:
-    """Coordinate arrays of the ``_N_ZERO_POINTS`` fixed zero-test points for
-    ``e``: read-only, and built once per dimension."""
-    return _zero_test_points(max(free_indices(e), default=0) + 1)
-
-
-def appears_zero(e: Expr) -> bool:
-    """Randomized zero test after simplification: exact constant zero, or
-    |value| < 1e-12 at the points of ``zero_test_coords``."""
-    if _is_const(e):
-        return abs(e.payload) < 1e-12
-    return bool(np.abs(evaluate(e, zero_test_coords(e))).max() < 1e-12)
+def vanishes(devs, ref: Expr, tol: float) -> bool:
+    """The one randomized zero test: True when every expression of ``devs`` is
+    below tol·max(1, |ref|) at each of the ``_N_ZERO_POINTS`` fixed points (in
+    the dimension the free indices of ``ref`` and ``devs`` need), so c·devs
+    against c·ref gets the verdict of devs against ref for every c > 0; a NaN
+    fails.  Exact constant zeros are not evaluated; the rest run with ``ref``
+    last as one program, kept on the first of them."""
+    devs = [d for d in devs if not _is_const(d, 0j)]
+    if not devs:
+        return True
+    m = max(free_indices(ref).union(*map(free_indices, devs)), default=0) + 1
+    *vals, val = evaluate(devs + [ref], _zero_test_points(m))
+    bound = tol * np.maximum(1.0, np.abs(val))
+    return all(bool((np.abs(v) < bound).all()) for v in vals)
 
 
 def is_holomorphic(e: Expr) -> bool:
-    """True iff every dzbar^j-derivative of e vanishes identically."""
-    return all(appears_zero(differentiate(e, j, conjugated=True)) for j in free_indices(e))
+    """True iff every dzbar^j-derivative of e vanishes: ``vanishes`` against e
+    with tol 1e-12."""
+    return vanishes([differentiate(e, j, conjugated=True) for j in free_indices(e)], e, 1e-12)
 
 
 def is_pluriharmonic(e: Expr) -> bool:
-    """True iff all mixed second Wirtinger derivatives of e vanish: each is
-    bounded by 1e-10·max(1, |e|) at every zero-test point, as the load check
-    of |F|^2 + psi bounds its gap, so a large multiple c·e is judged as e is.
-    e and its derivatives that are not exact zeros run as one program."""
+    """True iff all mixed second Wirtinger derivatives of e vanish:
+    ``vanishes`` against e with tol 1e-10."""
     idx = free_indices(e)
-    mixed = [differentiate(differentiate(e, j, conjugated=False), k, conjugated=True)
-             for j in idx for k in idx]
-    mixed = [d for d in mixed if not _is_const(d, 0j)]  # an exact zero needs no evaluation
-    if not mixed:
-        return True
-    val, *dev = evaluate([e] + mixed, zero_test_coords(e))
-    bound = 1e-10 * np.maximum(1.0, np.abs(val))
-    return all(bool((np.abs(d) < bound).all()) for d in dev)
+    mixed = [differentiate(differentiate(e, j), k, conjugated=True) for j in idx for k in idx]
+    return vanishes(mixed, e, 1e-10)
 
 
 def to_text(e: Expr) -> str:

@@ -345,6 +345,16 @@ class TestCli:
         rc, _, err = run_cli(["analyze", "--surface-file", str(f), "--point", "1,0"])
         assert rc == 0, err
 
+    def test_large_holomorphic_component_with_cancelling_conjugates_loads(self, tmp_path):
+        # the sphere immersion at c = 1e8, F[0] = 1e4 z1 written as 1e4 z1 conj(z2)/conj(z2):
+        # its dzbar derivative is the rounding of 1e4-sized values, judged against |F[0]|
+        f = tmp_path / "surf.txt"
+        f.write_text("dim = 2\nrho = 1e8*(abs2(z1) + abs2(z2) - 1)\n"
+                     "F = [1e4*z1*conj(z2)/conj(z2), 1e4*z2]\npsi = -1e8\n")
+        rc, out, err = run_cli(["analyze", "--surface-file", str(f), "--point=0.6,0.8"])
+        assert rc == 0, err
+        assert decode_number(json.loads(out)["records"][0]["r"]) == pytest.approx(1e-8, rel=1e-12)
+
     def test_check_surface_file(self, tmp_path):
         f = tmp_path / "surf.txt"
         f.write_text("rho = abs2(z1) + abs2(z2) - 1\ndim = 2\nF = [z1, z2]\npsi = -1\n")

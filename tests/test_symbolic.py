@@ -348,6 +348,24 @@ class TestHolomorphy:
         assert not sym.is_pluriharmonic(parse_expr(f"{c}*(abs2(z1) + re(z2^2))"))
         assert not sym.is_pluriharmonic(parse_expr(f"{c}*log(abs2(z1) + 0.5)"))
 
+    @pytest.mark.parametrize("c", ["1e-8", "1e-4", "1", "1e4", "1e5", "1e6", "1e8"])
+    def test_holomorphic_verdict_follows_a_positive_multiple(self, c):
+        # the dzbar derivatives are bounded by 1e-12 max(1, |e|): c e is judged as e is;
+        # z1 |z2|^2 / conj(z2) is z1 z2, its dzbar derivative the rounding of c-sized values
+        assert sym.is_holomorphic(parse_expr(f"{c}*z1*abs2(z2)/conj(z2)"))
+        assert not sym.is_holomorphic(parse_expr(f"{c}*abs2(z1)"))
+        assert not sym.is_holomorphic(parse_expr(f"{c}*z1*z2 + {c}*conj(z1)"))
+
+    def test_exact_zero_derivatives_are_not_evaluated(self, monkeypatch):
+        calls = []
+        evaluate = sym.evaluate
+        monkeypatch.setattr(sym, "evaluate", lambda *a: calls.append(a) or evaluate(*a))
+        assert sym.is_holomorphic(parse_expr("z1*z2 + 3*z2"))
+        assert sym.is_pluriharmonic(parse_expr("re(z1^3)"))
+        assert calls == []
+        assert not sym.is_holomorphic(parse_expr("abs2(z1)"))  # the counter sees a real evaluation
+        assert len(calls) == 1
+
 
 class TestConjugation:
     def test_conj_distributes_to_variables(self):
