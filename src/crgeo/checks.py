@@ -35,7 +35,7 @@ from .hypersurface import (
     _loghess_ambient,
     _ricci_batch,
     _transverse_batch,
-    eval_at,
+    eval_arrays,
     fefferman_det,
     HypersurfaceChart,
 )
@@ -83,12 +83,14 @@ def fd_wirtinger(f, P, j):
 def max_fd_mismatch(e: sym.Expr, P: np.ndarray) -> float:
     """Worst relative gap between symbolic derivatives of e and FD, over
     all first derivatives (barred and unbarred) at the points P."""
+    idx = sorted(sym.free_indices(e))
+    exact = eval_arrays([[[sym.differentiate(e, j, bar) for bar in (False, True)] for j in idx]], P)[0]
     worst = 0.0
-    for j in sorted(sym.free_indices(e)):
-        fd = fd_wirtinger(lambda Q: eval_at(e, Q), P, j)
-        for conjugated in (False, True):
-            s = eval_at(sym.differentiate(e, j, conjugated), P)
-            gap = np.max(np.abs(s - fd[conjugated]) / (1.0 + np.abs(s)))
+    for i, j in enumerate(idx):
+        fd = fd_wirtinger(lambda Q: eval_arrays([e], Q)[0], P, j)
+        for c in (0, 1):  # d/dz_j, then d/dzbar_j
+            s = exact[:, i, c]
+            gap = np.max(np.abs(s - fd[c]) / (1.0 + np.abs(s)))
             worst = np.maximum(worst, gap)
     return float(worst)
 
@@ -149,12 +151,13 @@ def symcore_suite(seed=0):
         j, k = rng.integers(m), rng.integers(m)
         a = sym.differentiate(sym.differentiate(e, int(j), False), int(k), True)
         b = sym.differentiate(sym.differentiate(e, int(k), True), int(j), False)
-        gap = np.max(np.abs(eval_at(a, P) - eval_at(b, P)))
-        worst_mixed = np.maximum(worst_mixed, gap)
-
         dc = sym.differentiate(sym.conj(e), int(j), False)
         d = sym.differentiate(e, int(j), True)
-        gap = np.max(np.abs(eval_at(dc, P) - np.conj(eval_at(d, P))))
+        va, vb, vdc, vd = eval_arrays([a, b, dc, d], P)
+        gap = np.max(np.abs(va - vb))
+        worst_mixed = np.maximum(worst_mixed, gap)
+
+        gap = np.max(np.abs(vdc - np.conj(vd)))
         worst_conj = np.maximum(worst_conj, gap)
 
         worst_fd = np.maximum(worst_fd, max_fd_mismatch(e, P[:10]))
@@ -285,7 +288,7 @@ def _conformal_tworoute(surface, rng, fb):
         if efac is None:
             continue
         hat_chart = HypersurfaceChart(sym.mul(efac, chart.rho), chart.m)
-        r2 = -_transverse_batch(hat_chart.grad_at(fb.P), hat_chart.hess_at(fb.P))[:, 0, 0]
+        r2 = -_transverse_batch(*eval_arrays([hat_chart.jets("h"), hat_chart.jets("hb")], fb.P))[:, 0, 0]
         worst = np.maximum(worst, np.max(np.abs(rhat - np.real(r2))))
     return worst
 
@@ -328,8 +331,8 @@ def fd_frame_levi_derivs(chart, fb):
     frame held at its own w."""
 
     def levi(Q):
-        _, Zc = _frame_coeffs(chart.grad_at(Q), fb.w)
-        return _levi_form(Zc, chart.hess_at(Q))
+        grad, hess = eval_arrays([chart.jets("h"), chart.jets("hb")], Q)
+        return _levi_form(_frame_coeffs(grad, fb.w)[1], hess)
 
     dh = np.stack([fd_wirtinger(levi, fb.P, j)[0] for j in range(chart.m)], axis=-1)
     return np.einsum("kgj,kbmj->kgbm", fb.Zc, dh)
@@ -340,7 +343,7 @@ def fd_reeb_slot(chart, fb):
     finite differences of the transverse field solved at shifted points."""
 
     def xi(Q):
-        return _transverse_batch(chart.grad_at(Q), chart.hess_at(Q))[:, 0, 1:]
+        return _transverse_batch(*eval_arrays([chart.jets("h"), chart.jets("hb")], Q))[:, 0, 1:]
 
     dxi = np.stack([fd_wirtinger(xi, fb.P, j)[0] for j in range(chart.m)], axis=-1)
     return -1j * np.einsum("kbj,kaj->kba", fb.Zc, np.take_along_axis(dxi, fb.fc[:, :, None], axis=1))
@@ -449,7 +452,7 @@ def spectral_suite(surface: SurfaceSpec, seed=0):
         sym.add(sym.mul(sym.var(0), sym.var(chart.m - 1)), sym.intpow(sym.var(0), 2)), "cr")
     out.append(CheckResult.from_residual("beltrami.annihilates-cr", np.max(np.abs(boxb(hol))), 1e-15))
 
-    if surface.name == "reinhardt":
+    if surface.builder == "reinhardt":
         n = chart.n
         worst_b = worst_d = worst_s = 0.0
         dens_sum = np.zeros(P.shape[0])
@@ -464,7 +467,7 @@ def spectral_suite(surface: SurfaceSpec, seed=0):
         out.append(CheckResult.from_residual("reinhardt.energy-density", worst_d, 1e-9))
         out.append(CheckResult.from_residual("reinhardt.energy-sum", worst_s, 1e-9))
 
-    if surface.name == "sphere":
+    if surface.builder == "sphere":
         n = chart.n
         dens_sum = np.zeros(P.shape[0])
         for f in surface.plurifamily:

@@ -9,7 +9,6 @@ generators (random on-surface samples and deterministic scan grids).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +24,11 @@ from .spectral import PluriharmonicFunction
 
 @dataclass
 class SurfaceSpec:
-    """A fully wired gallery surface."""
+    """A fully wired gallery surface.
+
+    ``builder`` is the gallery key of the builder that made it, "custom" for a
+    surface file, whose ``name`` is its path: closed-form oracles key on it.
+    """
 
     name: str
     params: dict
@@ -35,6 +38,7 @@ class SurfaceSpec:
     plurifamily: list = field(default_factory=list)
     star_shaped: bool = True
     _sampler: object = None
+    builder: str = "custom"
 
     @property
     def dim(self):
@@ -80,12 +84,16 @@ def _odd(k):
 
 def _nodes_per_axis(budget, n_axes):
     """Nodes per axis of a product grid of about ``budget`` = grid^3 points;
-    fewer than 3 is rejected, naming the smallest grid that gives 3."""
+    fewer than 3 is rejected, naming the smallest grid that gives 3, or, over
+    15 axes, saying that no grid within ``MAX_NODES`` points does."""
     q = int(round(budget ** (1.0 / n_axes)))
     if q < 3:
-        least = next(g for g in itertools.count(1) if round((g**3) ** (1.0 / n_axes)) >= 3)
+        # round(2.5) == 2, so 3 nodes need grid^3 > 2.5^n_axes
+        least = math.floor(2.5 ** (n_axes / 3)) + 1
+        hint = (f"no grid within the ceiling of {MAX_NODES} points gives 3" if least**3 > MAX_NODES
+                else f"the smallest accepted grid is {least}")
         raise BadParams(f"scan budget {budget} gives {q} nodes per axis over {n_axes} axes, "
-                        f"at least 3 are needed: the smallest accepted grid is {least}")
+                        f"at least 3 are needed: {hint}")
     return q
 
 
@@ -126,13 +134,24 @@ def _int_param(value, name):
     return int(x)
 
 
-def _build_sphere(r=1.0, n=1):
-    radius = _real_param(r, "r")
+def _cr_dimension(n):
+    """The CR dimension n as an int, checked before anything is built: at least 1,
+    and with m = n + 1, m^3 within ``MAX_NODES``, as a frame batch evaluates the
+    m^3 third jets of every point (so n <= 99)."""
     n = _int_param(n, "n")
-    if not (radius > 0 and 0 < radius * radius < math.inf):
-        raise BadParams(f"sphere radius must be positive, with r^2 a positive finite float: r={radius}")
     if n < 1:
         raise BadParams("CR dimension n must be at least 1")
+    if (n + 1) ** 3 > MAX_NODES:
+        raise BadParams(f"CR dimension n = {n} is too large: a frame batch evaluates (n + 1)^3 third jets "
+                        f"per point, at most {MAX_NODES}")
+    return n
+
+
+def _build_sphere(r=1.0, n=1):
+    radius = _real_param(r, "r")
+    n = _cr_dimension(n)
+    if not (radius > 0 and 0 < radius * radius < math.inf):
+        raise BadParams(f"sphere radius must be positive, with r^2 a positive finite float: r={radius}")
     m = n + 1
     F = _identity_vars(m)
     imm = ImmersionSpec(F, dim=m, psi=sym.const(-(radius**2)), name=f"sphere(r={radius},n={n})")
@@ -146,6 +165,7 @@ def _build_sphere(r=1.0, n=1):
         chart=imm.chart,
         immersion=imm,
         plurifamily=family,
+        builder="sphere",
     )
 
 
@@ -156,6 +176,7 @@ def _build_ellipsoid(A=(0.1, 0.2, 0.3), dim=None):
         raise BadParams("ellipsoid needs ambient dimension at least 2")
     if len(A) != m:
         raise BadParams(f"ellipsoid expects one coefficient per coordinate: len(A)={len(A)}, dim={m}")
+    _cr_dimension(m - 1)
     if max(abs(a) for a in A) >= 1:
         raise BadParams(f"|A_j| >= 1 breaks strict pseudoconvexity on the scan region: A={A}")
     zs = _identity_vars(m)
@@ -169,13 +190,12 @@ def _build_ellipsoid(A=(0.1, 0.2, 0.3), dim=None):
         params={"A": A, "dim": m},
         chart=imm.chart,
         immersion=imm,
+        builder="ellipsoid",
     )
 
 
 def _build_whitney(n=1):
-    n = _int_param(n, "n")
-    if n < 1:
-        raise BadParams("CR dimension n must be at least 1")
+    n = _cr_dimension(n)
     m = n + 1
     zs, w = _identity_vars(m)[:-1], sym.var(m - 1)
     F = zs + [sym.mul(z, w) for z in zs] + [sym.mul(w, w)]
@@ -187,6 +207,7 @@ def _build_whitney(n=1):
         chart=imm.chart,
         immersion=imm,
         sigma=sigma,
+        builder="whitney",
     )
 
 
@@ -212,9 +233,7 @@ class _ReinhardtSampler:
 
 
 def _build_reinhardt(n=1):
-    n = _int_param(n, "n")
-    if n < 1:
-        raise BadParams("CR dimension n must be at least 1")
+    n = _cr_dimension(n)
     m = n + 1
     rho = sym.const(-1)
     family = []
@@ -230,11 +249,12 @@ def _build_reinhardt(n=1):
         plurifamily=family,
         star_shaped=False,
         _sampler=_ReinhardtSampler(m),
+        builder="reinhardt",
     )
 
 
 def _build_custom(fields: dict, name="custom"):
-    m = fields["dim"]
+    m = _cr_dimension(fields["dim"] - 1) + 1
     rho = fields["rho"]
     sigma = fields.get("sigma")
     if sigma is not None:

@@ -23,9 +23,11 @@ partitioned across workers freely.
 package uses (gradients, Hessians, the third- and fourth-order ambient jets,
 the immersion's derivatives, Kohn-Laplacian gradients) is a ``sym.jets``
 list evaluated by it, and every list of arrays a point set needs is one
-``sym.evaluate`` program over their union DAG.  A frame batch is filled at
-construction: rho and all its ambient jets up to order four (the fourth
-skipped where the third vanish) run as one program.
+``sym.evaluate`` program over their union DAG: each function that reads jets
+at a point set makes one call.  A frame batch is built whole at construction:
+rho and all its ambient jets up to order four (the fourth skipped where the
+third vanish) run as one program, and d_j B and B^-1 d_j B B^-1 follow from
+them and B^-1.
 
 r, J, the scalar curvature R, sigma and the contact volume form become real
 through ``_real`` (|Im x| <= tol max(1, |Re x|)), and ``_on_surface`` puts P on
@@ -80,19 +82,14 @@ class HypersurfaceChart:
     # ---- numeric evaluation ----------------------------------------------
 
     def rho_at(self, P):
-        return eval_at(self.rho, P)
+        """rho on points (..., m) as one ``sym.evaluate`` call; a constant rho broadcasts."""
+        P = np.asarray(P, dtype=complex)
+        v = np.asarray(sym.evaluate(self.rho, [P[..., j] for j in range(self.m)]), dtype=complex)
+        return v if v.shape == P.shape[:-1] else np.broadcast_to(v, P.shape[:-1])
 
     def jets(self, pattern):
         """``sym.jets(self.rho, self.m, pattern)``, built once per process."""
         return sym.jets(self.rho, self.m, pattern)
-
-    def grad_at(self, P):
-        """(..., m) array of rho_j."""
-        return eval_array(self.jets("h"), P)
-
-    def hess_at(self, P):
-        """(..., m, m) array of rho_{j kbar}."""
-        return eval_array(self.jets("hb"), P)
 
     @property
     def third_jets_vanish(self):
@@ -121,7 +118,7 @@ class HypersurfaceChart:
             stop = (np.abs(val) < 1e-13 * _surface_scale(Z, g)).all()
             if it == 80 or stop or not np.isfinite(val).all():
                 break
-            g = self.grad_at(Z)
+            g = eval_arrays([self.jets("h")], Z)[0]
             denom = 2.0 * (np.abs(g) ** 2).sum(axis=1)
             if ((denom == 0) & (np.abs(val) >= ON_SURFACE_TOL)).any():
                 break  # Newton cannot move a point where rho has no gradient
@@ -141,28 +138,12 @@ def _require_real(e, what):
         raise NotRealValued(f"{what} must be real-valued")
 
 
-def eval_at(e, P):
-    """Evaluate an expression on points (..., m), broadcasting constants."""
-    P = np.asarray(P, dtype=complex)
-    v = np.asarray(sym.evaluate(e, [P[..., j] for j in range(P.shape[-1])]), dtype=complex)
-    shape = P.shape[:-1]
-    return np.broadcast_to(v, shape) if v.shape != shape else v
-
-
-def eval_array(exprs, P):
-    """Evaluate a nested list of expressions on points (..., m): ``eval_arrays([exprs], P)[0]``,
-    or ``eval_at`` for a single expression."""
-    if isinstance(exprs, sym.Expr):
-        return eval_at(exprs, P)
-    return eval_arrays([exprs], P)[0]
-
-
 def eval_arrays(arrays, P):
     """Evaluate a list of arrays of expressions on points (..., m) as one program.
 
     Each array is an expression (rank 0) or a nested list of them with shape
     ``shape``, and gives an array of shape ``(..., *shape)``, with one trailing
-    index per nesting level: entry ``[..., i, j]`` is ``eval_at(exprs[i][j], P)``.
+    index per nesting level: entry ``[..., i, j]`` is the value of ``exprs[i][j]``.
     The entries of every array that is not all constant nodes run as one
     ``sym.evaluate`` call, so a subexpression shared between entries or arrays
     runs once; an all-constant array is filled from its values.  Each value is
@@ -237,10 +218,9 @@ class _FrameBatch:
     also gives ``rho``, ``grad`` and ``hess``: ``hol2[k, l, j]`` = rho_{lj},
     ``jet3[k, l, c, j]`` = d_j rho_{l cbar} and ``jet4[k, j, c, a, b]`` =
     d_j d_cbar rho_{a bbar}, None where the third jets vanish.  So are ``Binv``,
-    the gated B^-1 of ``_transverse_batch`` whose row 0 is (-r, xi), and
-    ``dZw[k, a, g]`` = Z_alpha Z_gamma^w.  ``dB`` and ``BdBB`` hold d_j B and
-    B^-1 d_j B B^-1 once ``_ambient_derivs`` has built them: the frame-only
-    batches of the energy densities never read them.
+    the gated B^-1 of ``_transverse_batch`` whose row 0 is (-r, xi),
+    ``dB[k, j]`` = d_j B, ``BdBB[k, j]`` = B^-1 d_j B B^-1 = -d_j B^-1 and
+    ``dZw[k, a, g]`` = Z_alpha Z_gamma^w.
     """
 
     __slots__ = ("P", "w", "fc", "Zc", "h", "hinv", "heigs", "xi", "r", "J", "grad", "hess", "rho",
@@ -346,7 +326,6 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
     fb = _FrameBatch()
     fb.P, fb.w, fb.grad, fb.hess, fb.rho = P, w, grad, hess, rho.real
     fb.hol2, fb.jet3, fb.jet4 = hol2, jet3, jet4[0] if jet4 else None
-    fb.dB = fb.BdBB = None
     fb.fc, fb.Zc = _frame_coeffs(grad, w)
     # Z_alpha Z_gamma^w = -(Zc rho_{lj} Zc^T)/rho_w: only the w-column of the
     # frame varies, and d_j Z_gamma^w = -Z_gamma^l rho_{lj} / rho_w
@@ -370,9 +349,20 @@ def _frame_batch(chart: HypersurfaceChart, P: np.ndarray, w_index=None) -> _Fram
     fb.hinv = np.linalg.inv(fb.h)
 
     fb.Binv = _transverse_batch(grad, hess)
-    fb.xi, fb.r = fb.Binv[:, 0, 1:], _real(-fb.Binv[:, 0, 0], 1e-10, "transverse curvature", SingularSystem)
+    fb.xi, fb.r = _xi_r(fb.Binv)
+    fb.dB = _bordered(grad, hess, np.swapaxes(hol2, 1, 2), np.moveaxis(jet3, 3, 1))
+    # stacked matmuls in a fixed order, B^-1 d_j B first: an einsum path search
+    # costs ten times the contraction at K=1, and this order is no slower at scan size
+    K, m, q, _ = fb.dB.shape
+    left = np.swapaxes(fb.dB, 2, 3).reshape(K, m * q, q) @ np.swapaxes(fb.Binv, 1, 2)  # [k, (j p), r]
+    fb.BdBB = (np.swapaxes(left.reshape(K, m, q, q), 2, 3).reshape(K, m * q, q) @ fb.Binv).reshape(K, m, q, q)
     fb.J = _fefferman_batch(fb.rho, grad, hess)
     return fb
+
+
+def _xi_r(Binv):
+    """(xi, r) from row 0 = (-r, xi) of stacked ``_transverse_batch`` inverses, r made real by ``_real``."""
+    return Binv[:, 0, 1:], _real(-Binv[:, 0, 0], 1e-10, "transverse curvature", SingularSystem)
 
 
 def _levi_rounding_scale(Zc, hess):
@@ -391,15 +381,14 @@ def transverse_solve(chart: HypersurfaceChart, P):
     whose solution (-r, xi) is row 0 of the inverse bordered matrix B^-1.
     Needs no frame, so it serves as an oracle route."""
     P = _batch(P, chart.m)
-    Binv = _transverse_batch(chart.grad_at(P), chart.hess_at(P))
-    return Binv[:, 0, 1:], _real(-Binv[:, 0, 0], 1e-10, "transverse curvature", SingularSystem)
+    return _xi_r(_transverse_batch(*eval_arrays([chart.jets("h"), chart.jets("hb")], P)))
 
 
 def fefferman_det(chart: HypersurfaceChart, P):
     """(K,) -det of the bordered complex Hessian [[rho, rho_kbar], [rho_j, rho_jkbar]]
     at a (K, m) batch, on or off the surface."""
-    P = _batch(P, chart.m)
-    return _fefferman_batch(np.real(chart.rho_at(P)), chart.grad_at(P), chart.hess_at(P))
+    rho, grad, hess = eval_arrays([chart.jets(p) for p in ("", "h", "hb")], _batch(P, chart.m))
+    return _fefferman_batch(rho.real, grad, hess)
 
 
 def _loghess_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
@@ -418,7 +407,6 @@ def _loghess_ambient(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
     """(K, j, k) ambient Hessian (log J)_{j kbar} = tr(B^-1 d_kbar d_j B) - tr(B^-1 d_kbar B B^-1 d_j B)
     by Jacobi's formula; beyond the ambient jets it needs d_j d_kbar rho_{a cbar}, ``fb.jet4``.
     The terms of the third and fourth jets are skipped when they vanish."""
-    _ambient_derivs(fb)
     Binv, jet3 = fb.Binv, fb.jet3
     # by blocks of d_cbar d_j B = [[rho_{j cbar}, conj(jet3[b, j, c])], [jet3[a, c, j], jet4[j, c]]]
     first = Binv[:, 0, 0, None, None] * fb.hess
@@ -455,22 +443,9 @@ def _connection_batch(chart: HypersurfaceChart, fb: _FrameBatch) -> np.ndarray:
         # omega_beta^alpha(Z_gammabar) = xi^alpha h_{beta gammabar}
         omega[:, :, :, n + g] = fb.h[:, :, g][:, :, None] * xi_frame[:, None, :]
     # slot 2n: d_j xi = -(B^-1 d_j B B^-1)[0, 1:], so -i Z_beta xi^alpha = i Zc (B^-1 d_j B B^-1)[0, 1 + fc]
-    _ambient_derivs(fb)
     dxi = np.take_along_axis(fb.BdBB[:, :, 0, 1:], fb.fc[:, None, :], axis=2)
     omega[:, :, :, 2 * n] = 1j * np.einsum("kbj,kja->kba", fb.Zc, dxi)
     return omega
-
-
-def _ambient_derivs(fb):
-    """Fill fb.dB[k, j] = d_j B and fb.BdBB[k, j] = B^-1 d_j B B^-1 = -d_j B^-1 on
-    first use, once per batch, from the ambient jets and ``fb.Binv``."""
-    if fb.dB is None:
-        fb.dB = _bordered(fb.grad, fb.hess, np.swapaxes(fb.hol2, 1, 2), np.moveaxis(fb.jet3, 3, 1))
-        # stacked matmuls in a fixed order, B^-1 d_j B first: an einsum path search
-        # costs ten times the contraction at K=1, and this order is no slower at scan size
-        K, m, q, _ = fb.dB.shape
-        left = np.swapaxes(fb.dB, 2, 3).reshape(K, m * q, q) @ np.swapaxes(fb.Binv, 1, 2)  # [k, (j p), r]
-        fb.BdBB = (np.swapaxes(left.reshape(K, m, q, q), 2, 3).reshape(K, m * q, q) @ fb.Binv).reshape(K, m, q, q)
 
 
 def _frame_conj_w_derivs(fb):
@@ -534,8 +509,8 @@ def _conformal_batch(chart, sigma, fb):
     """(K,) transverse curvature of the rescaled defining function e^sigma rho at
     the points of a frame batch, from chart data alone:
     r_hat = e^{-sigma} (r + 2 Re(xi sigma) - |dbar_b sigma|^2)."""
-    sval = _real(eval_at(sigma, fb.P), 1e-9, "sigma", NotRealValued)
-    dsig = eval_array(sym.jets(sigma, chart.m, "h"), fb.P)
+    sval, dsig = eval_arrays([sigma, sym.jets(sigma, chart.m, "h")], fb.P)
+    sval = _real(sval, 1e-9, "sigma", NotRealValued)
     xi_sigma = np.einsum("kj,kj->k", fb.xi, dsig)
     dens = dbar_b_norm2(fb, dsig)
     return np.exp(-sval) * (fb.r + 2.0 * np.real(xi_sigma) - dens)

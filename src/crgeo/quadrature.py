@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, NoCrossing, NonTransversal, NotStarShaped
-from .hypersurface import HypersurfaceChart, _bordered, _levi_form, _on_surface, _real
+from .hypersurface import HypersurfaceChart, _bordered, _levi_form, _on_surface, _real, eval_arrays
 
 ROOT_TOL = 1e-12
 TRANSVERSAL_FLOOR = 1e-10
@@ -156,7 +156,7 @@ def _radial_batch(rc: RadialChart, U: np.ndarray, labels=None) -> np.ndarray:
 
     The ray search steps t by 1.5x from 1e-4 T_MAX to T_MAX, bisects the
     first bracket 60 times and polishes with 6 Newton steps: 92 ``rho_at``
-    and 7 ``grad_at`` calls per batch, each on all K directions.  Every ray
+    calls and 7 gradient evaluations per batch, each on all K directions.  Every ray
     takes the same steps in t, so a ray's root does not depend on the other
     rays of the batch.  Errors name ray i as ``labels[i]`` (default i)."""
     K = U.shape[0]
@@ -197,7 +197,7 @@ def _radial_batch(rc: RadialChart, U: np.ndarray, labels=None) -> np.ndarray:
     for step in range(7):  # the seventh pass only reads the residual and slope at the root
         P = t[:, None] * Z
         val = np.real(rc.chart.rho_at(P))
-        grad = rc.chart.grad_at(P)
+        grad = eval_arrays([rc.chart.jets("h")], P)[0]
         slope = 2.0 * np.real(np.einsum("kj,kj->k", grad, Z))
         if step == 6:
             break
@@ -242,8 +242,7 @@ def contact_volume_density(chart: HypersurfaceChart, P: np.ndarray, V: np.ndarra
     and dtheta come from the chart's exact first and second jets at P.  The
     form is n! times the Pfaffian of dtheta(V_i, V_j) bordered by theta(V_i).
     """
-    grad = chart.grad_at(P)
-    hess = chart.hess_at(P)
+    grad, hess = eval_arrays([chart.jets("h"), chart.jets("hb")], P)
     beta = 1j * np.conj(np.einsum("kj,kij->ki", grad, V))
     A = _levi_form(V, hess)
     M = _bordered(0.0, beta, -beta, 1j * (A - np.swapaxes(A, 1, 2)))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import symbolic as sym
 from .errors import NotEigenmap, NotPluriharmonic, ZeroEnergy
-from .hypersurface import HypersurfaceChart, _frame_batch, dbar_b_norm2, eval_array, transverse_solve
+from .hypersurface import HypersurfaceChart, _frame_batch, dbar_b_norm2, eval_arrays, transverse_solve
 from .immersion import ImmersionSpec
 from .quadrature import QuadratureRule, RadialChart, integrate
 
@@ -90,13 +90,13 @@ def _xi_batch(chart, P):
 def _boxb_batch(chart, f: PluriharmonicFunction, P, xi):
     """(K,) Kohn Laplacian of f~|_M at points P by the transverse-field formula, xi their transverse field."""
     f.ensure_valid()
-    dbar = eval_array(sym.jets(f.ftilde, chart.m, "b"), P)
+    dbar = eval_arrays([sym.jets(f.ftilde, chart.m, "b")], P)[0]
     return chart.n * np.einsum("kj,kj->k", np.conj(xi), dbar)
 
 
 def _energy_density_batch(chart, f: PluriharmonicFunction, fb):
     """(K,) |dbar_b f|^2 at the points of a frame batch: nonnegative, zero exactly where f is CR."""
-    return dbar_b_norm2(fb, np.conj(eval_array(sym.jets(f.ftilde, chart.m, "b"), fb.P)))
+    return dbar_b_norm2(fb, np.conj(eval_arrays([sym.jets(f.ftilde, chart.m, "b")], fb.P)[0]))
 
 
 def takahashi_check(spec: ImmersionSpec, sample) -> TakahashiReport:
@@ -111,8 +111,7 @@ def takahashi_check(spec: ImmersionSpec, sample) -> TakahashiReport:
     chart, n = spec.chart, spec.n
     xi, _ = _xi_batch(chart, P)
 
-    Fv = eval_array(spec.F, P)
-    dF = eval_array(sym.jets(spec.F, spec.dim, "h"), P)
+    Fv, dF = eval_arrays([spec.F, sym.jets(spec.F, spec.dim, "h")], P)
     dF_xi = np.einsum("kdj,kj->kd", dF, xi)
     boxb = n * np.conj(dF_xi)
 

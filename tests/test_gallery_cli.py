@@ -1,8 +1,10 @@
 """Gallery construction, reports, and the command-line driver end to end."""
 
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from crgeo import cli, hypersurface, symbolic as sym
 from crgeo.cli import main, parse_params, parse_point
 from crgeo.errors import BadParams, InputError, UnknownSurface
-from crgeo.gallery import gallery, load_surface
+from crgeo.gallery import _nodes_per_axis, gallery, load_surface
 from crgeo.hypersurface import HypersurfaceChart
 from crgeo.dsl import parse_surface_file
 from crgeo.report import Report, decode_number, scan_csv
@@ -177,6 +179,7 @@ BAD_SURFACE_FILES = {
     "psi_without_F.txt": "rho = abs2(z1) + abs2(z2) - 1\ndim = 2\npsi = 5\n",
     "long_sum.txt": "rho = abs2(z1) + abs2(z2) - 1" + " + z1 - z1" * 1500 + "\ndim = 2\n",
     "deep_parens.txt": "rho = " + "(" * 1200 + "abs2(z1) + abs2(z2) - 1" + ")" * 1200 + "\ndim = 2\n",
+    "huge_dim.txt": "rho = abs2(z1) + abs2(z2) - 1\ndim = 1000000000\n",
 }
 
 
@@ -201,8 +204,9 @@ BAD_SURFACE_FILES = {
     # --params that would silently build another surface
     (["analyze", "--surface", "ellipsoid", "--params", "A=(0.1,,0.3)", "--point", "1,0,0"], "InputError"),
     (["analyze", "--surface", "sphere", "--params", "r=1,r=2", "--point", "1,0"], "InputError"),
-    # oversized inputs: nesting past the recursion limit, node counts past the ceiling
-    (["analyze", "--surface", "sphere", "--params", "n=100000", "--point", "1,0"], "InputError"),
+    # oversized inputs: a CR dimension past its ceiling, nesting past the recursion limit,
+    # node counts past the ceiling
+    (["analyze", "--surface", "sphere", "--params", "n=100000", "--point", "1,0"], "BadParams"),
     (["analyze", "--surface-file", "long_sum.txt", "--point", "1,0"], "InputError"),
     (["analyze", "--surface-file", "deep_parens.txt", "--point", "1,0"], "InputError"),
     (["scan", "--surface", "sphere", "--grid", "100000"], "BadParams"),
@@ -211,6 +215,9 @@ BAD_SURFACE_FILES = {
     (["analyze", "--surface", "sphere"], "InputError"),
     (["scan", "--surface", "sphere", "--grid", "abc"], "InputError"),
     (["analyze", "--surface", "sphere", "--point", "1,0", "--bogus"], "InputError"),
+    # a CR dimension whose m^3 third jets per point would not fit in memory, checked before any build
+    (["analyze", "--surface", "sphere", "--params", "n=1000000000", "--point", "1,0"], "BadParams"),
+    (["check", "--surface-file", "huge_dim.txt"], "BadParams"),
 ])
 def test_bad_input_exits_2_with_a_json_error(argv, error, tmp_path):
     for name, text in BAD_SURFACE_FILES.items():
@@ -398,6 +405,43 @@ class TestCli:
         error = json.loads(err)
         assert error["error"] == "BadParams"
         assert error["message"].endswith(f"smallest accepted grid is {smallest}")
+
+    def test_smallest_grid_hint_is_the_least_grid_with_three_nodes(self):
+        for n_axes in range(1, 16):
+            least = next(g for g in itertools.count(1) if round((g**3) ** (1.0 / n_axes)) >= 3)
+            with pytest.raises(BadParams, match=f"the smallest accepted grid is {least}$"):
+                _nodes_per_axis((least - 1) ** 3, n_axes)
+            assert _nodes_per_axis(least**3, n_axes) >= 3
+        for n_axes in (16, 17, 25, 49, 81):
+            with pytest.raises(BadParams, match="no grid within the ceiling of 1000000 points gives 3$"):
+                _nodes_per_axis(8**3, n_axes)
+
+    def test_scan_over_fifteen_axes_exits_2_at_once(self):
+        # sphere n = 40 scans 81 axes: no grid within the node ceiling gives 3 nodes per axis
+        rc, out, err = run_cli(["scan", "--surface", "sphere", "--params", "n=40", "--grid", "8"])
+        assert (rc, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "BadParams"
+        assert error["message"].endswith("over 81 axes, at least 3 are needed: "
+                                         "no grid within the ceiling of 1000000 points gives 3")
+
+    @pytest.mark.parametrize("name,lines", [
+        ("sphere", ["sphere.conjugate-energy-sum", "sphere.conjugate-eigenfunctions"]),
+        ("reinhardt", ["reinhardt.kohn-identity", "reinhardt.energy-density", "reinhardt.energy-sum"]),
+    ])
+    def test_closed_form_oracles_follow_the_builder_not_the_name(self, tmp_path, monkeypatch, name, lines):
+        closed_forms = re.compile(rf"\] (?:PASS|FAIL) ({name}\.[\w-]+):")
+        rc, out, _ = run_cli(["check", "--surface", name, "--seed", "0"])
+        assert rc == 0
+        assert closed_forms.findall(out) == lines
+        # a surface file is named by its path: one named like a gallery surface runs no closed form of it
+        monkeypatch.chdir(tmp_path)
+        F = "F = [z1, z2]\n" if name == "sphere" else ""
+        (tmp_path / name).write_text(f"dim = 2\nrho = abs2(z1) + abs2(z2) - 1\n{F}")
+        rc, out, _ = run_cli(["check", "--surface-file", name, "--seed", "0"])
+        assert rc == 0
+        assert "ALL CHECKS PASSED" in out
+        assert closed_forms.findall(out) == []
 
     @pytest.mark.parametrize("surface,grid,rows", [("ellipsoid", "5", 243), ("sphere", "3", 27)])
     def test_smallest_scan_grid_rows(self, surface, grid, rows):

@@ -20,7 +20,6 @@ from crgeo.errors import (
 from crgeo.gallery import curvature_batch, gallery
 from crgeo.hypersurface import (
     HypersurfaceChart,
-    _ambient_derivs,
     _bordered,
     _conformal_batch,
     _connection_batch,
@@ -31,11 +30,11 @@ from crgeo.hypersurface import (
     _on_surface,
     _real,
     _ricci_batch,
-    eval_array,
-    eval_at,
+    eval_arrays,
     fefferman_det,
     transverse_solve,
 )
+from crgeo.quadrature import contact_volume_density
 from crgeo.spectral import PluriharmonicFunction, _boxb_batch, _energy_density_batch
 
 
@@ -50,6 +49,21 @@ def ellipsoid_chart(A):
     quad = sum((sym.const(a) * z * z for a, z in zip(A, zs)), sym.const(0))
     rho = sum((sym.abs2(z) for z in zs), sym.const(0)) + sym.re(quad) - 1
     return HypersurfaceChart(rho, m)
+
+
+def grad_of(chart, P):
+    """(K, m) array of rho_j at a (K, m) batch."""
+    return eval_arrays([chart.jets("h")], P)[0]
+
+
+def hess_of(chart, P):
+    """(K, m, m) array of rho_{j kbar} at a (K, m) batch."""
+    return eval_arrays([chart.jets("hb")], P)[0]
+
+
+def value_of(e, P):
+    """One expression on points (K, m) by its own ``sym.evaluate`` call, a constant broadcast."""
+    return np.broadcast_to(sym.evaluate(e, [P[:, j] for j in range(P.shape[1])]), P.shape[:1])
 
 
 def frame_of(chart, p, w_index=None):
@@ -100,20 +114,20 @@ class TestEvalArray:
             ([[leaves[:2], leaves[2:]], [leaves[1:3], [c, z[2]]]], (2, 2, 2)),
         ]
         for exprs, shape in cases:
-            out = eval_array(exprs, P)
+            out = eval_arrays([exprs], P)[0]
             assert out.shape == (K, *shape)
             for idx in np.ndindex(*shape):
                 entry = exprs
                 for i in idx:
                     entry = entry[i]
-                np.testing.assert_array_equal(out[(slice(None), *idx)], eval_at(entry, P))
+                np.testing.assert_array_equal(out[(slice(None), *idx)], value_of(entry, P))
 
     def test_constant_broadcasts_to_batch_shape(self):
         P = np.zeros((5, 2), dtype=complex)
-        out = eval_array([[sym.const(3j), sym.var(0)]], P)
+        out = eval_arrays([[[sym.const(3j), sym.var(0)]]], P)[0]
         assert out.shape == (5, 1, 2)
         np.testing.assert_array_equal(out[:, 0, 0], np.full(5, 3j))
-        assert eval_array(sym.const(1), P).shape == (5,)
+        assert eval_arrays([sym.const(1)], P)[0].shape == (5,)
 
     def test_one_evaluate_call_per_array(self, monkeypatch):
         ch = sphere_chart(m=3)
@@ -121,11 +135,11 @@ class TestEvalArray:
         calls = []
         evaluate = sym.evaluate
         monkeypatch.setattr(sym, "evaluate", lambda e, coords: calls.append(e) or evaluate(e, coords))
-        grad = ch.grad_at(P)
+        grad = grad_of(ch, P)
         assert len(calls) == 1 and len(calls[0]) == 3
         np.testing.assert_array_equal(grad, np.conj(P))
         # the sphere's Hessian entries are constant nodes: filled in, not evaluated
-        hess = ch.hess_at(P)
+        hess = hess_of(ch, P)
         assert len(calls) == 1
         assert hess.shape == (2, 3, 3)
         np.testing.assert_array_equal(hess[0], np.eye(3))
@@ -145,7 +159,7 @@ class TestFrame:
         fb = frame_of(ch, p)
         assert abs(fb.h[0, 0, 0] - 2) < 1e-12
         # frame annihilates the gradient
-        assert abs(fb.Zc[0] @ ch.grad_at(p[None, :])[0]) < 1e-12
+        assert abs(fb.Zc[0] @ grad_of(ch, p[None, :])[0]) < 1e-12
         # and the value matches the finite-difference Levi oracle
         assert abs(fd_levi(ch, fb)[0, 0] - 2) < 1e-6
 
@@ -164,7 +178,7 @@ class TestFrame:
         ch = ellipsoid_chart((0.1, 0.2, 0.3))
         p = ch.project(np.array([0.5 + 0.1j, 0.4 - 0.7j, 0.3 + 0.2j]))
         fb = frame_of(ch, p)
-        grad = ch.grad_at(p[None, :])[0]
+        grad = grad_of(ch, p[None, :])[0]
         theta_T = np.conj(np.sum(grad * fb.xi[0]))
         assert abs(theta_T - 1) < 1e-12
 
@@ -181,16 +195,19 @@ class TestFrame:
     def test_converged_projection_adds_no_rho_evaluation(self, monkeypatch):
         ch = sphere_chart()
         calls = {"rho": 0, "grad": 0}
-        rho_at, grad_at = ch.rho_at, ch.grad_at
+        rho_at, real = ch.rho_at, hypersurface.eval_arrays
 
-        def counted(name, fn):
-            def wrapper(P):
-                calls[name] += 1
-                return fn(P)
-            return wrapper
+        def counted_rho(P):
+            calls["rho"] += 1
+            return rho_at(P)
 
-        monkeypatch.setattr(ch, "rho_at", counted("rho", rho_at))
-        monkeypatch.setattr(ch, "grad_at", counted("grad", grad_at))
+        def counted_arrays(arrays, P):
+            # a gradient evaluation is an eval_arrays call that carries the chart's rho_j
+            calls["grad"] += any(a is ch.jets("h") for a in arrays)
+            return real(arrays, P)
+
+        monkeypatch.setattr(ch, "rho_at", counted_rho)
+        monkeypatch.setattr(hypersurface, "eval_arrays", counted_arrays)
         p = ch.project(np.array([0.9, 0.5j]))
         assert abs(np.abs(p[0]) ** 2 + np.abs(p[1]) ** 2 - 1) < 1e-13
         # one rho per Newton step, plus the one that stops the loop
@@ -271,8 +288,8 @@ class TestTransverse:
         p = np.array([1 / np.sqrt(1.3), 0, 0], dtype=complex)
         xi, r = transverse_solve(ch, p[None, :])
         xi, r = xi[0], r[0]
-        grad = ch.grad_at(p[None, :])[0]
-        hess = ch.hess_at(p[None, :])[0]
+        grad = grad_of(ch, p[None, :])[0]
+        hess = hess_of(ch, p[None, :])[0]
         m = 3
         A = np.zeros((m + 1, m + 1), dtype=complex)
         A[0, :m] = grad
@@ -291,7 +308,7 @@ class TestTransverse:
             ch.project(np.array([0.9, 0.1j, 0.1])),
         ])
         xi, r = transverse_solve(ch, P)
-        grad, hess = ch.grad_at(P), ch.hess_at(P)
+        grad, hess = grad_of(ch, P), hess_of(ch, P)
         assert np.max(np.abs(np.einsum("kj,kj->k", grad, xi) - 1)) < 1e-12
         resid = np.einsum("kjl,kj->kl", hess, xi) - r[:, None] * np.conj(grad)
         assert np.max(np.abs(resid)) < 1e-12
@@ -418,9 +435,9 @@ class TestFefferman:
         m = 3
         B = np.zeros((m + 1, m + 1), dtype=complex)
         B[0, 0] = np.real(ch.rho_at(p[None, :])[0])
-        B[0, 1:] = np.conj(ch.grad_at(p[None, :])[0])
-        B[1:, 0] = ch.grad_at(p[None, :])[0]
-        B[1:, 1:] = ch.hess_at(p[None, :])[0]
+        B[0, 1:] = np.conj(grad_of(ch, p[None, :])[0])
+        B[1:, 0] = grad_of(ch, p[None, :])[0]
+        B[1:, 1:] = hess_of(ch, p[None, :])[0]
         assert abs(J - (-permutation_det(B)).real) < 1e-10
 
     def test_scaling_multilinearity(self):
@@ -450,7 +467,7 @@ class TestLogHessian:
             P = p[None, :]
             lh = _loghess_ambient(ch, _frame_batch(ch, P))[0]
             J = fefferman_det(ch, P)[0]
-            grad = ch.grad_at(P)[0]
+            grad = grad_of(ch, P)[0]
             closed = np.diag(Avec**2) * np.sum(np.abs(grad) ** 2) - np.einsum(
                 "j,k->jk", Avec * np.conj(grad), Avec * grad
             )
@@ -680,7 +697,7 @@ class TestFrameIndependence:
         P = surf.random_points(5, seed=11)
         for k in range(5):
             vals = []
-            grad = ch.grad_at(P[k][None, :])[0]
+            grad = grad_of(ch, P[k][None, :])[0]
             for w in range(3):
                 if abs(grad[w]) < 1e-6:
                     continue
@@ -731,9 +748,8 @@ class TestSuiteFrameBatches:
 
 def loghess_ambient_adding_every_term(chart, fb):
     """(log J)_{j kbar} with every jet term added, zero or not, by plain einsum."""
-    _ambient_derivs(fb)
     jet3 = fb.jet3
-    jet4 = eval_array(sym.jets(chart.rho, chart.m, "hbhb"), fb.P)
+    jet4 = eval_arrays([sym.jets(chart.rho, chart.m, "hbhb")], fb.P)[0]
     Binv = fb.Binv
     first = (Binv[:, 0, 0, None, None] * fb.hess
              + np.einsum("kb,kbjc->kjc", Binv[:, 1:, 0], np.conj(jet3))
@@ -776,12 +792,12 @@ class TestZeroJetsAndContractionOrder:
             raise AssertionError("a program was compiled")
 
         monkeypatch.setattr(sym, "_compile", no_compile)
-        np.testing.assert_array_equal(surf.chart.hess_at(P), np.broadcast_to(np.eye(3), (4, 3, 3)))
+        np.testing.assert_array_equal(hess_of(surf.chart, P), np.broadcast_to(np.eye(3), (4, 3, 3)))
         for pattern in ("hbh", "hbhb"):
-            out = eval_array(sym.jets(surf.chart.rho, 3, pattern), P)
+            out = eval_arrays([sym.jets(surf.chart.rho, 3, pattern)], P)[0]
             assert out.shape == (4,) + (3,) * len(pattern) and not out.any()
         with pytest.raises(AssertionError, match="compiled"):
-            surf.chart.grad_at(P)
+            grad_of(surf.chart, P)
 
     def test_whitney_keeps_the_jet_terms(self, monkeypatch):
         patterns = []
@@ -838,7 +854,7 @@ class TestOneProgram:
         assert arrays[-1 if surf.immersion is None else -3].values is not None
         P = surf.random_points(K, seed=5)
         for a, got in zip(arrays, hypersurface.eval_arrays(arrays, P)):
-            ref = eval_array(a, P)
+            ref = eval_arrays([a], P)[0]
             assert got.shape == ref.shape == (K,) + np.shape(np.array(a, dtype=object))
             assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
@@ -854,6 +870,20 @@ class TestOneProgram:
         _connection_batch(surf.chart, fb)
         assert len(calls) == 1
         assert (fb.jet4 is None) is surf.chart.third_jets_vanish
+
+    @pytest.mark.parametrize("name", ["whitney", "sphere", "reinhardt"])
+    def test_oracle_routes_are_one_evaluation_each(self, monkeypatch, name):
+        surf = gallery(name, n=2)
+        P = surf.random_points(6, seed=4)
+        V = np.random.default_rng(4).normal(size=(6, 2 * surf.n + 1, surf.dim)) + 0j
+        calls = []
+        real = sym.evaluate
+        monkeypatch.setattr(sym, "evaluate", lambda exprs, coords: calls.append(1) or real(exprs, coords))
+        for route in (lambda: transverse_solve(surf.chart, P), lambda: fefferman_det(surf.chart, P),
+                      lambda: contact_volume_density(surf.chart, P, V)):
+            del calls[:]
+            route()
+            assert len(calls) == 1
 
 
 class TestRealnessGate:

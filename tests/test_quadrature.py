@@ -99,15 +99,20 @@ class TestRadialBatch:
         chart = gallery("ellipsoid", A=(0.1, 0.2, 0.3)).chart
         K = 17
         calls = {"rho": [], "grad": []}
+        rho_at, real = chart.rho_at, quadrature.eval_arrays
 
-        def counted(kind, fn):
-            def wrapper(P):
-                calls[kind].append(P.shape)
-                return fn(P)
-            return wrapper
+        def counted_rho(P):
+            calls["rho"].append(P.shape)
+            return rho_at(P)
 
-        monkeypatch.setattr(chart, "rho_at", counted("rho", chart.rho_at))
-        monkeypatch.setattr(chart, "grad_at", counted("grad", chart.grad_at))
+        def counted_arrays(arrays, P):
+            # a gradient evaluation is an eval_arrays call that carries the chart's rho_j
+            if any(a is chart.jets("h") for a in arrays):
+                calls["grad"].append(P.shape)
+            return real(arrays, P)
+
+        monkeypatch.setattr(chart, "rho_at", counted_rho)
+        monkeypatch.setattr(quadrature, "eval_arrays", counted_arrays)
         _radial_batch(RadialChart(chart), random_directions(8, K, 6))
         assert calls["rho"] == [(K, 3)] * 92
         assert calls["grad"] == [(K, 3)] * 7

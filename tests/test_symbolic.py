@@ -13,7 +13,7 @@ from crgeo.cli import main as cli_main
 from crgeo.dsl import parse_expr
 from crgeo.errors import DomainError
 from crgeo.gallery import gallery
-from crgeo.hypersurface import eval_array, eval_at
+from crgeo.hypersurface import eval_arrays
 from crgeo.quadrature import RadialChart, _radial_batch
 
 
@@ -203,9 +203,9 @@ class TestJets:
         surf = gallery(name, **params)
         rho, m = surf.chart.rho, surf.dim
         P = surf.random_points(20, seed=7)
-        new = eval_array(sym.jets(rho, m, pattern), P)
+        new = eval_arrays([sym.jets(rho, m, pattern)], P)[0]
         idx = list(itertools.product(range(m), repeat=len(pattern)))
-        old = np.stack([eval_at(chain(rho, OLD_ORDER[pattern](*i)), P) for i in idx], axis=-1)
+        old = np.stack([eval_arrays([chain(rho, OLD_ORDER[pattern](*i))], P)[0] for i in idx], axis=-1)
         old = old.reshape(new.shape)
         assert np.max(np.abs(new - old)) <= 1e-13 * max(1.0, np.max(np.abs(old)))
 
