@@ -11,6 +11,11 @@ frame derivatives Z_gamma h_{beta mubar} are checked against the same finite
 differences of the numeric Levi matrix, each point's frame held at its own w,
 the connection's Reeb slot against those of the solved transverse field, and
 the Hessian (log J)_{j kbar} against second differences of log(-det B).
+Each oracle evaluates its whole stencil as one batch: ``fd_wirtinger`` makes
+one call of its function for both steps and every coordinate, and
+``max_fd_mismatch`` one program for the exact derivatives of a list and one
+for its stencil.  ``fd_loghess`` alone evaluates its two steps apart, which
+keeps its 16 m^2 shifts per point out of one allocation.
 
 ``run_suites`` powers the CLI ``check`` subcommand; each result carries the
 residual actually measured so report consumers can re-threshold.
@@ -66,33 +71,31 @@ class CheckResult:
 # ---- finite-difference oracles ------------------------------------------------
 
 
-def fd_wirtinger(f, P, j):
-    """(d/dz_j, d/dzbar_j) of a batch callable from central differences along
-    Re z_j and Im z_j, Richardson-extrapolated as (4 D(h/2) - D(h)) / 3 at
-    h = FD_STEP; one set of evaluations serves both derivatives."""
+def fd_wirtinger(f, P):
+    """(d/dz, d/dzbar) of a batch callable, the coordinate index on a trailing axis,
+    from central differences along Re z_j and Im z_j, Richardson-extrapolated as
+    (4 D(h/2) - D(h)) / 3 at h = FD_STEP.  The whole stencil (both steps, +-Re and
+    +-Im of every coordinate, the point index fastest) is one call of ``f``."""
+    K, m = P.shape
+    steps = (FD_STEP / 2, FD_STEP)
+    e = np.array([h * np.eye(m, dtype=complex) for h in steps])  # e[s, j]: step s along z_j
+    shifts = np.stack([e, -e, 1j * e, -(1j * e)], axis=1)  # P + -(1j e) is P - 1j e, signed zeros included
+    vals = f((P + shifts[:, :, :, None, :]).reshape(-1, m))
+    vals = vals.reshape((2, 4, m, K) + vals.shape[1:])
+    central = [(vals[s, ::2] - vals[s, 1::2]) / (2 * h) for s, h in enumerate(steps)]
+    dx, dy = (4 * central[0] - central[1]) / 3
+    return np.moveaxis(0.5 * (dx - 1j * dy), 0, -1), np.moveaxis(0.5 * (dx + 1j * dy), 0, -1)
 
-    def central(h):
-        e = np.zeros(P.shape[1], dtype=complex)
-        e[j] = h
-        return np.array([f(P + e) - f(P - e), f(P + 1j * e) - f(P - 1j * e)]) / (2 * h)
 
-    dx, dy = (4 * central(FD_STEP / 2) - central(FD_STEP)) / 3
-    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
-
-
-def max_fd_mismatch(e: sym.Expr, P: np.ndarray) -> float:
-    """Worst relative gap between symbolic derivatives of e and FD, over
-    all first derivatives (barred and unbarred) at the points P."""
-    idx = sorted(sym.free_indices(e))
-    exact = eval_arrays([[[sym.differentiate(e, j, bar) for bar in (False, True)] for j in idx]], P)[0]
-    worst = 0.0
-    for i, j in enumerate(idx):
-        fd = fd_wirtinger(lambda Q: eval_arrays([e], Q)[0], P, j)
-        for c in (0, 1):  # d/dz_j, then d/dzbar_j
-            s = exact[:, i, c]
-            gap = np.max(np.abs(s - fd[c]) / (1.0 + np.abs(s)))
-            worst = np.maximum(worst, gap)
-    return float(worst)
+def max_fd_mismatch(exprs, P: np.ndarray) -> float:
+    """Worst relative gap between the symbolic first derivatives (barred and
+    unbarred) of a list of expressions and their finite differences at the
+    points P: one program for the derivatives and one for the stencil."""
+    m = P.shape[1]
+    exact = eval_arrays([[[[sym.differentiate(e, j, bar) for j in range(m)] for bar in (False, True)]
+                          for e in exprs]], P)[0]
+    fd = np.stack(fd_wirtinger(lambda Q: eval_arrays([exprs], Q)[0], P), axis=2)
+    return float(np.max(np.abs(exact - fd) / (1.0 + np.abs(exact))))
 
 
 def random_exprs(rng, m, count=12):
@@ -144,25 +147,18 @@ def symcore_suite(seed=0):
     exprs = random_exprs(rng, m)
     P = sym._random_coords(rng, m, 50)
 
-    worst_mixed = 0.0
-    worst_conj = 0.0
-    worst_fd = 0.0
+    pairs, fd_exprs = [], []
     for e in exprs:
-        j, k = rng.integers(m), rng.integers(m)
-        a = sym.differentiate(sym.differentiate(e, int(j), False), int(k), True)
-        b = sym.differentiate(sym.differentiate(e, int(k), True), int(j), False)
-        dc = sym.differentiate(sym.conj(e), int(j), False)
-        d = sym.differentiate(e, int(j), True)
-        va, vb, vdc, vd = eval_arrays([a, b, dc, d], P)
-        gap = np.max(np.abs(va - vb))
-        worst_mixed = np.maximum(worst_mixed, gap)
-
-        gap = np.max(np.abs(vdc - np.conj(vd)))
-        worst_conj = np.maximum(worst_conj, gap)
-
-        worst_fd = np.maximum(worst_fd, max_fd_mismatch(e, P[:10]))
-        for j2 in sym.free_indices(e):
-            worst_fd = np.maximum(worst_fd, max_fd_mismatch(sym.differentiate(e, j2, False), P[:10]))
+        j, k = int(rng.integers(m)), int(rng.integers(m))
+        pairs.append((sym.differentiate(sym.differentiate(e, j, False), k, True),
+                      sym.differentiate(sym.differentiate(e, k, True), j, False),
+                      sym.differentiate(sym.conj(e), j, False),
+                      sym.differentiate(e, j, True)))
+        fd_exprs += [e] + [sym.differentiate(e, j2, False) for j2 in sym.free_indices(e)]
+    va, vb, vdc, vd = eval_arrays(list(zip(*pairs)), P)
+    worst_mixed = np.max(np.abs(va - vb))
+    worst_conj = np.max(np.abs(vdc - np.conj(vd)))
+    worst_fd = max_fd_mismatch(fd_exprs, P[:10])
 
     return [
         CheckResult.from_residual("symbolic.mixed-partial-symmetry", worst_mixed, 1e-9),
@@ -302,7 +298,7 @@ def _fd_suite(surface: SurfaceSpec, fb):
         F = surface.immersion.F
         exprs += F + [e for row in sym.jets(F, m, "h") for e in row]
     exprs += [f.ftilde for f in surface.plurifamily]
-    worst = np.max([max_fd_mismatch(e, fb.P) for e in exprs])
+    worst = max_fd_mismatch(exprs, fb.P)
     for s, fd in [(_frame_levi_derivs(chart, fb), fd_frame_levi_derivs(chart, fb)),
                   (_connection_batch(chart, fb)[..., -1], fd_reeb_slot(chart, fb)),
                   (_loghess_ambient(chart, fb), fd_loghess(chart, fb.P))]:
@@ -332,9 +328,9 @@ def fd_frame_levi_derivs(chart, fb):
 
     def levi(Q):
         grad, hess = eval_arrays([chart.jets("h"), chart.jets("hb")], Q)
-        return _levi_form(_frame_coeffs(grad, fb.w)[1], hess)
+        return _levi_form(_frame_coeffs(grad, np.tile(fb.w, len(Q) // len(fb.w)))[1], hess)
 
-    dh = np.stack([fd_wirtinger(levi, fb.P, j)[0] for j in range(chart.m)], axis=-1)
+    dh = fd_wirtinger(levi, fb.P)[0]
     return np.einsum("kgj,kbmj->kgbm", fb.Zc, dh)
 
 
@@ -345,7 +341,7 @@ def fd_reeb_slot(chart, fb):
     def xi(Q):
         return _transverse_batch(*eval_arrays([chart.jets("h"), chart.jets("hb")], Q))[:, 0, 1:]
 
-    dxi = np.stack([fd_wirtinger(xi, fb.P, j)[0] for j in range(chart.m)], axis=-1)
+    dxi = fd_wirtinger(xi, fb.P)[0]
     return -1j * np.einsum("kbj,kaj->kba", fb.Zc, np.take_along_axis(dxi, fb.fc[:, :, None], axis=1))
 
 
@@ -435,49 +431,38 @@ def spectral_suite(surface: SurfaceSpec, seed=0):
     fb = _frame_batch(chart, P)
     out = []
 
-    def boxb(f):
-        return _boxb_batch(chart, f, P, fb.xi)
+    def boxb(fs):
+        return _boxb_batch(chart, fs, P, fb.xi)
 
-    # Beltrami linearity on random pluriharmonic extensions
+    # Beltrami linearity on random pluriharmonic extensions, and CR functions
+    # annihilated exactly (structural zero)
     f1 = PluriharmonicFunction(random_pluriharmonic(rng, chart.m), "f1")
     f2 = PluriharmonicFunction(random_pluriharmonic(rng, chart.m), "f2")
     a, b = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
     combo = PluriharmonicFunction(
         sym.add(sym.mul(sym.const(a), f1.ftilde), sym.mul(sym.const(b), f2.ftilde)), "combo")
-    gap = np.max(np.abs(boxb(combo) - a * boxb(f1) - b * boxb(f2)))
-    out.append(CheckResult.from_residual("beltrami.linearity", gap, 1e-10))
-
-    # CR functions are annihilated exactly (structural zero)
     hol = PluriharmonicFunction(
         sym.add(sym.mul(sym.var(0), sym.var(chart.m - 1)), sym.intpow(sym.var(0), 2)), "cr")
-    out.append(CheckResult.from_residual("beltrami.annihilates-cr", np.max(np.abs(boxb(hol))), 1e-15))
+    b_combo, b1, b2, b_hol = boxb([combo, f1, f2, hol]).T
+    out.append(CheckResult.from_residual("beltrami.linearity", np.max(np.abs(b_combo - a * b1 - b * b2)), 1e-10))
+    out.append(CheckResult.from_residual("beltrami.annihilates-cr", np.max(np.abs(b_hol)), 1e-15))
 
+    # the closed forms of the gallery families, their columns added left to right as in tension_bound
+    fs, n = surface.plurifamily, chart.n
     if surface.builder == "reinhardt":
-        n = chart.n
-        worst_b = worst_d = worst_s = 0.0
-        dens_sum = np.zeros(P.shape[0])
-        for j, f in enumerate(surface.plurifamily):
-            Lj = np.log(np.abs(P[:, j]) ** 2)
-            worst_b = np.maximum(worst_b, np.max(np.abs(boxb(f) - (n / 2) * Lj)))
-            dens = _energy_density_batch(chart, f, fb)
-            worst_d = np.maximum(worst_d, np.max(np.abs(dens - (0.5 - 0.5 * Lj**2))))
-            dens_sum += dens
-        worst_s = float(np.max(np.abs(dens_sum - n / 2)))
-        out.append(CheckResult.from_residual("reinhardt.kohn-identity", worst_b, 1e-9))
-        out.append(CheckResult.from_residual("reinhardt.energy-density", worst_d, 1e-9))
-        out.append(CheckResult.from_residual("reinhardt.energy-sum", worst_s, 1e-9))
+        L = np.log(np.abs(P) ** 2)
+        dens = _energy_density_batch(chart, fs, fb)
+        out.append(CheckResult.from_residual(
+            "reinhardt.kohn-identity", np.max(np.abs(boxb(fs) - (n / 2) * L)), 1e-9))
+        out.append(CheckResult.from_residual(
+            "reinhardt.energy-density", np.max(np.abs(dens - (0.5 - 0.5 * L**2))), 1e-9))
+        out.append(CheckResult.from_residual("reinhardt.energy-sum", np.max(np.abs(sum(dens.T) - n / 2)), 1e-9))
 
     if surface.builder == "sphere":
-        n = chart.n
-        dens_sum = np.zeros(P.shape[0])
-        for f in surface.plurifamily:
-            dens_sum += _energy_density_batch(chart, f, fb)
+        dens_sum = sum(_energy_density_batch(chart, fs, fb).T)
         out.append(CheckResult.from_residual(
             "sphere.conjugate-energy-sum", np.max(np.abs(dens_sum - n)), 1e-9))
-        worst = 0.0
-        for j, f in enumerate(surface.plurifamily):
-            r0 = surface.params["r"]
-            worst = np.maximum(worst, np.max(np.abs(boxb(f) - (n / r0**2) * np.conj(P[:, j]))))
+        worst = np.max(np.abs(boxb(fs) - (n / surface.params["r"] ** 2) * np.conj(P)))
         out.append(CheckResult.from_residual("sphere.conjugate-eigenfunctions", worst, 1e-9))
     return out
 

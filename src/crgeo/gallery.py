@@ -10,6 +10,7 @@ generators (random on-surface samples and deterministic scan grids).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +87,8 @@ def _nodes_per_axis(budget, n_axes):
     """Nodes per axis of a product grid of about ``budget`` = grid^3 points;
     fewer than 3 is rejected, naming the smallest grid that gives 3, or, over
     15 axes, saying that no grid within ``MAX_NODES`` points does."""
-    q = int(round(budget ** (1.0 / n_axes)))
+    # a budget past the float range gives a grid past any ceiling all the same
+    q = int(round(min(budget, sys.float_info.max) ** (1.0 / n_axes)))
     if q < 3:
         # round(2.5) == 2, so 3 nodes need grid^3 > 2.5^n_axes
         least = math.floor(2.5 ** (n_axes / 3)) + 1
@@ -100,11 +102,14 @@ def _nodes_per_axis(budget, n_axes):
 def _angle_grid(budget, n_polar, n_azimuth):
     """Product grid over [0,pi]^n_polar x [0,2pi)^n_azimuth; polar counts odd.
 
-    Returns (angles (K, n_polar + n_azimuth), largest step)."""
-    if budget > MAX_NODES:
-        raise BadParams(f"scan budget {budget} exceeds the ceiling of {MAX_NODES} points")
+    Returns (angles (K, n_polar + n_azimuth), largest step); a grid of more
+    than ``MAX_NODES`` points is rejected before it is built."""
     q = _nodes_per_axis(budget, n_polar + n_azimuth)
     polar_count = _odd(q)
+    count = polar_count**n_polar * q**n_azimuth
+    if count > MAX_NODES:
+        raise BadParams(f"scan grid of {polar_count}^{n_polar} x {q}^{n_azimuth} = {count} points "
+                        f"exceeds the ceiling of {MAX_NODES} points")
     axes = [np.linspace(0.0, np.pi, polar_count)] * n_polar
     axes += [np.linspace(0.0, 2 * np.pi, q, endpoint=False)] * n_azimuth
     grids = np.meshgrid(*axes, indexing="ij")

@@ -497,11 +497,12 @@ def _ricci_batch(chart, fb):
 def dbar_b_norm2(fb: _FrameBatch, dfull: np.ndarray) -> np.ndarray:
     """|dbar_b f|^2 from the full ambient (1,0)-gradient of a real function.
 
-    ``dfull[k, j]`` holds df/dz^j; the result is the Hermitian quadratic form
+    ``dfull[k, j, ...]`` holds df/dz^j, any trailing axes running over a family
+    of functions; the result ``[k, ...]`` is the Hermitian quadratic form
     conj(g) . h^{-1} . g with g_alpha = Z_alpha f.
     """
-    g = np.einsum("kaj,kj->ka", fb.Zc, dfull)
-    val = np.einsum("ka,kab,kb->k", np.conj(g), fb.hinv, g)
+    g = np.einsum("kaj,kj...->ka...", fb.Zc, dfull)
+    val = np.einsum("ka...,kab,kb...->k...", np.conj(g), fb.hinv, g)
     return np.real(val)
 
 

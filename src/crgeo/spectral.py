@@ -11,7 +11,8 @@ eigenvalue, and the energy/tension quotient bound.
 The densities read the caller's per-point batch: ``_boxb_batch`` takes the
 transverse field and ``_energy_density_batch`` the frame batch, so a caller
 that evaluates several functions on one point set solves the transverse
-system once.
+system once.  Each takes a whole family and returns one column per
+function from one program of the family's dbar jets.
 """
 
 from __future__ import annotations
@@ -87,16 +88,18 @@ def _xi_batch(chart, P):
     return transverse_solve(chart, P)
 
 
-def _boxb_batch(chart, f: PluriharmonicFunction, P, xi):
-    """(K,) Kohn Laplacian of f~|_M at points P by the transverse-field formula, xi their transverse field."""
-    f.ensure_valid()
-    dbar = eval_arrays([sym.jets(f.ftilde, chart.m, "b")], P)[0]
-    return chart.n * np.einsum("kj,kj->k", np.conj(xi), dbar)
+def _boxb_batch(chart, fs, P, xi):
+    """(K, F) Kohn Laplacian of each f~|_M of a family fs at points P, xi their transverse field."""
+    for f in fs:
+        f.ensure_valid()
+    dbar = eval_arrays([sym.jets([f.ftilde for f in fs], chart.m, "b")], P)[0]
+    return chart.n * np.einsum("kj,kfj->kf", np.conj(xi), dbar)
 
 
-def _energy_density_batch(chart, f: PluriharmonicFunction, fb):
-    """(K,) |dbar_b f|^2 at the points of a frame batch: nonnegative, zero exactly where f is CR."""
-    return dbar_b_norm2(fb, np.conj(eval_arrays([sym.jets(f.ftilde, chart.m, "b")], fb.P)[0]))
+def _energy_density_batch(chart, fs, fb):
+    """(K, F) |dbar_b f|^2 of each f of a family fs at a frame batch's points: nonnegative, zero where f is CR."""
+    dbar = eval_arrays([sym.jets([f.ftilde for f in fs], chart.m, "b")], fb.P)[0]
+    return dbar_b_norm2(fb, np.conj(dbar).swapaxes(1, 2))
 
 
 def takahashi_check(spec: ImmersionSpec, sample) -> TakahashiReport:
@@ -186,16 +189,18 @@ def tension_bound(
     ratio of the constants -- the route for surfaces no radial chart covers.
     """
     fs = list(f_components)
+    if not fs:  # no jets to evaluate, and no energy
+        raise ZeroEnergy("all components are CR; the quotient is undefined")
     for f in fs:
         f.ensure_valid()
 
+    # columns added left to right: numpy's sum groups 8 or more of them pairwise
     def energy_density(P):
-        fb = _frame_batch(chart, P)
-        return np.sum([_energy_density_batch(chart, f, fb) for f in fs], axis=0)
+        return sum(_energy_density_batch(chart, fs, _frame_batch(chart, P)).T)
 
     def tension_density(P):
         xi, _ = _xi_batch(chart, P)
-        return np.sum([np.abs(_boxb_batch(chart, f, P, xi)) ** 2 for f in fs], axis=0)
+        return sum(np.abs(_boxb_batch(chart, fs, P, xi).T) ** 2)
 
     if quad is not None:
         rc = RadialChart(chart)

@@ -67,9 +67,9 @@ def test_criterion_2_beltrami_equality_case():
     P = surf.random_points(100, seed=21)
     worst = 0.0
     xi, _ = transverse_solve(surf.chart, P)
-    for j, f in enumerate(surf.plurifamily):
-        vals = _boxb_batch(surf.chart, f, P, xi)
-        worst = max(worst, float(np.max(np.abs(vals - np.conj(P[:, j])))))
+    vals = _boxb_batch(surf.chart, surf.plurifamily, P, xi)
+    for j in range(len(surf.plurifamily)):
+        worst = max(worst, float(np.max(np.abs(vals[:, j] - np.conj(P[:, j])))))
     assert worst < 1e-10, f"pointwise eigenfunction residual {worst:.3e}"
 
     rep = reilly_bound(surf.immersion, product_grid(16))
@@ -87,13 +87,13 @@ def test_criterion_3_reinhardt_identities():
         P = surf.random_points(100, seed=30 + n)
         total = np.zeros(P.shape[0])
         fb = _frame_batch(surf.chart, P)
-        for j, f in enumerate(surf.plurifamily):
+        dens = _energy_density_batch(surf.chart, surf.plurifamily, fb)
+        bx = _boxb_batch(surf.chart, surf.plurifamily, P, fb.xi)
+        for j in range(len(surf.plurifamily)):
             Lj = np.log(np.abs(P[:, j]) ** 2)
-            dens = _energy_density_batch(surf.chart, f, fb)
-            worst = max(worst, float(np.max(np.abs(dens - (0.5 - 0.5 * Lj**2)))))
-            total += dens
-            bx = _boxb_batch(surf.chart, f, P, fb.xi)
-            worst = max(worst, float(np.max(np.abs(bx - (n / 2) * Lj))))
+            worst = max(worst, float(np.max(np.abs(dens[:, j] - (0.5 - 0.5 * Lj**2)))))
+            total += dens[:, j]
+            worst = max(worst, float(np.max(np.abs(bx[:, j] - (n / 2) * Lj))))
         worst = max(worst, float(np.max(np.abs(total - n / 2))))
         rep = tension_bound(surf.chart, surf.plurifamily, sample_points=P)
         assert abs(rep.tension_bound - n / 2) < 1e-12, f"tension bound {rep.tension_bound}"
@@ -243,15 +243,12 @@ def test_criterion_8_oracle_suite_and_full_check():
     ]:
         surf = gallery(name, **params)
         P = surf.random_points(50, seed=88)
-        worst = max(worst, max_fd_mismatch(surf.chart.rho, P))
-        for e in sym.jets(surf.chart.rho, surf.dim, "h"):
-            worst = max(worst, max_fd_mismatch(e, P))
+        worst = max(worst, max_fd_mismatch([surf.chart.rho, *sym.jets(surf.chart.rho, surf.dim, "h")], P))
         fb = _frame_batch(surf.chart, P)
         lh = _loghess_ambient(surf.chart, fb)
         worst = max(worst, float(np.max(np.abs(lh - fd_loghess(surf.chart, P)) / (1.0 + np.abs(lh)))))
         if surf.immersion is not None:
-            for comp in surf.immersion.F:
-                worst = max(worst, max_fd_mismatch(comp, P))
+            worst = max(worst, max_fd_mismatch(surf.immersion.F, P))
     assert worst < 1e-6, f"fd mismatch {worst:.3e}"
 
     t0 = time.time()

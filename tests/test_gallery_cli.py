@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from crgeo import cli, hypersurface, symbolic as sym
 from crgeo.cli import main, parse_params, parse_point
 from crgeo.errors import BadParams, InputError, UnknownSurface
-from crgeo.gallery import _nodes_per_axis, gallery, load_surface
+from crgeo.gallery import _angle_grid, _nodes_per_axis, gallery, load_surface
 from crgeo.hypersurface import HypersurfaceChart
 from crgeo.dsl import parse_surface_file
 from crgeo.report import Report, decode_number, scan_csv
@@ -218,6 +218,10 @@ BAD_SURFACE_FILES = {
     # a CR dimension whose m^3 third jets per point would not fit in memory, checked before any build
     (["analyze", "--surface", "sphere", "--params", "n=1000000000", "--point", "1,0"], "BadParams"),
     (["check", "--surface-file", "huge_dim.txt"], "BadParams"),
+    # a product grid past the point ceiling (odd polar counts), and a budget past the float range
+    (["scan", "--surface", "ellipsoid", "--grid", "100"], "BadParams"),
+    (["scan", "--surface", "whitney", "--params", "n=2", "--grid", "99"], "BadParams"),
+    (["scan", "--surface", "sphere", "--grid", "1" + "0" * 110], "BadParams"),
 ])
 def test_bad_input_exits_2_with_a_json_error(argv, error, tmp_path):
     for name, text in BAD_SURFACE_FILES.items():
@@ -415,6 +419,20 @@ class TestCli:
         for n_axes in (16, 17, 25, 49, 81):
             with pytest.raises(BadParams, match="no grid within the ceiling of 1000000 points gives 3$"):
                 _nodes_per_axis(8**3, n_axes)
+
+    @pytest.mark.parametrize("grid,n_polar,n_azimuth,shape", [
+        (100, 2, 1, "101^2 x 100^1 = 1020100"),  # sphere n=1
+        (100, 1, 4, "17^1 x 16^4 = 1114112"),  # reinhardt n=2
+        (100, 4, 1, "17^4 x 16^1 = 1336336"),  # the C^3 ellipsoid, whitney n=2
+        (99, 4, 1, "17^4 x 16^1 = 1336336"),
+    ])
+    def test_scan_grid_past_the_ceiling_is_rejected(self, grid, n_polar, n_azimuth, shape):
+        with pytest.raises(BadParams, match=rf"^scan grid of {re.escape(shape)} points exceeds the ceiling of 1000000"):
+            _angle_grid(grid**3, n_polar, n_azimuth)
+
+    def test_scan_grid_within_the_ceiling_is_built(self):
+        angles, _ = _angle_grid(40**3, 4, 1)  # the C^3 ellipsoid at grid 40
+        assert angles.shape == (59049, 5)
 
     def test_scan_over_fifteen_axes_exits_2_at_once(self):
         # sphere n = 40 scans 81 axes: no grid within the node ceiling gives 3 nodes per axis

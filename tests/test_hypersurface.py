@@ -8,7 +8,7 @@ import pytest
 
 from crgeo import checks, hypersurface
 from crgeo import symbolic as sym
-from crgeo.checks import _fd_suite, fd_frame_levi_derivs, fd_wirtinger, hypersurface_suite
+from crgeo.checks import FD_STEP, _fd_suite, fd_frame_levi_derivs, fd_reeb_slot, fd_wirtinger, hypersurface_suite
 from crgeo.errors import (
     DegenerateFrame,
     NoCrossing,
@@ -73,12 +73,8 @@ def frame_of(chart, p, w_index=None):
 
 def fd_levi(chart, fb):
     """Independent Levi oracle at a one-row frame batch: restrict the finite-difference Hessian."""
-    m = chart.m
-    hess = np.empty((m, m), dtype=complex)
-    for j in range(m):
-        g = lambda Q: fd_wirtinger(lambda R: np.real(chart.rho_at(R)), Q, j)[0]
-        for k in range(m):
-            hess[j, k] = fd_wirtinger(g, fb.P, k)[1][0]
+    grad = lambda Q: fd_wirtinger(lambda R: np.real(chart.rho_at(R)), Q)[0]
+    hess = fd_wirtinger(grad, fb.P)[1][0]  # [j, k]: d/dzbar_k of d/dz_j rho
     return fb.Zc[0] @ hess @ fb.Zc[0].conj().T
 
 
@@ -829,7 +825,7 @@ class TestZeroJetsAndContractionOrder:
             out = [fb.BdBB, _frame_levi_derivs(ch, fb), _loghess_ambient(ch, fb), ric, R, L,
                    _connection_batch(ch, fb), _conformal_batch(ch, sigma, fb),
                    *transverse_solve(ch, Q), fefferman_det(ch, Q)]
-            out += [_boxb_batch(ch, g, Q, fb.xi) for g in fs] + [_energy_density_batch(ch, g, fb) for g in fs]
+            out += [_boxb_batch(ch, fs, Q, fb.xi), _energy_density_batch(ch, fs, fb)]
             return out if f is None else out + [f["holo"], f["II0"]]
 
         batch = fields(P)
@@ -881,6 +877,50 @@ class TestOneProgram:
         monkeypatch.setattr(sym, "evaluate", lambda exprs, coords: calls.append(1) or real(exprs, coords))
         for route in (lambda: transverse_solve(surf.chart, P), lambda: fefferman_det(surf.chart, P),
                       lambda: contact_volume_density(surf.chart, P, V)):
+            del calls[:]
+            route()
+            assert len(calls) == 1
+
+
+def fd_wirtinger_per_coordinate(f, P, j):
+    """(d/dz_j, d/dzbar_j) of a batch callable by four calls of f per step along z_j alone."""
+
+    def central(h):
+        e = np.zeros(P.shape[1], dtype=complex)
+        e[j] = h
+        return np.array([f(P + e) - f(P - e), f(P + 1j * e) - f(P - 1j * e)]) / (2 * h)
+
+    dx, dy = (4 * central(FD_STEP / 2) - central(FD_STEP)) / 3
+    return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
+
+
+class TestOneStencil:
+    """Each finite-difference oracle evaluates its whole stencil as one batch."""
+
+    def test_stencil_equals_per_coordinate_differences_bit_for_bit(self):
+        surf = gallery("whitney", n=2)
+        P = surf.random_points(7, seed=2)
+        for f in (lambda Q: eval_arrays([surf.chart.rho], Q)[0], lambda Q: eval_arrays([surf.chart.jets("hb")], Q)[0]):
+            batched = fd_wirtinger(f, P)
+            assert batched[0].shape == f(P).shape + (surf.dim,)
+            for j in range(surf.dim):
+                for got, ref in zip(batched, fd_wirtinger_per_coordinate(f, P, j)):
+                    assert np.array_equal(got[..., j], ref)
+
+    def test_fd_wirtinger_calls_f_once_on_the_whole_stencil(self):
+        shapes = []
+        P = gallery("reinhardt", n=2).random_points(5, seed=1)
+        fd_wirtinger(lambda Q: shapes.append(Q.shape) or Q[:, 0] * Q[:, 1], P)
+        assert shapes == [(2 * 4 * 3 * 5, 3)]  # both steps, +-Re and +-Im, every coordinate
+
+    @pytest.mark.parametrize("name", ["whitney", "sphere", "reinhardt"])
+    def test_frame_oracles_are_one_evaluation_each(self, monkeypatch, name):
+        surf = gallery(name, n=2)
+        fb = _frame_batch(surf.chart, surf.random_points(6, seed=4))
+        calls = []
+        real = sym.evaluate
+        monkeypatch.setattr(sym, "evaluate", lambda exprs, coords: calls.append(1) or real(exprs, coords))
+        for route in (lambda: fd_frame_levi_derivs(surf.chart, fb), lambda: fd_reeb_slot(surf.chart, fb)):
             del calls[:]
             route()
             assert len(calls) == 1

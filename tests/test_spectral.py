@@ -23,12 +23,12 @@ from crgeo.spectral import (
 
 def boxb(chart, f, P):
     """(K,) box_b f at a (K, m) batch, the transverse field solved for the same points."""
-    return _boxb_batch(chart, f, P, transverse_solve(chart, P)[0])
+    return _boxb_batch(chart, [f], P, transverse_solve(chart, P)[0])[:, 0]
 
 
 def energy_density(chart, f, P):
     """(K,) |dbar_b f|^2 at a (K, m) batch."""
-    return _energy_density_batch(chart, f, _frame_batch(chart, P))
+    return _energy_density_batch(chart, [f], _frame_batch(chart, P))[:, 0]
 
 
 class TestKohnLaplacian:
@@ -196,6 +196,11 @@ class TestTensionBound:
         with pytest.raises(ZeroEnergy):
             tension_bound(surf.chart, fam, sample_points=surf.random_points(20, seed=16))
 
+    @pytest.mark.parametrize("route", [{"quad": monte_carlo(50, 0)}, {"sample_points": np.array([[1.0, 0.0]])}])
+    def test_empty_family_has_zero_energy(self, route):
+        with pytest.raises(ZeroEnergy, match="all components are CR"):
+            tension_bound(gallery("sphere", r=1.0, n=1).chart, [], **route)
+
 
 @pytest.fixture
 def solves(monkeypatch):
@@ -226,10 +231,46 @@ def test_xi_batch_rejects_complex_curvature(monkeypatch):
 
 
 def test_nan_energy_density_fails_its_check(monkeypatch):
-    monkeypatch.setattr(checks, "_energy_density_batch", lambda chart, f, fb: np.full(len(fb.P), np.nan))
+    monkeypatch.setattr(checks, "_energy_density_batch", lambda chart, fs, fb: np.full((len(fb.P), len(fs)), np.nan))
     results = {r.name: r for r in spectral_suite(gallery("reinhardt", n=1), seed=0)}
     assert np.isnan(results["reinhardt.energy-density"].residual)
     assert not results["reinhardt.energy-density"].passed
+
+
+class TestOneFamilyProgram:
+    """The densities evaluate a whole family as one program, each column its function's own call."""
+
+    # the sphere's conj(z_j) have constant dbar jets, filled without evaluating
+    @pytest.mark.parametrize("name,evaluations", [("reinhardt", 1), ("sphere", 0)])
+    def test_family_densities_are_one_evaluation_each(self, monkeypatch, name, evaluations):
+        surf = gallery(name, n=2)
+        fs = surf.plurifamily
+        assert len(fs) == 3
+        P = surf.random_points(8, seed=3)
+        fb = _frame_batch(surf.chart, P)
+        for f in fs:
+            f.ensure_valid()
+        calls = []
+        real = sym.evaluate
+        monkeypatch.setattr(sym, "evaluate", lambda exprs, coords: calls.append(1) or real(exprs, coords))
+        for route in (lambda: _boxb_batch(surf.chart, fs, P, fb.xi), lambda: _energy_density_batch(surf.chart, fs, fb)):
+            del calls[:]
+            assert route().shape == (8, 3)
+            assert len(calls) == evaluations
+
+    @pytest.mark.parametrize("name,params", [("sphere", {"r": 1.0, "n": 2}), ("reinhardt", {"n": 2}),
+                                             ("ellipsoid", {"A": (0.1, 0.2, 0.3)})])
+    def test_each_column_equals_its_one_function_call(self, name, params):
+        surf = gallery(name, **params)
+        fs = surf.plurifamily + [PluriharmonicFunction(sym.re(sym.var(0) * sym.var(1)), "re(z1 z2)"),
+                                 PluriharmonicFunction(sym.var(1), "cr")]
+        P = surf.random_points(20, seed=6)
+        fb = _frame_batch(surf.chart, P)
+        boxb_all = _boxb_batch(surf.chart, fs, P, fb.xi)
+        dens_all = _energy_density_batch(surf.chart, fs, fb)
+        for j, f in enumerate(fs):
+            assert np.array_equal(boxb_all[:, j], _boxb_batch(surf.chart, [f], P, fb.xi)[:, 0])
+            assert np.array_equal(dens_all[:, j], _energy_density_batch(surf.chart, [f], fb)[:, 0])
 
 
 class TestSolveCounts:

@@ -2,13 +2,14 @@
 
 import collections
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crgeo import symbolic as sym
-from crgeo.checks import fd_wirtinger, random_exprs, symcore_suite
+from crgeo.checks import fd_wirtinger, max_fd_mismatch, random_exprs, symcore_suite
 from crgeo.cli import main as cli_main
 from crgeo.dsl import parse_expr
 from crgeo.errors import DomainError
@@ -38,9 +39,7 @@ class TestDerivativeRules:
         d2 = sym.differentiate(sym.differentiate(e, 0, False), 0, True)
         val = ev(d2, 1.0)
         P = np.array([[1.0 + 0j]])
-        fd = fd_wirtinger(
-            lambda Q: sym.evaluate(sym.differentiate(e, 0, False), [Q[:, 0]]), P, 0
-        )[1][0]
+        fd = fd_wirtinger(lambda Q: sym.evaluate(sym.differentiate(e, 0, False), [Q[:, 0]]), P)[1][0, 0]
         assert abs(val - 0.25) < 1e-12
         assert abs(fd - 0.25) < 1e-6
 
@@ -428,8 +427,25 @@ class TestProperties:
         for j in sym.free_indices(e):
             for conjugated in (False, True):
                 s = sym.evaluate(sym.differentiate(e, j, conjugated), [P[:, 0], P[:, 1]])
-                f = fd_wirtinger(lambda Q: sym.evaluate(e, [Q[:, 0], Q[:, 1]]), P, j)[conjugated]
+                f = fd_wirtinger(lambda Q: sym.evaluate(e, [Q[:, 0], Q[:, 1]]), P)[conjugated][:, j]
                 assert np.max(np.abs(s - f) / (1 + np.abs(s))) < 1e-6
+
+
+    @given(expr_seeds(), st.integers(min_value=1, max_value=12))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_fd_mismatch_of_a_list_is_two_evaluations(self, seed, count):
+        # one program for the exact derivatives and one for the stencil (|z1|^2
+        # keeps the derivatives from all being constant), and the worst gap of
+        # the list is the worst of its expressions one at a time
+        rng = np.random.default_rng(seed)
+        exprs = random_exprs(rng, 3, count=count) + [sym.abs2(sym.var(0))]
+        P = sym._random_coords(rng, 3, 10)
+        calls = []
+        real = sym.evaluate
+        with mock.patch.object(sym, "evaluate", lambda exprs, coords: calls.append(1) or real(exprs, coords)):
+            worst = max_fd_mismatch(exprs, P)
+        assert len(calls) == 2
+        assert worst == max(max_fd_mismatch([e], P) for e in exprs)
 
 
 class TestSymcoreSuite:
