@@ -4,9 +4,10 @@ Every residual the library's identities promise is checked here against an
 explicit threshold, per surface: frame/transverse defining equations,
 Hermitian positivity, determinant reality, metric compatibility of the
 connection, the traced Gauss identity through two independent routes, the
-trace inequalities, conformal-change agreement, quadrature convergence, and
-first/second symbolic derivatives against Richardson-extrapolated central
-finite differences on the real jet (steps 1e-3 and 5e-4).  The chain-rule
+trace inequalities, conformal-change agreement, quadrature convergence (each
+density term on its own, on three grids solved once each), and first/second
+symbolic derivatives against Richardson-extrapolated central finite
+differences on the real jet (steps 1e-3 and 5e-4).  The chain-rule
 frame derivatives Z_gamma h_{beta mubar} are checked against the same finite
 differences of the numeric Levi matrix, each point's frame held at its own w,
 the connection's Reeb slot against those of the solved transverse field, and
@@ -38,14 +39,15 @@ from .hypersurface import (
     _levi_form,
     _levi_rounding_scale,
     _loghess_ambient,
+    _rel_eigs,
     _ricci_batch,
-    _transverse_batch,
     eval_arrays,
     fefferman_det,
     HypersurfaceChart,
+    transverse_solve,
 )
 from .immersion import _gauss_form, _levi_norm2, _mixed_sff_batch, _sff_batch
-from .quadrature import RadialChart, integrate, product_grid, quasi_monte_carlo
+from .quadrature import RadialChart, _eval_on_angles, _grid_nodes, integrate, quasi_monte_carlo
 from .spectral import PluriharmonicFunction, _boxb_batch, _energy_density_batch
 
 FD_STEP = 1e-3
@@ -170,14 +172,6 @@ def symcore_suite(seed=0):
 # ---- per-surface suites ---------------------------------------------------------
 
 
-def _rel_eigs(L, h):
-    """Eigenvalues of the Hermitian form L relative to the metric h."""
-    c = np.linalg.cholesky(h)
-    cinv = np.linalg.inv(c)
-    M = cinv @ L @ np.conj(np.swapaxes(cinv, -1, -2))
-    return np.linalg.eigvalsh(M)
-
-
 def _reselection_spreads(grad, build, count):
     """Largest change of each of ``count`` quantities, ``build(w)`` on the first
     10 points, over the frames at every w where those points keep |rho_w| >= 1e-6."""
@@ -284,8 +278,8 @@ def _conformal_tworoute(surface, rng, fb):
         if efac is None:
             continue
         hat_chart = HypersurfaceChart(sym.mul(efac, chart.rho), chart.m)
-        r2 = -_transverse_batch(*eval_arrays([hat_chart.jets("h"), hat_chart.jets("hb")], fb.P))[:, 0, 0]
-        worst = np.maximum(worst, np.max(np.abs(rhat - np.real(r2))))
+        r2 = transverse_solve(hat_chart, fb.P)[1]
+        worst = np.maximum(worst, np.max(np.abs(rhat - r2)))
     return worst
 
 
@@ -338,10 +332,7 @@ def fd_reeb_slot(chart, fb):
     """(K, beta, alpha) array of omega_beta^alpha(T) = -i Z_beta xi^{fc(alpha)} from
     finite differences of the transverse field solved at shifted points."""
 
-    def xi(Q):
-        return _transverse_batch(*eval_arrays([chart.jets("h"), chart.jets("hb")], Q))[:, 0, 1:]
-
-    dxi = fd_wirtinger(xi, fb.P)[0]
+    dxi = fd_wirtinger(lambda Q: transverse_solve(chart, Q)[0], fb.P)[0]
     return -1j * np.einsum("kbj,kaj->kba", fb.Zc, np.take_along_axis(dxi, fb.fc[:, :, None], axis=1))
 
 
@@ -473,20 +464,27 @@ def quadrature_suite(surface: SurfaceSpec, seed=0):
     out = []
     rc = RadialChart(surface.chart)
 
-    def density(P):
-        return 1.0 + np.abs(P[:, 0]) ** 2
+    def terms(P):
+        z2 = np.abs(P[:, 0]) ** 2
+        return np.stack([np.ones(P.shape[0]), z2, 1.0 + z2], axis=1)
 
-    resolutions = [4, 8] if surface.dim == 2 else [3, 5]
-    vals = [integrate(rc, density, product_grid(r))[0] for r in resolutions]
-    ref = integrate(rc, density, product_grid(resolutions[-1] * 2))[0]
-    e0, e1 = abs(vals[0] - ref), abs(vals[1] - ref)
-    factor = e0 / max(e1, 1e-14)
-    out.append(CheckResult("quadrature.refinement-convergence", float(factor), 3.0, bool(factor >= 3.0)))
+    # grids r0, r1 and 2 r1, each solved once: row g holds grid g's integrals of 1, |z1|^2 and their sum
+    r0, r1 = (4, 8) if surface.dim == 2 else (3, 5)
+    vals = []
+    for res in (r0, r1, 2 * r1):
+        angles, w = _grid_nodes(res, 2 * surface.dim)
+        vals.append([float(np.sum(w * col)) for col in _eval_on_angles(rc, terms, angles).T])
+    vals = np.array(vals)
 
-    vol = integrate(rc, lambda P: np.ones(P.shape[0]), product_grid(resolutions[-1]))[0]
-    out.append(CheckResult("quadrature.orientation-positive", float(vol), 0.0, bool(vol > 0)))
+    # each term on its own against grid 2 r1: the errors of 1 and |z1|^2 may cancel in their sum
+    e0, e1 = np.abs(vals[:2, :2] - vals[2, :2])
+    factor = float(np.min(e0 / np.maximum(e1, 1e-14)))
+    out.append(CheckResult("quadrature.refinement-convergence", factor, 3.0, bool(factor >= 3.0)))
+    vol = float(vals[1, 0])
+    out.append(CheckResult("quadrature.orientation-positive", vol, 0.0, bool(vol > 0)))
 
-    vmc, _ = integrate(rc, density, quasi_monte_carlo(4000, seed))
+    ref = vals[2, 2]
+    vmc, _ = integrate(rc, lambda P: terms(P)[:, 2], quasi_monte_carlo(4000, seed))
     rel = abs(vmc - ref) / abs(ref)
     out.append(CheckResult("quadrature.grid-vs-monte-carlo", float(rel), 5e-3, bool(rel < 5e-3)))
     return out

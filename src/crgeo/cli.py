@@ -28,6 +28,7 @@ from .checks import run_suites
 from .errors import BadParams, CrgeoError, GeometryError, InputError, UnreadableFile, UnwritableFile
 from .gallery import GALLERY_DOC, SurfaceSpec, curvature_batch, gallery, load_surface, scan_surface
 from .hypersurface import _frame_batch  # noqa: F401 -- perfbench's tracer test reads this binding
+from .hypersurface import _rel_eigs
 from .immersion import _gauss_form, _levi_norm2
 from .quadrature import parse_quad_flag
 from .report import Report, scan_csv
@@ -145,7 +146,7 @@ def cmd_analyze(args):
         "J": float(fb.J[0]),
         "ric": ric[0],
         "scalarR": float(R[0]),
-        "loghessJ_eigs": np.linalg.eigvalsh(L)[0],
+        "loghessJ_eigs": _rel_eigs(L, fb.h)[0],
     }
     if f is not None:
         G = _gauss_form(f["holo"], fb.hinv)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import symbolic as sym
 from .errors import BadParams, NotStarShaped, UnknownSurface
-from .hypersurface import HypersurfaceChart, _frame_batch, _require_real, _ricci_batch
+from .hypersurface import HypersurfaceChart, _frame_batch, _rel_eigs, _require_real, _ricci_batch
 from .immersion import UMBILIC_TOLERANCE, ImmersionSpec, _sff_batch
 from .quadrature import MAX_NODES, RadialChart, radial_points, sphere_point
 from .spectral import PluriharmonicFunction
@@ -354,5 +354,5 @@ def scan_surface(surface: SurfaceSpec, budget: int, umbilic_tolerance=UMBILIC_TO
     out["r"] = fb.r
     out["J"] = fb.J
     out["scalarR"] = R
-    out["min_eig_L"] = np.linalg.eigvalsh(L)[:, 0]
+    out["min_eig_L"] = _rel_eigs(L, fb.h)[:, 0]
     return out

@@ -481,6 +481,16 @@ def _frame_levi_derivs(chart, fb):
 # ---- curvature and conformal change ------------------------------------------
 
 
+def _rel_eigs(L, h):
+    """(K, n) ascending eigenvalues of stacked Hermitian forms L relative to the
+    metric h: those of C^-1 L C^-*, h = C C^* its Cholesky factor.  Unlike the
+    eigenvalues of L alone, they do not depend on the frame or the coordinates."""
+    c = np.linalg.cholesky(h)
+    cinv = np.linalg.inv(c)
+    M = cinv @ L @ np.conj(np.swapaxes(cinv, -1, -2))
+    return np.linalg.eigvalsh(M)
+
+
 def _trace_h(hinv, M):
     """h^{alpha betabar} M_{alpha betabar} for stacked matrices."""
     return np.einsum("kab,kba->k", M, hinv)

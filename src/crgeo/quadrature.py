@@ -272,7 +272,9 @@ def _eval_on_angles(rc: RadialChart, density, angles):
     +-FD_STEP in one angle.  Nodes go in blocks of RAY_BLOCK // (2d-1), and
     the stencil rays of a block are stacked set by set ([centre, +e_0, ...,
     +e_{d-2}, -e_0, ..., -e_{d-2}]) into one radial solve, whose errors name
-    the node.  The density and the volume form then run once on all nodes."""
+    the node.  The density and the volume form then run once on all nodes.
+    ``density`` returns (K,) values, or (K, F) for F densities on the same
+    nodes; the result has its shape."""
     chart = rc.chart
     d = 2 * chart.m
     K = angles.shape[0]
@@ -289,7 +291,7 @@ def _eval_on_angles(rc: RadialChart, density, angles):
         P[k0:k0 + per_block] = Q[0]
         V[k0:k0 + per_block] = np.swapaxes(Q[1:d] - Q[d:], 0, 1) / (2 * FD_STEP)
     dens = np.asarray(density(P), dtype=float)
-    return np.abs(contact_volume_density(chart, P, V)) * dens
+    return (np.abs(contact_volume_density(chart, P, V)) * dens.T).T
 
 
 def _halton(samples: int, d: int) -> np.ndarray:

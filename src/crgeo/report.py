@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 TOOL_VERSION = "0.1.0"
 
 

@@ -201,7 +201,7 @@ def test_criterion_6_identity_suite():
         worst["torsion"] = max(worst["torsion"], float(np.max(np.abs(amb - np.swapaxes(amb, 1, 2)))),
                                float(np.max(np.abs(amb - f["torsion"]))))
         gap = (n + 1) * f["Hnorm2"][:, None, None] * fb.h - ric_ll
-        from crgeo.checks import _rel_eigs
+        from crgeo.hypersurface import _rel_eigs
 
         worst["ric"] = max(worst["ric"], float(-np.min(_rel_eigs(gap, fb.h))))
     assert worst["gauss"] < 1e-8, worst

@@ -341,6 +341,14 @@ class TestCli:
         assert "ALL CHECKS PASSED" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("surface,params", [("sphere", "r=1.3,n=2"), ("ellipsoid", "A=(0.3,-0.2)"),
+                                                ("ellipsoid", "A=(0.3,0.2)")])
+    def test_check_reads_each_quadrature_term_on_its_own(self, surface, params):
+        # the errors of the integrals of 1 and |z1|^2 cancel in their sum here, though each converges
+        rc, out, _ = run_cli(["check", "--surface", surface, "--params", params, "--seed", "0"])
+        assert rc == 0, out
+        assert "ALL CHECKS PASSED" in out
+
     def test_surface_file_analyze(self, tmp_path):
         f = tmp_path / "surf.txt"
         f.write_text("rho = abs2(z1) + abs2(z2) - 1\ndim = 2\nF = [z1, z2]\npsi = -1\n")
@@ -539,7 +547,7 @@ class TestScaleCovariance:
         close("scalarR", 1 / c)
         close("h", c)
         close("ric", 1.0)
-        close("loghessJ_eigs", 1.0, floor=1.0)  # L vanishes with A: compare at unit scale
+        close("loghessJ_eigs", 1 / c, floor=1 / c)  # relative to h, which scales by c; L vanishes with A
 
     def test_scaled_ambient_quadric_runs_every_command(self, tmp_path):
         f = tmp_path / "c3.txt"
@@ -613,6 +621,33 @@ class TestScaleCovariance:
         rec = _analyze(str(f), np.array([0.6, 0.8]))
         for key, want in [("r", 1e-5), ("J", 1e15), ("scalarR", 2e-5)]:
             assert abs(rec[key] - want) <= 1e-12 * want, key
+
+
+class TestBiholomorphicTransport:
+    """A biholomorphism Phi carries M to Phi(M) with the transported structure:
+    r, the scalar curvature and the log J eigenvalues relative to h are equal at
+    p and Phi(p), and J follows |det DPhi^-1|^2 J."""
+
+    def test_invariants_survive_a_biholomorphic_shear(self, tmp_path):
+        # Phi(z1, z2) = (z1, z2 + z1^2/2) has det 1, so J is kept as well; the image of
+        # whitney is {rho o Phi^-1 = 0}, and the log J eigenvalues relative to h are invariants
+        f = tmp_path / "sheared.txt"
+        f.write_text("dim = 2\nrho = abs2(z1)*(1 + abs2(z2 - 0.5*z1^2)) + abs2(z2 - 0.5*z1^2)^2 - 1\n")
+        keys = ("r", "J", "scalarR", "loghessJ_eigs")
+        base, mapped = {k: [] for k in keys}, {k: [] for k in keys}
+        for p in gallery("whitney").random_points(20, seed=7):
+            arg = ",".join(repr(float(x)) for z in p for x in (z.real, z.imag))
+            rc, out, err = run_cli(["analyze", "--surface", "whitney", f"--point={arg}"])
+            assert rc == 0, err
+            rec = {k: np.asarray(_decoded(v)) for k, v in json.loads(out)["records"][0].items()}
+            q = rec["point"]
+            image = _analyze(str(f), np.array([q[0], q[1] + 0.5 * q[0] ** 2]))
+            for k in keys:
+                base[k].append(rec[k])
+                mapped[k].append(image[k])
+        for k in keys:
+            want = np.array(base[k])
+            assert np.max(np.abs(np.array(mapped[k]) - want)) <= 1e-12 * np.max(np.abs(want)), k
 
 
 @pytest.mark.parametrize("argv", [

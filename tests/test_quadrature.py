@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crgeo import quadrature
+from crgeo import checks, quadrature
 from crgeo import symbolic as sym
 from crgeo.errors import BadParams, NoCrossing, NotStarShaped
 from crgeo.gallery import gallery
@@ -204,6 +204,48 @@ class TestStencilSolve:
         monkeypatch.setattr(quadrature, "sphere_point", blinded)
         with pytest.raises(NoCrossing, match=r"^ray 700 misses the surface for t in \(0, 10.0\]$"):
             _eval_on_angles(rc, ones, angles)
+
+
+def three_terms(P):
+    z2 = np.abs(P[:, 0]) ** 2
+    return np.stack([np.ones(P.shape[0]), z2, 1.0 + z2], axis=1)
+
+
+class TestSharedNodes:
+    """Several densities share one node set: each column is the one-density value."""
+
+    @pytest.mark.parametrize("name,params,quad", [("whitney", {}, "grid:6"), ("sphere", {"r": 1.3, "n": 2}, "qmc:200:3")])
+    def test_each_column_equals_its_one_density_call(self, name, params, quad):
+        rc = RadialChart(gallery(name, **params).chart)
+        angles = rule_angles(parse_quad_flag(quad), 2 * rc.chart.m)
+        together = _eval_on_angles(rc, three_terms, angles)
+        assert together.shape == (angles.shape[0], 3)
+        for j in range(3):
+            assert np.array_equal(together[:, j], _eval_on_angles(rc, lambda P: three_terms(P)[:, j], angles)), j
+
+    @pytest.mark.parametrize("name,params,resolutions", [("sphere", {"r": 1.0, "n": 1}, (4, 8, 16)),
+                                                         ("ellipsoid", {"A": (0.1, 0.2, 0.3)}, (3, 5, 10))])
+    def test_check_suite_solves_each_grid_once(self, monkeypatch, name, params, resolutions):
+        surface = gallery(name, **params)
+        d = 2 * surface.dim
+        nodes, rules = [], []
+
+        def counted(rc, density, angles):
+            nodes.append(angles.shape[0])
+            return _eval_on_angles(rc, density, angles)
+
+        def recorded(rc, density, rule):
+            rules.append(rule.kind)
+            return integrate(rc, density, rule)
+
+        monkeypatch.setattr(quadrature, "_eval_on_angles", counted)
+        monkeypatch.setattr(checks, "_eval_on_angles", counted, raising=False)
+        monkeypatch.setattr(checks, "integrate", recorded)
+        results = checks.quadrature_suite(surface, seed=0)
+        assert [r.name for r in results] == ["quadrature.refinement-convergence", "quadrature.orientation-positive",
+                                             "quadrature.grid-vs-monte-carlo"]
+        assert rules == ["quasi-monte-carlo"]
+        assert nodes == [quadrature._grid_nodes(r, d)[0].shape[0] for r in resolutions] + [4000]
 
 
 class TestSphericalCoordinates:
