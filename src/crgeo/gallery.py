@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symbolic as sym
-from .errors import BadParams, NotStarShaped, UnknownSurface
+from .errors import BadParams, GeometryError, NotStarShaped, UnknownSurface
 from .hypersurface import HypersurfaceChart, _frame_batch, _rel_eigs, _require_real, _ricci_batch
 from .immersion import UMBILIC_TOLERANCE, ImmersionSpec, _sff_batch
-from .quadrature import MAX_NODES, RadialChart, radial_points, sphere_point
+from .quadrature import MAX_NODES, SCAN_BLOCK, RadialChart, _blocks, radial_points, sphere_point
 from .spectral import PluriharmonicFunction
 
 
@@ -342,17 +342,28 @@ def scan_surface(surface: SurfaceSpec, budget: int, umbilic_tolerance=UMBILIC_TO
 
     Returns a dict of equal-length arrays plus the grid spacing estimate.
     ``II0norm2``/``is_umbilic`` are present only when the surface carries an
-    immersion.
+    immersion.  The geometry runs on near-equal blocks of at most SCAN_BLOCK
+    grid points, keeping only the reported columns of each, so its working
+    memory does not grow with the grid; a geometry error past the first block
+    names the block's first grid point.
     """
     P, spacing = surface.scan_grid(budget)
-    fb, f, _, R, L = curvature_batch(surface, P)
+    parts = [_scan_block(surface, P, b) for b in _blocks(P.shape[0], SCAN_BLOCK)]
     out = {"points": P, "spacing": spacing}
-    if f is not None:
-        out["II0norm2"] = f["II0"]
-        out["Hnorm2"] = f["Hnorm2"]
-        out["is_umbilic"] = f["II0"] < umbilic_tolerance
-    out["r"] = fb.r
-    out["J"] = fb.J
-    out["scalarR"] = R
-    out["min_eig_L"] = _rel_eigs(L, fb.h)[:, 0]
+    out.update({key: np.concatenate([part[key] for part in parts]) for key in parts[0]})
+    if "II0norm2" in out:
+        out["is_umbilic"] = out["II0norm2"] < umbilic_tolerance
     return out
+
+
+def _scan_block(surface, P, b):
+    """The reported columns of ``curvature_batch`` at the grid points P[b]."""
+    try:
+        fb, f, _, R, L = curvature_batch(surface, P[b])
+    except GeometryError as exc:
+        if b.start == 0:
+            raise
+        raise type(exc)(f"{exc}, in the scan block from grid point {b.start}") from None
+    cols = {"II0norm2": f["II0"], "Hnorm2": f["Hnorm2"]} if f is not None else {}
+    cols.update(r=fb.r, J=fb.J, scalarR=R, min_eig_L=_rel_eigs(L, fb.h)[:, 0])
+    return cols

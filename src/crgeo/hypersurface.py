@@ -492,8 +492,10 @@ def _rel_eigs(L, h):
 
 
 def _trace_h(hinv, M):
-    """h^{alpha betabar} M_{alpha betabar} for stacked matrices."""
-    return np.einsum("kab,kba->k", M, hinv)
+    """h^{alpha betabar} M_{alpha betabar} for stacked matrices, summed term by
+    term in a fixed order, so a point's value does not depend on its batch."""
+    n = M.shape[1]
+    return sum(M[:, a, b] * hinv[:, b, a] for a in range(n) for b in range(n))
 
 
 def _ricci_batch(chart, fb):
@@ -509,11 +511,16 @@ def dbar_b_norm2(fb: _FrameBatch, dfull: np.ndarray) -> np.ndarray:
 
     ``dfull[k, j, ...]`` holds df/dz^j, any trailing axes running over a family
     of functions; the result ``[k, ...]`` is the Hermitian quadratic form
-    conj(g) . h^{-1} . g with g_alpha = Z_alpha f.
+    conj(g) . h^{-1} . g with g_alpha = Z_alpha f.  Both contractions are sums
+    of elementwise products in a fixed order, so a value depends neither on the
+    point's batch nor on the other functions of the family.
     """
-    g = np.einsum("kaj,kj...->ka...", fb.Zc, dfull)
-    val = np.einsum("ka...,kab,kb...->k...", np.conj(g), fb.hinv, g)
-    return np.real(val)
+    K, m = dfull.shape[:2]
+    n = fb.Zc.shape[1]
+    d = dfull.reshape(K, m, -1)
+    g = [sum(fb.Zc[:, a, j, None] * d[:, j] for j in range(m)) for a in range(n)]
+    val = sum(np.conj(g[a]) * fb.hinv[:, a, b, None] * g[b] for a in range(n) for b in range(n))
+    return np.real(val).reshape(dfull.shape[:1] + dfull.shape[2:])
 
 
 def _conformal_batch(chart, sigma, fb):

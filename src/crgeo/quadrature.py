@@ -5,10 +5,14 @@ u in R^{2m} ~ C^m through the first positive radial root of rho.  Integrals
 against the contact volume form theta ^ (dtheta)^n are computed by pulling
 the form back through that parametrization: theta = i dbar-rho and
 dtheta = i ddbar-rho are evaluated exactly from the chart's symbolic jets on
-finite-difference tangent vectors of the parametrization (step 1e-6).  The
-rays of a node set's central differences are solved together: each node's
-ray and its 2(d-1) rays shifted by one step in one angle go into one radial
-solve per block of at most RAY_BLOCK rays.
+finite-difference tangent vectors of the parametrization (step 1e-6).
+
+Every batch runs one block at a time, so working memory is bounded by the
+block, not by the node set: a radial solve takes at most RAY_BLOCK rays, and
+a node block's rays (each node's ray and its 2(d-1) rays shifted by one step
+in one angle) go into one radial solve, after which the density and the
+volume form run on that block's nodes alone.  Each row is computed on its
+own, so the blocking changes the number of batch calls and no value.
 
 The pullback enters through its absolute value, which fixes the orientation
 so that the integral of the density 1 is positive.  Node evaluation is pure;
@@ -30,7 +34,8 @@ TRANSVERSAL_FLOOR = 1e-10
 FD_STEP = 1e-6
 T_MAX = 10.0  # rays are searched for a crossing over t in (0, T_MAX]
 MAX_NODES = 10**6  # largest grid, sample set or scan; larger requests are rejected before allocating
-RAY_BLOCK = 4096  # most rays per radial solve of the FD stencil, which bounds its working memory
+RAY_BLOCK = 4096  # most rays per radial solve, which bounds its working memory
+SCAN_BLOCK = 512  # most points per geometry batch of a scan, which bounds its working memory
 _PREFIX = {"product-grid": "grid", "monte-carlo": "mc", "quasi-monte-carlo": "qmc"}
 
 
@@ -144,6 +149,16 @@ def _to_complex(u):
     return u[:, 0::2] + 1j * u[:, 1::2]
 
 
+def _blocks(K, size):
+    """Slices cutting range(K) into the fewest blocks of at most ``size``, with
+    np.array_split's near-equal lengths: no block is shorter than another by
+    more than one, so there is no one-point tail."""
+    count = max(1, -(-K // size))
+    q, r = divmod(K, count)
+    edges = [i * q + min(i, r) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 # ---- radial root finding ---------------------------------------------------
 
 
@@ -213,8 +228,10 @@ def _radial_batch(rc: RadialChart, U: np.ndarray, labels=None) -> np.ndarray:
 
 
 def radial_points(rc: RadialChart, U: np.ndarray, labels=None) -> np.ndarray:
-    """On-surface points for a batch of unit directions."""
-    t = _radial_batch(rc, U, labels)
+    """On-surface points for a batch of unit directions, solved in blocks of at
+    most RAY_BLOCK rays; errors name ray i as ``labels[i]`` (default i)."""
+    labels = np.arange(U.shape[0]) if labels is None else labels
+    t = np.concatenate([_radial_batch(rc, U[b], labels[b]) for b in _blocks(U.shape[0], RAY_BLOCK)])
     return t[:, None] * _to_complex(U) + 0j  # signed zeros of U become 0, so "-0" never reaches a report
 
 
@@ -269,29 +286,31 @@ def _eval_on_angles(rc: RadialChart, density, angles):
     """|pullback| * density at each angle node, via FD tangents (step 1e-6).
 
     The stencil of a node is its own angles and the 2(d-1) sets shifted by
-    +-FD_STEP in one angle.  Nodes go in blocks of RAY_BLOCK // (2d-1), and
-    the stencil rays of a block are stacked set by set ([centre, +e_0, ...,
-    +e_{d-2}, -e_0, ..., -e_{d-2}]) into one radial solve, whose errors name
-    the node.  The density and the volume form then run once on all nodes.
-    ``density`` returns (K,) values, or (K, F) for F densities on the same
-    nodes; the result has its shape."""
+    +-FD_STEP in one angle.  Nodes go in near-equal blocks of at most
+    RAY_BLOCK // (2d-1) (``_blocks``), and the stencil rays of a block are
+    stacked set by set ([centre, +e_0, ..., +e_{d-2}, -e_0, ..., -e_{d-2}])
+    into one radial solve, whose errors name the node.  The density and the
+    volume form then run on that block's nodes, so no array spans all nodes
+    but the result.  ``density`` returns (K,) values, or (K, F) for F
+    densities on the same nodes; the result has its shape."""
     chart = rc.chart
     d = 2 * chart.m
     K = angles.shape[0]
     sets = 2 * d - 1
-    per_block = RAY_BLOCK // sets
     step = FD_STEP * np.eye(d - 1)[:, None, :]  # (d-1, 1, d-1): one shifted angle per set
-    P = np.empty((K, chart.m), dtype=complex)
-    V = np.empty((K, d - 1, chart.m), dtype=complex)
-    for k0 in range(0, K, per_block):
-        a = angles[k0:k0 + per_block]
+    out = None
+    for b in _blocks(K, RAY_BLOCK // sets):
+        a = angles[b]
         stacked = np.concatenate([a[None], a + step, a - step]).reshape(-1, d - 1)
-        labels = np.tile(np.arange(k0, k0 + a.shape[0]), sets)
+        labels = np.tile(np.arange(b.start, b.stop), sets)
         Q = radial_points(rc, sphere_point(stacked), labels).reshape(sets, a.shape[0], chart.m)
-        P[k0:k0 + per_block] = Q[0]
-        V[k0:k0 + per_block] = np.swapaxes(Q[1:d] - Q[d:], 0, 1) / (2 * FD_STEP)
-    dens = np.asarray(density(P), dtype=float)
-    return (np.abs(contact_volume_density(chart, P, V)) * dens.T).T
+        V = np.swapaxes(Q[1:d] - Q[d:], 0, 1) / (2 * FD_STEP)
+        dens = np.asarray(density(Q[0]), dtype=float)
+        vals = (np.abs(contact_volume_density(chart, Q[0], V)) * dens.T).T
+        if out is None:
+            out = np.empty((K,) + vals.shape[1:])
+        out[b] = vals
+    return out
 
 
 def _halton(samples: int, d: int) -> np.ndarray:
