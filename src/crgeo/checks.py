@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbolic as sym
+from .errors import BadParams
 from .gallery import SurfaceSpec
 from .hypersurface import (
     _conformal_batch,
@@ -46,11 +47,14 @@ from .hypersurface import (
     HypersurfaceChart,
     transverse_solve,
 )
-from .immersion import _gauss_form, _levi_norm2, _mixed_sff_batch, _sff_batch
-from .quadrature import RadialChart, _eval_on_angles, _grid_nodes, integrate, quasi_monte_carlo
+from .immersion import _gauss_form, _levi_norm2, _mixed_sff_batch, _sff_batch, _sff_residuals
+from .quadrature import MAX_NODES, RadialChart, _eval_on_angles, _grid_nodes, integrate, quasi_monte_carlo
 from .spectral import PluriharmonicFunction, _boxb_batch, _energy_density_batch
 
 FD_STEP = 1e-3
+# the quadrature suite's finest grid, grid:10 from dim 3 on, has 10^(2 dim - 1) nodes on
+# S^(2 dim - 1): 10^5 at dim 3, over the ceiling of MAX_NODES = 10^6 from dim 4
+QUADRATURE_SUITE_MAX_DIM = 3
 
 
 @dataclass
@@ -347,6 +351,7 @@ def immersion_suite(surface: SurfaceSpec, seed=0):
     out = []
 
     fb, f = _sff_batch(spec, P)
+    _sff_residuals(fb, f)
     out.append(CheckResult.from_residual(
         "sff.normality", np.max(f["normality"]), 1e-9))
     out.append(CheckResult.from_residual(
@@ -394,7 +399,7 @@ def immersion_suite(surface: SurfaceSpec, seed=0):
     # invariance of |II0|^2 and |A|^2 under frame re-selection
     def reselected(w):
         fbw, fw = _sff_batch(spec, P[:10], w_index=w)
-        return fw["II0"], _levi_norm2(fw["torsion"], fbw.hinv)
+        return fw["II0"], _levi_norm2(_sff_residuals(fbw, fw)["torsion"], fbw.hinv)
 
     spread, spreadA = _reselection_spreads(fb.grad, reselected, 2)
     out.append(CheckResult.from_residual("sff.II0-frame-invariance", spread, 1e-8))
@@ -491,7 +496,11 @@ def quadrature_suite(surface: SurfaceSpec, seed=0):
 
 
 def run_suites(surface: SurfaceSpec, seed=0, include_symbolic=True):
-    """All applicable invariant suites for one surface."""
+    """All applicable invariant suites for one surface; a star-shaped surface past
+    ``QUADRATURE_SUITE_MAX_DIM`` is rejected before any suite runs."""
+    if surface.star_shaped and surface.dim > QUADRATURE_SUITE_MAX_DIM:
+        raise BadParams(f"check's quadrature suite supports dim <= {QUADRATURE_SUITE_MAX_DIM}, got dim = "
+                        f"{surface.dim}: its grid:10 on S^{2 * surface.dim - 1} would exceed the ceiling of {MAX_NODES} nodes")
     results = []
     if include_symbolic:
         results += symcore_suite(seed)

@@ -18,7 +18,7 @@ import numpy as np
 from . import symbolic as sym
 from .errors import BadParams, GeometryError, NotStarShaped, UnknownSurface
 from .hypersurface import HypersurfaceChart, _frame_batch, _rel_eigs, _require_real, _ricci_batch
-from .immersion import UMBILIC_TOLERANCE, ImmersionSpec, _sff_batch
+from .immersion import UMBILIC_TOLERANCE, ImmersionSpec, _sff_batch, _sff_residuals
 from .quadrature import MAX_NODES, SCAN_BLOCK, RadialChart, _blocks, radial_points, sphere_point
 from .spectral import PluriharmonicFunction
 
@@ -322,14 +322,24 @@ def load_surface(fields: dict, name="custom") -> SurfaceSpec:
 
 
 def curvature_batch(surface: SurfaceSpec, P):
-    """Geometry of ``analyze`` and ``scan`` at a (K, m) batch of on-surface points P:
-    the SFF batch when the surface carries an immersion, else the frame batch
-    alone, then the Ricci data.  A single point p is the batch ``p[None, :]``.
+    """Geometry of ``analyze`` at a (K, m) batch of on-surface points P:
+    the SFF batch with its residual fields when the surface carries an immersion,
+    else the frame batch alone, then the Ricci data.  A single point p is the batch
+    ``p[None, :]``.
 
     Returns (fb, f, ric, R, L): the frame batch (``fb.h``, ``fb.r``, ``fb.J``, ...),
-    the SFF field dict of ``immersion._sff_batch`` or None, the Ricci form, the
-    scalar curvature and the frame Hessian of log J, each stacked over the K points.
+    the SFF field dict of ``immersion._sff_batch`` completed by
+    ``immersion._sff_residuals``, or None, the Ricci form, the scalar curvature and
+    the frame Hessian of log J, each stacked over the K points.
     """
+    fb, f, ric, R, L = _curvature_core(surface, P)
+    if f is not None:
+        _sff_residuals(fb, f)
+    return fb, f, ric, R, L
+
+
+def _curvature_core(surface, P):
+    """``curvature_batch`` without the SFF residual fields: the route of a scan block."""
     if surface.immersion is not None:
         fb, f = _sff_batch(surface.immersion, P)
     else:
@@ -343,7 +353,8 @@ def scan_surface(surface: SurfaceSpec, budget: int, umbilic_tolerance=UMBILIC_TO
     Returns a dict of equal-length arrays plus the grid spacing estimate.
     ``II0norm2``/``is_umbilic`` are present only when the surface carries an
     immersion.  The geometry runs on near-equal blocks of at most SCAN_BLOCK
-    grid points, keeping only the reported columns of each, so its working
+    grid points by ``curvature_batch``'s core route, which skips the SFF
+    residual fields, keeping only the reported columns of each, so its working
     memory does not grow with the grid; a geometry error past the first block
     names the block's first grid point.
     """
@@ -357,9 +368,9 @@ def scan_surface(surface: SurfaceSpec, budget: int, umbilic_tolerance=UMBILIC_TO
 
 
 def _scan_block(surface, P, b):
-    """The reported columns of ``curvature_batch`` at the grid points P[b]."""
+    """The reported columns of ``curvature_batch`` at the grid points P[b], by its core route."""
     try:
-        fb, f, _, R, L = curvature_batch(surface, P[b])
+        fb, f, _, R, L = _curvature_core(surface, P[b])
     except GeometryError as exc:
         if b.start == 0:
             raise

@@ -484,7 +484,26 @@ def _frame_levi_derivs(chart, fb):
 def _rel_eigs(L, h):
     """(K, n) ascending eigenvalues of stacked Hermitian forms L relative to the
     metric h: those of C^-1 L C^-*, h = C C^* its Cholesky factor.  Unlike the
-    eigenvalues of L alone, they do not depend on the frame or the coordinates."""
+    eigenvalues of L alone, they do not depend on the frame or the coordinates.
+
+    n = 1 is L/h.  n = 2 takes the Cholesky factor by hand and the eigenvalues
+    of the 2x2 form [[a, conj(b)], [b, d]] as (a+d)/2 -+ hypot((a-d)/2, |b|),
+    with no cancellation under the root; larger n goes through LAPACK.  Each
+    closed form is elementwise, so a point's values do not depend on its batch.
+    """
+    n = h.shape[-1]
+    if n == 1:
+        return L[:, :, 0].real / h[:, :, 0].real
+    if n == 2:
+        h11, h21, h22 = h[:, 0, 0].real, h[:, 1, 0], h[:, 1, 1].real
+        L11, L21, L22 = L[:, 0, 0].real, L[:, 1, 0], L[:, 1, 1].real
+        t = h21 / h11  # C = [[c11, 0], [t c11, c22]], c11^2 = h11
+        s = h22 - (t.real * h21.real + t.imag * h21.imag)  # c22^2, the Schur complement det h / h11
+        a = L11 / h11
+        b = (L21 - t * L11) / np.sqrt(h11 * s)
+        d = (L22 - 2.0 * (t.real * L21.real + t.imag * L21.imag) + (t.real**2 + t.imag**2) * L11) / s
+        mid, rad = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(b))
+        return np.stack([mid - rad, mid + rad], axis=1)
     c = np.linalg.cholesky(h)
     cinv = np.linalg.inv(c)
     M = cinv @ L @ np.conj(np.swapaxes(cinv, -1, -2))

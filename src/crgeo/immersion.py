@@ -63,6 +63,15 @@ class ImmersionSpec:
             rho = sym.add(rho, sym.abs2(comp))
         self.chart = HypersurfaceChart(rho, self.dim, name=name)
 
+    @property
+    def linear(self):
+        """True when every first jet d_l F^d is a constant node, as for the sphere,
+        the ellipsoid and any F = id quadric: dF is then one matrix at every point,
+        and every second jet d_j d_l F^d, a derivative of a constant, is the
+        constant 0.  Read from the jet array's layout, as
+        ``HypersurfaceChart.third_jets_vanish`` is."""
+        return sym.jets(self.F, self.dim, "h").values is not None
+
     def __repr__(self):
         return f"ImmersionSpec(N={self.N}, dim={self.dim}, {self.name or 'custom'})"
 
@@ -84,26 +93,25 @@ def _normal_basis(E):
 
 
 def _sff_batch(spec: ImmersionSpec, P, w_index=None):
-    """Second-fundamental-form arrays over a (K, m) batch.
+    """Core second-fundamental-form arrays over a (K, m) batch: what a scan reads.
 
-    ``V[k, alpha, gamma] = Z_alpha(Z_gamma F) - omega_gamma^beta(Z_alpha) E_beta`` is the
-    raw ambient vector; its pairings ``t`` with the pushed frame E_beta = Z_beta F are the
-    normality residual, and ``holo`` reads its components in the QR normal basis
-    directly, since that basis is orthogonal to span{E_beta}.  ``torsion_ambient`` is
-    the torsion by the basis-free pairing -i <V, H>, which the checks compare with
-    ``torsion``; V itself is not kept, so scans do not hold a (K, n, n, N) array.
-    ``H`` is the ambient (1,0)-mean curvature vector, ``Hnorm2`` its squared length,
-    ``Ha`` its components in the normal basis ``qbasis``, ``torsion`` the pseudohermitian
-    torsion -i holo . conj(Ha), and ``II0`` the Levi-raised squared norm of ``holo``.
+    ``Vraw[k, alpha, gamma] = Z_alpha(Z_gamma F) - omega_gamma^beta(Z_alpha) E_beta`` is the
+    raw ambient vector, with E_beta = Z_beta F the pushed frame; ``holo`` reads its
+    components in the QR normal basis ``qbasis`` directly, since that basis is orthogonal
+    to span{E_beta}, and is then symmetrized.  ``H`` is the ambient (1,0)-mean curvature
+    vector, ``Hnorm2`` its squared length and ``II0`` the Levi-raised squared norm of
+    ``holo``.  ``Vraw`` is kept for ``_sff_residuals``: a batch is at most a scan block,
+    so the (K, n, n, N) array stays small.  The dF and QR gates run here.  A linear F
+    (``spec.linear``) has one dF at every point, gated once, and no d2F term.
 
     Returns (frame_batch, dict of stacked arrays keyed by name).
     """
     fb = _frame_batch(spec.chart, P, w_index=w_index)
     n = spec.n
-    K = P.shape[0]
 
-    dF, d2F = eval_arrays([sym.jets(spec.F, spec.dim, "h"), sym.jets(spec.F, spec.dim, "hh")], P)
-    sv = np.linalg.svd(dF, compute_uv=False)
+    linear = spec.linear
+    dF, *d2F = eval_arrays([sym.jets(spec.F, spec.dim, p) for p in (("h",) if linear else ("h", "hh"))], P)
+    sv = np.linalg.svd(dF[:1] if linear else dF, compute_uv=False)
     if sv[:, -1].min() <= IMMERSION_SV_FLOOR:
         i = int(sv[:, -1].argmin())
         raise RankDeficientNormalBasis(
@@ -114,35 +122,48 @@ def _sff_batch(spec: ImmersionSpec, P, w_index=None):
     q = _normal_basis(E)
 
     # Z_alpha (Z_gamma F^d) = Z_alpha^j Z_gamma^l d_j d_l F^d + (Z_alpha Z_gamma^w) d_w F^d
-    ZZF = np.einsum("kaj,kgl,kdlj->kagd", fb.Zc, fb.Zc, d2F)
-    ZZF += fb.dZw[..., None] * fb.at_w(dF)[:, None, None, :]
+    ZZF = fb.dZw[..., None] * fb.at_w(dF)[:, None, None, :]
+    if d2F:
+        ZZF += np.einsum("kaj,kgl,kdlj->kagd", fb.Zc, fb.Zc, d2F[0])
 
     omega = _connection_batch(spec.chart, fb)
     Vraw = ZZF - np.einsum("kgba,kbd->kagd", omega[:, :, :, :n], E)
 
-    t = np.einsum("kagd,kbd->kagb", Vraw, np.conj(E))
-    normality = np.abs(t).reshape(K, -1).max(axis=1)
-
     holo = np.einsum("kagd,kxd->kagx", Vraw, np.conj(q))
-    symmetry = np.abs(holo - np.swapaxes(holo, 1, 2)).reshape(K, -1).max(axis=1)
     holo = 0.5 * (holo + np.swapaxes(holo, 1, 2))
 
     H = -np.einsum("kdj,kj->kd", dF, fb.xi)
-    tH = np.einsum("kd,kbd->kb", H, np.conj(E))
-    H_tangential = np.abs(tH).max(axis=1)
-    Ha = np.einsum("kd,kxd->kx", H, np.conj(q))
     Hnorm2 = np.real(np.einsum("kd,kd->k", H, np.conj(H)))
-
-    torsion = -1j * np.einsum("kabx,kx->kab", holo, np.conj(Ha))
-    torsion_ambient = -1j * np.einsum("kabd,kd->kab", Vraw, np.conj(H))
-
     II0 = _levi_norm2(holo, fb.hinv)
 
-    return fb, {
-        "dF": dF, "E": E, "qbasis": q, "holo": holo, "H": H, "Ha": Ha, "Hnorm2": Hnorm2,
-        "torsion": torsion, "torsion_ambient": torsion_ambient, "II0": II0,
-        "normality": normality, "symmetry": symmetry, "H_tangential": H_tangential,
-    }
+    return fb, {"dF": dF, "E": E, "qbasis": q, "Vraw": Vraw, "holo": holo, "H": H, "Hnorm2": Hnorm2, "II0": II0}
+
+
+def _sff_residuals(fb, f):
+    """Add the residual and torsion fields to the field dict ``f`` of ``_sff_batch``
+    at the same points, and return it.
+
+    ``normality`` is the largest pairing of ``Vraw`` with the pushed frame,
+    ``symmetry`` the largest antisymmetric part of ``holo`` before it was
+    symmetrized and ``H_tangential`` the largest pairing of ``H`` with the frame.
+    ``Ha`` holds the components of ``H`` in the normal basis, ``torsion`` the
+    pseudohermitian torsion -i holo . conj(Ha), and ``torsion_ambient`` the same
+    torsion by the basis-free pairing -i <Vraw, H>, which the checks compare with it.
+    """
+    K = fb.P.shape[0]
+    Vraw, E, q, H = f["Vraw"], f["E"], f["qbasis"], f["H"]
+    t = np.einsum("kagd,kbd->kagb", Vraw, np.conj(E))
+    raw = np.einsum("kagd,kxd->kagx", Vraw, np.conj(q))
+    Ha = np.einsum("kd,kxd->kx", H, np.conj(q))
+    f.update(
+        normality=np.abs(t).reshape(K, -1).max(axis=1),
+        symmetry=np.abs(raw - np.swapaxes(raw, 1, 2)).reshape(K, -1).max(axis=1),
+        H_tangential=np.abs(np.einsum("kd,kbd->kb", H, np.conj(E))).max(axis=1),
+        Ha=Ha,
+        torsion=-1j * np.einsum("kabx,kx->kab", f["holo"], np.conj(Ha)),
+        torsion_ambient=-1j * np.einsum("kabd,kd->kab", Vraw, np.conj(H)),
+    )
+    return f
 
 
 def _levi_norm2(T, hinv):

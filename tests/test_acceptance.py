@@ -23,7 +23,7 @@ from crgeo.hypersurface import (
     fefferman_det,
     transverse_solve,
 )
-from crgeo.immersion import ImmersionSpec, _sff_batch
+from crgeo.immersion import ImmersionSpec, _sff_batch, _sff_residuals
 from crgeo.quadrature import RadialChart, integrate, product_grid
 from crgeo.spectral import (
     _boxb_batch,
@@ -49,6 +49,7 @@ def test_criterion_1_sphere_baseline():
         from crgeo.hypersurface import _ricci_batch
 
         fb, f = _sff_batch(surf.immersion, P)
+        _sff_residuals(fb, f)
         _, R, _ = _ricci_batch(surf.chart, fb)
         worst = max(worst, float(np.max(np.abs(fb.r - 1))))
         worst = max(worst, float(np.max(np.abs(fb.J - 1))))
@@ -187,9 +188,10 @@ def test_criterion_6_identity_suite():
         n = surf.n
         P = surf.random_points(50, seed=66)
         from crgeo.hypersurface import _loghess_batch, _ricci_batch
-        from crgeo.immersion import _gauss_form, _sff_batch
+        from crgeo.immersion import _gauss_form
 
         fb, f = _sff_batch(surf.immersion, P)
+        _sff_residuals(fb, f)
         ric_ll, R_ll, L = _ricci_batch(surf.chart, fb)
         R_gauss = n * (n + 1) * f["Hnorm2"] - f["II0"]
         worst["gauss"] = max(worst["gauss"], float(np.max(np.abs(R_gauss - R_ll))))

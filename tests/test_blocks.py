@@ -12,7 +12,7 @@ import pytest
 from crgeo import cli
 from crgeo import quadrature, symbolic as sym
 from crgeo.errors import NoCrossing, NotStrictlyPseudoconvex
-from crgeo.gallery import curvature_batch, gallery, scan_surface
+from crgeo.gallery import _curvature_core, curvature_batch, gallery, scan_surface
 from crgeo.hypersurface import _frame_batch, _rel_eigs
 from crgeo.immersion import UMBILIC_TOLERANCE
 from crgeo.quadrature import RAY_BLOCK, SCAN_BLOCK, RadialChart, _blocks, _radial_batch
@@ -69,9 +69,9 @@ class TestScanBlocks:
 
         def counted(surface, P):
             sizes.append(P.shape[0])
-            return curvature_batch(surface, P)
+            return _curvature_core(surface, P)
 
-        monkeypatch.setattr(sys.modules["crgeo.gallery"], "curvature_batch", counted)
+        monkeypatch.setattr(sys.modules["crgeo.gallery"], "_curvature_core", counted)
         res = scan_surface(surface, grid**3)
         K = res["points"].shape[0]
         assert sum(sizes) == K and len(sizes) == -(-K // SCAN_BLOCK)
@@ -86,9 +86,9 @@ class TestScanBlocks:
             calls.append(P.shape[0])
             if len(calls) > failing_call:
                 raise NotStrictlyPseudoconvex("Levi eigenvalue -1.000e+00 at point index 3")
-            return curvature_batch(surface, P)
+            return _curvature_core(surface, P)
 
-        monkeypatch.setattr(sys.modules["crgeo.gallery"], "curvature_batch", failing)
+        monkeypatch.setattr(sys.modules["crgeo.gallery"], "_curvature_core", failing)
         with pytest.raises(NotStrictlyPseudoconvex, match=rf"^Levi eigenvalue -1.000e\+00 at point index 3{suffix}$"):
             scan_surface(gallery("whitney"), 9**3)  # 729 points: blocks of 365 and 364
         assert calls == [365, 364][:failing_call + 1]

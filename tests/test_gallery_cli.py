@@ -349,6 +349,20 @@ class TestCli:
         assert rc == 0, out
         assert "ALL CHECKS PASSED" in out
 
+    @pytest.mark.parametrize("surface,params", [("ellipsoid", "A=(0.1,0.2,0.3,0.4)"), ("sphere", "n=3")])
+    def test_check_past_the_quadrature_suites_dim_exits_2_before_any_suite(self, monkeypatch, surface, params):
+        from crgeo import checks
+
+        ran = []
+        for suite in ("symcore_suite", "hypersurface_suite", "immersion_suite", "spectral_suite", "quadrature_suite"):
+            monkeypatch.setattr(checks, suite, lambda *a, name=suite, **k: ran.append(name) or [])
+        rc, out, err = run_cli(["check", "--surface", surface, "--params", params, "--seed", "0"])
+        assert (rc, out, ran) == (2, "", [])
+        assert json.loads(err) == {
+            "error": "BadParams",
+            "message": "check's quadrature suite supports dim <= 3, got dim = 4: "
+                       "its grid:10 on S^7 would exceed the ceiling of 1000000 nodes"}
+
     def test_surface_file_analyze(self, tmp_path):
         f = tmp_path / "surf.txt"
         f.write_text("rho = abs2(z1) + abs2(z2) - 1\ndim = 2\nF = [z1, z2]\npsi = -1\n")

@@ -16,12 +16,14 @@ from crgeo.immersion import (
     _gauss_form,
     _mixed_sff_batch,
     _sff_batch,
+    _sff_residuals,
 )
 
 
 def sff_of(spec, p, w_index=None):
-    """(fb, f) of ``_sff_batch`` at the single point p: a one-row batch."""
-    return _sff_batch(spec, np.asarray(p, dtype=complex)[None, :], w_index=w_index)
+    """(fb, f) of ``_sff_batch`` with its ``_sff_residuals`` fields at the single point p: a one-row batch."""
+    fb, f = _sff_batch(spec, np.asarray(p, dtype=complex)[None, :], w_index=w_index)
+    return fb, _sff_residuals(fb, f)
 
 
 def gauss_of(fb, f):
