@@ -51,7 +51,6 @@ from .quadrature import (
 )
 from .report import TOOL_VERSION as __version__, Report, scan_csv
 from .spectral import (
-    EigenBoundReport,
     PluriharmonicFunction,
     TakahashiReport,
     reilly_bound,

@@ -193,33 +193,22 @@ def cmd_scan(args):
 def cmd_bound(args):
     surface = _load_surface(args)
     rule = parse_quad_flag(args.quad)
-    agg = {
-        "volume": None, "mean_H2": None, "reilly_upper": None,
-        "tension_energy": None, "tension_total": None, "tension_upper": None,
-        "samples_used": None, "quad": rule.describe(),
-        "volume_error": None,
-    }
-    if surface.immersion is not None and surface.star_shaped:
-        rb = reilly_bound(surface.immersion, rule)
-        agg.update({
-            "volume": rb.volume, "mean_H2": rb.mean_H2, "reilly_upper": rb.upper_bound,
-            "samples_used": rb.samples_used, "volume_error": rb.volume_error,
-        })
+    reilly = surface.immersion is not None and surface.star_shaped
+    if not (reilly or surface.plurifamily):
+        raise BadParams(f"{surface.name} has no bound route: the mean-curvature route needs holomorphic "
+                        "components F and the tension route a pluriharmonic family")
+    agg = dict.fromkeys(("volume", "mean_H2", "reilly_upper", "tension_energy", "tension_total",
+                         "tension_upper", "samples_used", "quad", "volume_error"))
+    agg["quad"] = rule.describe()
+    if reilly:
+        agg.update(reilly_bound(surface.immersion, rule))
     if surface.plurifamily:
         if surface.star_shaped:
-            tb = tension_bound(surface.chart, surface.plurifamily, quad=rule)
+            agg.update(tension_bound(surface.chart, surface.plurifamily, quad=rule))
         else:
             pts = surface.random_points(100, seed=rule.seed)
-            tb = tension_bound(surface.chart, surface.plurifamily, sample_points=pts)
+            agg.update(tension_bound(surface.chart, surface.plurifamily, sample_points=pts))
             agg["quad"] = f"certified:{len(pts)}:{rule.seed}"  # the rule that ran
-        agg.update({
-            "tension_energy": tb.energy, "tension_total": tb.total_tension,
-            "tension_upper": tb.tension_bound,
-        })
-        if agg["volume"] is None:
-            agg["volume"] = tb.volume
-        if agg["samples_used"] is None:
-            agg["samples_used"] = tb.samples_used
     rep = Report(surface=_surface_meta(surface), command=f"bound --quad {args.quad}", aggregates=agg)
     _emit(rep.to_json(), args.out)
     return EXIT_OK

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symbolic as sym
-from .errors import BadParams, GeometryError, NotStarShaped, UnknownSurface
+from .errors import BadParams, GeometryError, UnknownSurface
 from .hypersurface import HypersurfaceChart, _frame_batch, _rel_eigs, _require_real, _ricci_batch
 from .immersion import UMBILIC_TOLERANCE, ImmersionSpec, _sff_batch, _sff_residuals
 from .quadrature import MAX_NODES, SCAN_BLOCK, RadialChart, _blocks, radial_points, sphere_point
@@ -37,7 +37,6 @@ class SurfaceSpec:
     immersion: ImmersionSpec | None = None
     sigma: sym.Expr | None = None
     plurifamily: list = field(default_factory=list)
-    star_shaped: bool = True
     _sampler: object = None
     builder: str = "custom"
 
@@ -49,10 +48,10 @@ class SurfaceSpec:
     def n(self):
         return self.chart.n
 
-    def radial(self) -> RadialChart:
-        if not self.star_shaped:
-            raise NotStarShaped(f"{self.name} has no radial chart about the origin")
-        return RadialChart(self.chart)
+    @property
+    def star_shaped(self):
+        """A radial chart about the origin covers the surface unless it needs its own sampler."""
+        return self._sampler is None
 
     def random_points(self, k: int, seed: int = 0) -> np.ndarray:
         """k exactly-on-surface points, deterministic in the seed."""
@@ -61,7 +60,7 @@ class SurfaceSpec:
             return self._sampler(k, rng)
         U = rng.standard_normal((k, 2 * self.dim))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
-        return radial_points(self.radial(), U)
+        return radial_points(RadialChart(self.chart), U)
 
     def scan_grid(self, budget: int):
         """Deterministic grid of on-surface points covering the whole surface.
@@ -74,7 +73,7 @@ class SurfaceSpec:
         if self._sampler is not None:
             return self._sampler.scan_grid(budget)
         angles, step = _angle_grid(budget, 2 * self.dim - 2, 1)
-        P = radial_points(self.radial(), sphere_point(angles))
+        P = radial_points(RadialChart(self.chart), sphere_point(angles))
         spacing = step * float(np.max(np.abs(P)))
         return P, spacing
 
@@ -252,7 +251,6 @@ def _build_reinhardt(n=1):
         params={"n": n},
         chart=chart,
         plurifamily=family,
-        star_shaped=False,
         _sampler=_ReinhardtSampler(m),
         builder="reinhardt",
     )

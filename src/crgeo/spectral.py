@@ -53,32 +53,9 @@ class PluriharmonicFunction:
 
 
 @dataclass
-class EigenBoundReport:
-    """Shared result record for the mean-curvature and tension bounds.
-
-    Fields not produced by a given bound stay None.  ``upper_bound`` is
-    n * mean_H2 by construction for the mean-curvature route;
-    ``tension_bound`` is total_tension / energy for the quotient route.
-    In certified-constant mode (no quadrature) energy and total_tension are
-    per-unit-volume constants and ``volume`` is None.
-    """
-
-    volume: float | None = None
-    mean_H2: float | None = None
-    upper_bound: float | None = None
-    energy: float | None = None
-    total_tension: float | None = None
-    tension_bound: float | None = None
-    samples_used: int = 0
-    volume_error: float | None = None
-    mean_error: float | None = None
-
-
-@dataclass
 class TakahashiReport:
     lam: float
     radius: float
-    is_eigen: bool
     is_pseudohermitian: bool
     worst_eigen_residual: float
     worst_radius_residual: float
@@ -142,18 +119,19 @@ def takahashi_check(spec: ImmersionSpec, sample) -> TakahashiReport:
     return TakahashiReport(
         lam=lam,
         radius=radius,
-        is_eigen=True,
         is_pseudohermitian=bool(radius_resid < 1e-8 and reeb_resid < 1e-6),
         worst_eigen_residual=resid,
         worst_radius_residual=radius_resid,
     )
 
 
-def reilly_bound(spec: ImmersionSpec, quad: QuadratureRule) -> EigenBoundReport:
+def reilly_bound(spec: ImmersionSpec, quad: QuadratureRule) -> dict:
     """Upper bound n * mean(|H|^2) for the first positive eigenvalue.
 
     |H|^2 equals the transverse curvature of the induced chart, so the
-    integrand needs only the chart jets at each quadrature node.
+    integrand needs only the chart jets at each quadrature node.  Returns the
+    ``bound`` report keys volume, mean_H2, reilly_upper, samples_used and
+    volume_error, the error estimate of the volume.
     """
     chart = spec.chart
     rc = RadialChart(chart)
@@ -162,17 +140,11 @@ def reilly_bound(spec: ImmersionSpec, quad: QuadratureRule) -> EigenBoundReport:
         _, r = _xi_batch(chart, P)
         return r
 
-    total_h2, err_h2 = integrate(rc, h2_density, quad)
+    total_h2, _ = integrate(rc, h2_density, quad)
     volume, err_vol = integrate(rc, lambda P: np.ones(P.shape[0]), quad)
     mean = total_h2 / volume
-    return EigenBoundReport(
-        volume=volume,
-        mean_H2=mean,
-        upper_bound=chart.n * mean,
-        volume_error=err_vol,
-        mean_error=abs(err_h2 / volume) + abs(mean * err_vol / volume),
-        samples_used=quad.samples or quad.resolution,
-    )
+    return {"volume": volume, "mean_H2": mean, "reilly_upper": chart.n * mean,
+            "samples_used": quad.samples or quad.resolution, "volume_error": err_vol}
 
 
 def tension_bound(
@@ -180,13 +152,16 @@ def tension_bound(
     f_components,
     quad: QuadratureRule | None = None,
     sample_points=None,
-) -> EigenBoundReport:
+) -> dict:
     """Quotient bound total_tension / energy for the first eigenvalue.
 
     With a quadrature rule, both quantities are integrated over the surface.
     Without one, the densities are certified constant on ``sample_points``
     (max - min at most CONSTANCY_TOL·(1 + mean|vals|)) and the bound is the
-    ratio of the constants -- the route for surfaces no radial chart covers.
+    ratio of the constants -- the route for surfaces no radial chart covers;
+    energy and tension are then per-unit-volume constants and the volume is
+    None.  Returns the ``bound`` report keys tension_energy, tension_total,
+    tension_upper, volume and samples_used.
     """
     fs = list(f_components)
     if not fs:  # no jets to evaluate, and no energy
@@ -206,7 +181,7 @@ def tension_bound(
         rc = RadialChart(chart)
         energy, _ = integrate(rc, energy_density, quad)
         tension, _ = integrate(rc, tension_density, quad)
-        volume, err_vol = integrate(rc, lambda P: np.ones(P.shape[0]), quad)
+        volume, _ = integrate(rc, lambda P: np.ones(P.shape[0]), quad)
         floor = ENERGY_FLOOR * max(1.0, volume)
         samples = quad.samples or quad.resolution
     else:
@@ -224,16 +199,10 @@ def tension_bound(
                 )
         energy = float(np.mean(e_vals))
         tension = float(np.mean(t_vals))
-        volume = err_vol = None
+        volume = None
         floor = ENERGY_FLOOR
         samples = P.shape[0]
     if energy < floor:
         raise ZeroEnergy("all components are CR; the quotient is undefined")
-    return EigenBoundReport(
-        volume=volume,
-        energy=energy,
-        total_tension=tension,
-        tension_bound=tension / energy,
-        volume_error=err_vol,
-        samples_used=samples,
-    )
+    return {"tension_energy": energy, "tension_total": tension, "tension_upper": tension / energy,
+            "volume": volume, "samples_used": samples}

@@ -74,8 +74,8 @@ def test_criterion_2_beltrami_equality_case():
     assert worst < 1e-10, f"pointwise eigenfunction residual {worst:.3e}"
 
     rep = reilly_bound(surf.immersion, product_grid(16))
-    vol_err = abs(rep.volume - VOL_S3) / VOL_S3
-    bound_err = abs(rep.upper_bound - 1.0)
+    vol_err = abs(rep["volume"] - VOL_S3) / VOL_S3
+    bound_err = abs(rep["reilly_upper"] - 1.0)
     assert vol_err < 1e-3, f"volume off by {vol_err:.2e}"
     assert bound_err < 1e-3, f"bound off by {bound_err:.2e}"
     _report(2, f"eigen residual {worst:.2e}, vol rel err {vol_err:.2e}, bound err {bound_err:.2e}")
@@ -97,7 +97,7 @@ def test_criterion_3_reinhardt_identities():
             worst = max(worst, float(np.max(np.abs(bx[:, j] - (n / 2) * Lj))))
         worst = max(worst, float(np.max(np.abs(total - n / 2))))
         rep = tension_bound(surf.chart, surf.plurifamily, sample_points=P)
-        assert abs(rep.tension_bound - n / 2) < 1e-12, f"tension bound {rep.tension_bound}"
+        assert abs(rep["tension_upper"] - n / 2) < 1e-12, f"tension bound {rep['tension_upper']}"
     assert worst < 1e-9, f"pointwise identity residual {worst:.3e}"
     _report(3, f"identity residual {worst:.2e}, certified bounds exact for n=1,2")
 

@@ -180,6 +180,7 @@ BAD_SURFACE_FILES = {
     "long_sum.txt": "rho = abs2(z1) + abs2(z2) - 1" + " + z1 - z1" * 1500 + "\ndim = 2\n",
     "deep_parens.txt": "rho = " + "(" * 1200 + "abs2(z1) + abs2(z2) - 1" + ")" * 1200 + "\ndim = 2\n",
     "huge_dim.txt": "rho = abs2(z1) + abs2(z2) - 1\ndim = 1000000000\n",
+    "no_route.txt": "rho = abs2(z1) + abs2(z2) - 1\ndim = 2\n",
 }
 
 
@@ -197,6 +198,8 @@ BAD_SURFACE_FILES = {
     (["analyze", "--surface", "ellipsoid", "--params", "A=(nan,0)", "--point", "1,0"], "BadParams"),
     (["check", "--surface-file", "complex_sigma.txt"], "NotRealValued"),
     (["bound", "--surface-file", "psi_without_F.txt", "--quad", "grid:4"], "BadParams"),
+    # neither F (the mean-curvature route) nor a pluriharmonic family (the tension route)
+    (["bound", "--surface-file", "no_route.txt", "--quad", "grid:4"], "BadParams"),
     # output paths in a directory that does not exist
     (["scan", "--surface", "sphere", "--grid", "3", "--out", "absent/x.csv"], "UnwritableFile"),
     (["scan", "--surface", "sphere", "--grid", "3", "--meta-out", "absent/m.json"], "UnwritableFile"),
@@ -329,6 +332,21 @@ class TestCli:
         _, out, _ = run_cli(["bound", "--surface", "reinhardt", "--params", "n=1", "--quad", "mc:64:7"])
         assert json.loads(out)["aggregates"]["quad"] == "certified:100:7"
 
+    @pytest.mark.parametrize("surface,params,quad,routes", [
+        ("sphere", "r=1,n=1", "grid:4", {"reilly_upper", "tension_upper"}),
+        ("ellipsoid", "A=(0.1,0.2,0.3)", "grid:4", {"reilly_upper"}),
+        ("reinhardt", "n=1", "mc:64:7", {"tension_upper"}),
+    ])
+    def test_bound_aggregates_come_in_readme_order_on_each_route(self, surface, params, quad, routes):
+        import pathlib
+
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        keys = re.search(r"`bound` emits `\{(.*?)\}`", readme, re.S).group(1).split(",")
+        rc, out, _ = run_cli(["bound", "--surface", surface, "--params", params, "--quad", quad])
+        agg = json.loads(out)["aggregates"]
+        assert (rc, list(agg)) == (0, [k.strip() for k in keys])
+        assert {k for k in ("reilly_upper", "tension_upper") if agg[k] is not None} == routes
+
     def test_bound_deterministic_with_mc_seed(self):
         args = ["bound", "--surface", "sphere", "--params", "r=1,n=1", "--quad", "mc:2000:5"]
         _, out1, _ = run_cli(args)
@@ -362,6 +380,16 @@ class TestCli:
             "error": "BadParams",
             "message": "check's quadrature suite supports dim <= 3, got dim = 4: "
                        "its grid:10 on S^7 would exceed the ceiling of 1000000 nodes"}
+
+    @pytest.mark.parametrize("name,params", [("sphere", {"n": 3}), ("ellipsoid", {"A": (0.1, 0.2, 0.3, 0.4)}),
+                                             ("whitney", {"n": 3})])
+    def test_per_point_suites_pass_at_n3(self, name, params):
+        # check stops at dim 3 for its quadrature suite alone: the per-point suites run on C^4 too
+        from crgeo.checks import hypersurface_suite, immersion_suite, spectral_suite
+
+        surface = gallery(name, **params)
+        results = hypersurface_suite(surface, 0) + immersion_suite(surface, 0) + spectral_suite(surface, 0)
+        assert results and [r.line() for r in results if not r.passed] == []
 
     def test_surface_file_analyze(self, tmp_path):
         f = tmp_path / "surf.txt"
