@@ -198,8 +198,6 @@ BAD_SURFACE_FILES = {
     (["analyze", "--surface", "ellipsoid", "--params", "A=(nan,0)", "--point", "1,0"], "BadParams"),
     (["check", "--surface-file", "complex_sigma.txt"], "NotRealValued"),
     (["bound", "--surface-file", "psi_without_F.txt", "--quad", "grid:4"], "BadParams"),
-    # neither F (the mean-curvature route) nor a pluriharmonic family (the tension route)
-    (["bound", "--surface-file", "no_route.txt", "--quad", "grid:4"], "BadParams"),
     # output paths in a directory that does not exist
     (["scan", "--surface", "sphere", "--grid", "3", "--out", "absent/x.csv"], "UnwritableFile"),
     (["scan", "--surface", "sphere", "--grid", "3", "--meta-out", "absent/m.json"], "UnwritableFile"),
@@ -225,6 +223,8 @@ BAD_SURFACE_FILES = {
     (["scan", "--surface", "ellipsoid", "--grid", "100"], "BadParams"),
     (["scan", "--surface", "whitney", "--params", "n=2", "--grid", "99"], "BadParams"),
     (["scan", "--surface", "sphere", "--grid", "1" + "0" * 110], "BadParams"),
+    # neither F (the mean-curvature route) nor a pluriharmonic family (the tension route)
+    (["bound", "--surface-file", "no_route.txt", "--quad", "grid:4"], "BadParams"),
 ])
 def test_bad_input_exits_2_with_a_json_error(argv, error, tmp_path):
     for name, text in BAD_SURFACE_FILES.items():
